@@ -12,9 +12,9 @@ import numpy as np
 from esrlab.analysis import duplicate_stats, ecdf, write_ecdf_tsv
 from esrlab.dataset import synthetic_dataset
 from esrlab.enumeration import build_catalog
-from esrlab.fitting import FitConfig
+from esrlab.fitting import FitConfig, fit_catalog
 from esrlab.gp import GpConfig, run_gp
-from esrlab.random_search import fit_entries, run_rs
+from esrlab.random_search import run_rs
 
 data = synthetic_dataset()
 max_len = 6
@@ -24,8 +24,9 @@ catalog = build_catalog(max_len)
 print(f"catalog({max_len}): {len(catalog)} unique expressions")
 
 fit_cfg = FitConfig(restarts=12, restart_patience=5)
-results = fit_entries(catalog, data, "mse", fit_cfg, seed=7)
-values = sorted(v[0] for v in results.values() if np.isfinite(v[0]))
+results = fit_catalog(catalog, data, "mse", fit_cfg, seed=7)
+values = sorted(v.objective for v in results.values()
+                if np.isfinite(v.objective))
 print(f"best achievable mse: {values[0]:.4e}; "
       f"10th best: {values[9]:.4e}")
 

@@ -146,54 +146,15 @@ def _cmd_fit(args) -> int:
     config = preset if args.restarts is None else \
         FitConfig(restarts=args.restarts, max_iters=preset.max_iters,
                   restart_patience=preset.restart_patience)
-    workers = _workers(args)
-    if workers > 1:
-        results = _fit_parallel(catalog, data, args.objective, config,
-                                args.seed, args.out, workers)
-    else:
-        results = fit_catalog(catalog, data, args.objective, config,
-                              args.seed, args.out,
-                              progress=_progress("fit") if args.verbose else None)
+    results = fit_catalog(catalog, data, args.objective, config, args.seed,
+                          args.out,
+                          progress=_progress("fit") if args.verbose else None,
+                          workers=_workers(args))
     best = min((r.objective for r in results.values()
                 if math.isfinite(r.objective)), default=math.inf)
     print(f"fitted {len(results)} entries, best objective {best!r} "
           f"-> {args.out}")
     return 0
-
-
-def _fit_chunk(payload):
-    from .fitting import fit, entry_seed
-    texts, objective, config, seed = payload
-    out = []
-    for h, text in texts:
-        res = fit(ex.parse(text), _FIT_DATA, objective, config,
-                  entry_seed(seed, h))
-        out.append((h, res))
-    return out
-
-
-_FIT_DATA = None
-
-
-def _fit_pool_init(data):
-    global _FIT_DATA
-    _FIT_DATA = data
-
-
-def _fit_parallel(catalog, data, objective, config, seed, out_path, workers):
-    from .fitting import write_results
-    entries = [(e.semantic_hash, e.text) for e in catalog.entries]
-    chunks = [entries[i::workers] for i in range(workers)]
-    results = {}
-    with ProcessPoolExecutor(workers, initializer=_fit_pool_init,
-                             initargs=(data,)) as pool:
-        for part in pool.map(_fit_chunk,
-                             [(c, objective, config, seed) for c in chunks]):
-            results.update(part)
-    ordered = {e.semantic_hash: results[e.semantic_hash]
-               for e in catalog.entries}
-    write_results(ordered, out_path)
-    return ordered
 
 
 def _cmd_gp(args) -> int:

@@ -734,8 +734,7 @@ class EGraph:
             if nc != target:
                 continue
             if op == PARAM:
-                candidates.append(ex.param(node[1] if node[1] < _FRESH_BASE
-                                           else node[1]))
+                candidates.append(ex.param(node[1]))
             elif op == VAR:
                 candidates.append(ex.var(node[1]))
             elif op == CONST:

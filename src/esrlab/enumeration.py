@@ -35,7 +35,7 @@ from .simplify import Canonicalizer
 
 __all__ = [
     "enumerate_trees", "build_catalog", "Catalog", "CatalogEntry",
-    "write_catalog", "read_catalog", "catalog_lookup", "RULESET_ID",
+    "write_catalog", "read_catalog", "RULESET_ID",
 ]
 
 RULESET_ID = "table-eqsat-v1"
@@ -67,11 +67,7 @@ class Catalog:
         return self._index.get(semantic_hash)
 
 
-def catalog_lookup(catalog: Catalog, semantic_hash: int):
-    return catalog.lookup(semantic_hash)
-
-
-def _build_tree(tokens, productions, hole_from: int = 0) -> Expr:
+def _build_tree(tokens, productions) -> Expr:
     """Build the pre-order expression for a (possibly partial) derivation."""
     pos = 0
     n_params = 0
@@ -96,27 +92,43 @@ def _build_tree(tokens, productions, hole_from: int = 0) -> Expr:
     return walk()
 
 
-def enumerate_trees(max_len: int,
-                    grammar: Grammar = DEFAULT_GRAMMAR) -> Iterator[Expr]:
-    """Yield every complete derivation with length <= max_len exactly once,
-    in breadth-first order (first-nonterminal expansion)."""
+def _expand(max_len: int, grammar: Grammar, keep=None) -> Iterator[Expr]:
+    """Breadth-first derivation search (first-nonterminal expansion) that
+    yields each complete derivation with length <= max_len once.
+
+    A partial derivation is expanded further only if ``keep(tree, key)`` is
+    true; ``key`` is its production counts followed by its number of open
+    nonterminals.  Calls to ``keep`` and yields interleave in derivation
+    order, the order ``build_catalog`` canonicalizes in.
+    """
     if not 1 <= max_len <= 16:
         raise ValueError("max_len must be in 1..16")
     productions = grammar.productions
     queue: deque = deque()
-    queue.append(((_NT,), 0, 1))  # tokens, terminal count, nonterminal count
+    # tokens, terminal count, nonterminal count, production counts
+    queue.append(((_NT,), 0, 1, (0,) * len(productions)))
     while queue:
-        tokens, n_term, n_nt = queue.popleft()
+        tokens, n_term, n_nt, counts = queue.popleft()
         slot = tokens.index(_NT)
         for i, (name, kind, arity) in enumerate(productions):
+            n_open = n_nt - 1 + arity
             # minimal completed length if we apply this production
-            if n_term + 1 + (n_nt - 1 + arity) > max_len:
+            if n_term + 1 + n_open > max_len:
                 continue
             new = tokens[:slot] + (i,) + ((_NT,) * arity) + tokens[slot + 1:]
-            if n_nt - 1 + arity == 0:
+            new_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+            if n_open == 0:
                 yield _build_tree(new, productions)
-            else:
-                queue.append((new, n_term + 1, n_nt - 1 + arity))
+            elif keep is None or keep(_build_tree(new, productions),
+                                      new_counts + (n_open,)):
+                queue.append((new, n_term + 1, n_open, new_counts))
+
+
+def enumerate_trees(max_len: int,
+                    grammar: Grammar = DEFAULT_GRAMMAR) -> Iterator[Expr]:
+    """Yield every complete derivation with length <= max_len exactly once,
+    in breadth-first order (first-nonterminal expansion)."""
+    return _expand(max_len, grammar)
 
 
 def _partial_key(canon_hash: int, token_counts: tuple) -> int:
@@ -135,44 +147,31 @@ def build_catalog(max_len: int,
     Deterministic for a given configuration: the same call rebuilds a
     bit-identical catalog.
     """
-    if not 1 <= max_len <= 16:
-        raise ValueError("max_len must be in 1..16")
-    productions = grammar.productions
     canon = Canonicalizer(eqsat)
     seen_exprs: set[int] = set()
     seen_partials: set[int] = set()
     entries: list[CatalogEntry] = []
-    n_visited = 0
 
-    queue: deque = deque()
-    queue.append(((_NT,), 0, 1, (0,) * len(productions)))
-    while queue:
-        tokens, n_term, n_nt, counts = queue.popleft()
-        slot = tokens.index(_NT)
-        for i, (name, kind, arity) in enumerate(productions):
-            if n_term + 1 + (n_nt - 1 + arity) > max_len:
-                continue
-            new = tokens[:slot] + (i,) + ((_NT,) * arity) + tokens[slot + 1:]
-            new_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-            tree = _build_tree(new, productions)
-            cf = canon(tree)
-            if n_nt - 1 + arity == 0:
-                n_visited += 1
-                if cf.semantic_hash not in seen_exprs:
-                    seen_exprs.add(cf.semantic_hash)
-                    entries.append(CatalogEntry(
-                        cf.semantic_hash, cf.n_nodes, cf.n_params, cf.text))
-                if progress is not None and n_visited % 10000 == 0:
-                    progress(n_visited, len(entries))
-            else:
-                if prune_partials:
-                    key = _partial_key(
-                        cf.semantic_hash,
-                        new_counts + (n_nt - 1 + arity,))
-                    if key in seen_partials:
-                        continue
-                    seen_partials.add(key)
-                queue.append((new, n_term + 1, n_nt - 1 + arity, new_counts))
+    # partials are canonicalized even without pruning: the cache's answers
+    # depend on its history, so skipping them would change the catalog
+    def keep(tree: Expr, key: tuple) -> bool:
+        h = canon(tree).semantic_hash
+        if not prune_partials:
+            return True
+        pk = _partial_key(h, key)
+        if pk in seen_partials:
+            return False
+        seen_partials.add(pk)
+        return True
+
+    for n_visited, tree in enumerate(_expand(max_len, grammar, keep), 1):
+        cf = canon(tree)
+        if cf.semantic_hash not in seen_exprs:
+            seen_exprs.add(cf.semantic_hash)
+            entries.append(CatalogEntry(
+                cf.semantic_hash, cf.n_nodes, cf.n_params, cf.text))
+        if progress is not None and n_visited % 10000 == 0:
+            progress(n_visited, len(entries))
 
     meta = {
         "grammar": grammar.name,

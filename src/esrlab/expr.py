@@ -177,9 +177,6 @@ class Grammar:
     )
     name: str = "univariate-v1"
 
-    def node_cost(self, production) -> int:
-        return 1
-
 
 DEFAULT_GRAMMAR = Grammar()
 

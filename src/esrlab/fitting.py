@@ -3,10 +3,17 @@
 Each restart draws a start uniformly from the configured box and runs
 L-BFGS-B to the configured tolerances.  For the marginal likelihood the
 optimization vector is [theta, mu, log omega, log sigma_int], maximized
-jointly.  Restarts stop early once ``restart_patience`` consecutive starts
-fail to improve the best objective by more than the absolute tolerance.
+jointly; a point where omega underflows to zero counts as a bad point.
+Restarts stop early once ``restart_patience`` consecutive starts fail to
+improve the best objective by more than the absolute tolerance.
 
-Results files are tab-separated text, one line per catalog entry:
+``fit_catalog`` is the one loop that fits catalog entries, serially or in a
+process pool; the random-search baseline and the command line both go
+through it.  Each entry's seed derives from (global seed, entry hash), so
+results do not depend on the order or the process an entry is fitted in.
+
+Results files are tab-separated text, one line per catalog entry, in
+catalog order:
 
     <hash>\t<objective>\t<n_evals>\t<comma-joined parameters>
 
@@ -20,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,7 +41,7 @@ from .objectives import MnrParams, mse, mnr_loglik
 
 __all__ = [
     "FitConfig", "FitResult", "fit", "fit_catalog",
-    "ESR_FIT", "GP_FIT", "write_results", "read_results", "entry_seed",
+    "ESR_FIT", "GP_FIT", "read_results", "entry_seed",
 ]
 
 
@@ -48,7 +54,6 @@ class FitConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-8
     restart_patience: int = 20
-    restart_budget_s: float = 300.0
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -118,6 +123,8 @@ def _mnr_value(e: Expr, data: Dataset, n_params: int, counter: _Counter):
         theta = tuple(vec[:n_params])
         mu = vec[n_params]
         omega = math.exp(min(vec[n_params + 1], 300.0))
+        if not omega > 0:
+            return _BAD
         sigma_int = math.exp(min(vec[n_params + 2], 300.0))
         val = -mnr_loglik(e, MnrParams(theta, mu, omega, sigma_int), data)
         if not math.isfinite(val):
@@ -134,6 +141,8 @@ def _objective_value(e: Expr, data: Dataset, objective: str, vec) -> float:
     theta = tuple(vec[:n_params])
     mu = vec[n_params]
     omega = math.exp(vec[n_params + 1])
+    if not omega > 0:
+        return math.inf
     sigma_int = math.exp(vec[n_params + 2])
     return -mnr_loglik(e, MnrParams(theta, mu, omega, sigma_int), data)
 
@@ -179,7 +188,6 @@ def fit(e: Expr, data: Dataset, objective: str = "mse",
     for _ in range(config.restarts):
         used += 1
         x0 = rng.uniform(config.init_lo, config.init_hi, dim)
-        t0 = time.monotonic()
         # scipy tolerances sit well below the declared bounds so that convex
         # problems reach parameter-level accuracy at the declared tolerance
         res = minimize(
@@ -194,9 +202,7 @@ def fit(e: Expr, data: Dataset, objective: str = "mse",
             counter.grad += int(res.njev) if hasattr(res, "njev") else 0
         val = _objective_value(e, data, objective, res.x)
         counter.obj += 1
-        if time.monotonic() - t0 > config.restart_budget_s:
-            terminations.append("time_budget")
-        elif res.success:
+        if res.success:
             terminations.append("converged")
         else:
             terminations.append("iter_limit")
@@ -236,42 +242,63 @@ def entry_seed(global_seed: int, semantic_hash: int) -> int:
 def fit_catalog(catalog, data: Dataset, objective: str = "mse",
                 config: FitConfig = ESR_FIT, seed: int = 0,
                 out_path: Optional[str] = None,
-                progress=None) -> dict:
+                progress=None, workers: int = 1) -> dict:
     """Fit every catalog entry; returns {semantic_hash: FitResult}.
 
     Entry seeds derive from (seed, hash) so results are independent of
-    processing order.  When ``out_path`` is given, results are appended line
-    by line: an interrupted run leaves a valid partial file that a rerun
-    resumes (finished entries are skipped).
+    processing order.  When ``out_path`` is given, entries already in it
+    are read back instead of fitted, and new results are appended line by
+    line in catalog order: an interrupted run leaves a valid partial file
+    that a rerun resumes.  The ``#done`` footer is written once.  With
+    ``workers > 1`` the entries to fit go to a pool of that many processes;
+    the results, and the file, are the same as with one.
     """
     done: dict = {}
-    sink = None
+    complete = False
     if out_path is not None:
         try:
-            for h, res in read_results(out_path).items():
-                done[h] = res
+            done, complete = _read_results(out_path)
         except FileNotFoundError:
             pass
-        sink = open(out_path, "a", encoding="utf-8")
+    todo = [e for e in catalog.entries if e.semantic_hash not in done]
+    pool = None
+    if workers > 1 and len(todo) > 1:
+        # imported here so that importing this module stays cheap
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from itertools import repeat
+        pool = ProcessPoolExecutor(
+            min(workers, len(todo)),
+            mp_context=multiprocessing.get_context("spawn"))
+        fits = pool.map(_fit_entry, todo, repeat(data), repeat(objective),
+                        repeat(config), repeat(seed))
+    else:
+        fits = (_fit_entry(e, data, objective, config, seed) for e in todo)
+    sink = None
     try:
-        for i, entry in enumerate(catalog.entries):
-            h = entry.semantic_hash
-            if h in done:
-                continue
-            e = ex.parse(entry.text)
-            res = fit(e, data, objective, config, entry_seed(seed, h))
-            done[h] = res
+        if out_path is not None and (todo or not complete):
+            sink = open(out_path, "a", encoding="utf-8")
+        for i, (entry, res) in enumerate(zip(todo, fits), 1):
+            done[entry.semantic_hash] = res
             if sink is not None:
-                sink.write(_result_line(h, res))
+                sink.write(_result_line(entry.semantic_hash, res))
                 sink.flush()
-            if progress is not None and (i + 1) % 100 == 0:
-                progress(i + 1, len(catalog.entries))
-        if sink is not None:
+            if progress is not None and i % 100 == 0:
+                progress(len(done), len(catalog.entries))
+        if sink is not None and not complete:
             sink.write("#done\n")
     finally:
         if sink is not None:
             sink.close()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return done
+
+
+def _fit_entry(entry, data: Dataset, objective: str, config: FitConfig,
+               seed: int) -> FitResult:
+    return fit(ex.parse(entry.text), data, objective, config,
+               entry_seed(seed, entry.semantic_hash))
 
 
 def _result_line(h: int, res: FitResult) -> str:
@@ -279,22 +306,23 @@ def _result_line(h: int, res: FitResult) -> str:
     return f"{h}\t{res.objective!r}\t{res.n_obj_evals}\t{params}\n"
 
 
-def write_results(results: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for h, res in results.items():
-            f.write(_result_line(h, res))
-        f.write("#done\n")
-
-
 def read_results(path: str) -> dict:
     """Read a results file into {hash: FitResult} (partial files allowed)."""
+    return _read_results(path)[0]
+
+
+def _read_results(path: str) -> tuple:
+    """({hash: FitResult}, whether the file carries the ``#done`` footer)."""
     out: dict = {}
+    complete = False
     with open(path, encoding="utf-8") as f:
         for line in f:
+            if line.startswith("#done"):
+                complete = True
             if line.startswith("#") or not line.strip():
                 continue
             h, obj, n_evals, params = line.rstrip("\n").split("\t")
             vals = tuple(float(v) for v in params.split(",")) if params else ()
             out[int(h)] = FitResult(vals, float(obj), 0, int(n_evals), 0,
                                     ("loaded",))
-    return out
+    return out, complete

@@ -282,7 +282,7 @@ class _Normalizer:
             else:
                 by_base[key] = (step, base)
                 order.append(key)
-        if coeff == 0.0 and not param_only:
+        if coeff == 0.0:
             return ex.const(0.0)
 
         out: list[Expr] = []

@@ -22,7 +22,7 @@ from .expr import Expr
 from .autodiff import eval_expr, eval_with_grad
 from .dataset import Dataset
 
-__all__ = ["mse", "MnrParams", "mnr_loglik", "mnr_neg_loglik"]
+__all__ = ["mse", "MnrParams", "mnr_loglik"]
 
 
 def mse(e: Expr, theta, data: Dataset) -> float:
@@ -70,7 +70,3 @@ def mnr_loglik(e: Expr, p: MnrParams, data: Dataset) -> float:
         t2 = s2 * (data.x - p.mu) ** 2 / den
         t3 = np.log(den)
         return float(-0.5 * (np.sum(t1) + np.sum(t2) + np.sum(t3)))
-
-
-def mnr_neg_loglik(e: Expr, p: MnrParams, data: Dataset) -> float:
-    return -mnr_loglik(e, p, data)

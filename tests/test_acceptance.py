@@ -23,7 +23,7 @@ from esrlab.enumeration import build_catalog, enumerate_trees
 from esrlab.fitting import ESR_FIT, FitConfig, fit, fit_catalog
 from esrlab.gp import GpConfig, run_gp
 from esrlab.objectives import MnrParams, mnr_loglik
-from esrlab.random_search import fit_entries, run_rs
+from esrlab.random_search import run_rs
 from esrlab.simplify import canonicalize
 
 from conftest import slow
@@ -239,10 +239,11 @@ def test_c08_gp_behavior_bands():
 def test_c09_random_search_dominance():
     data = synthetic_dataset()
     cat = build_catalog(10)
-    results = fit_entries(cat, data, "mse",
+    results = fit_catalog(cat, data, "mse",
                           FitConfig(restarts=20, restart_patience=6),
                           seed=4)
-    values = sorted(v[0] for v in results.values() if math.isfinite(v[0]))
+    values = sorted(v.objective for v in results.values()
+                    if math.isfinite(v.objective))
     optimum = values[0]
     n = len(cat)
     logs = run_rs(cat, data, "mse", runs=50, seed=4, results=results)

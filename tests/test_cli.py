@@ -5,7 +5,7 @@ import pytest
 
 from esrlab.cli import main, parse_gp_config, write_gp_config
 from esrlab.dataset import save_csv, synthetic_dataset
-from esrlab.enumeration import read_catalog
+from esrlab.enumeration import read_catalog, write_catalog
 from esrlab.gp import GpConfig
 from esrlab.runlog import read_runlog
 
@@ -22,6 +22,19 @@ def catalog3_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cat") / "c3.tsv"
     assert main(["enumerate", "--max-length", "3", "--out", str(path)]) == 0
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def catalog4_file(tmp_path_factory, catalog4):
+    path = tmp_path_factory.mktemp("cat") / "c4.tsv"
+    write_catalog(catalog4, str(path))
+    return str(path)
+
+
+def _fit(catalog, data, out, workers):
+    return main(["fit", "--catalog", catalog, "--data", data,
+                 "--restarts", "3", "--seed", "7", "--out", str(out),
+                 "--workers", str(workers)])
 
 
 def test_usage_errors_exit_1(capsys):
@@ -143,3 +156,38 @@ def test_workers_env_override(monkeypatch, tmp_path, data_csv, catalog3_file):
     assert main(["fit", "--catalog", catalog3_file, "--data", data_csv,
                  "--restarts", "2", "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_fit_workers_write_identical_files(tmp_path, data_csv, catalog4_file):
+    one, two = tmp_path / "one.tsv", tmp_path / "two.tsv"
+    assert _fit(catalog4_file, data_csv, one, 1) == 0
+    assert _fit(catalog4_file, data_csv, two, 2) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_fit_workers_resume_partial_file(tmp_path, data_csv, catalog4_file):
+    full = tmp_path / "full.tsv"
+    assert _fit(catalog4_file, data_csv, full, 1) == 0
+    lines = full.read_text().splitlines(keepends=True)
+    # a planted result for the fourth entry: kept as it is, not refitted
+    planted = lines[3].split("\t")[0] + "\t12345.0\t7\t0.5\n"
+    partial = tmp_path / "partial.tsv"
+    partial.write_text("".join(lines[:3]) + planted)
+    assert _fit(catalog4_file, data_csv, partial, 2) == 0
+    assert partial.read_text() == \
+        "".join(lines[:3]) + planted + "".join(lines[4:])
+
+
+def test_rs_completes_partial_results(tmp_path, data_csv, catalog3_file):
+    full = tmp_path / "full.tsv"
+    assert main(["fit", "--catalog", catalog3_file, "--data", data_csv,
+                 "--seed", "5", "--out", str(full), "--workers", "1"]) == 0
+    partial = tmp_path / "partial.tsv"
+    partial.write_text("".join(full.read_text().splitlines(True)[:5]))
+    for name, results in (("full", full), ("partial", partial)):
+        assert main(["rs", "--catalog", catalog3_file, "--data", data_csv,
+                     "--runs", "2", "--seed", "5", "--results", str(results),
+                     "--log-dir", str(tmp_path / name)]) == 0
+    for log in ("rs_000.log", "rs_001.log"):
+        assert (tmp_path / "full" / log).read_bytes() == \
+            (tmp_path / "partial" / log).read_bytes()

@@ -1,13 +1,15 @@
 import math
 import time
+import zlib
 
 import pytest
 
 from esrlab import expr as ex
-from esrlab.enumeration import (build_catalog, catalog_lookup,
-                                enumerate_trees, read_catalog, write_catalog)
+from esrlab.enumeration import (build_catalog, enumerate_trees, read_catalog,
+                                write_catalog)
 from esrlab.simplify import canonicalize
 
+from conftest import slow
 from oracles import trees_cumulative
 
 
@@ -95,12 +97,12 @@ def test_rebuild_bit_identical(tmp_path, catalog4):
 
 def test_catalog_lookup(catalog4):
     h = canonicalize(ex.parse("x")).semantic_hash
-    entry = catalog_lookup(catalog4, h)
+    entry = catalog4.lookup(h)
     assert entry is not None and entry.text == "x"
     h = canonicalize(ex.parse("p1 + p2")).semantic_hash
-    entry = catalog_lookup(catalog4, h)
+    entry = catalog4.lookup(h)
     assert entry is not None and entry.text == "p1"
-    assert catalog_lookup(catalog4, 12345) is None
+    assert catalog4.lookup(12345) is None
 
 
 def test_catalog_file_roundtrip(tmp_path, catalog6):
@@ -130,3 +132,30 @@ def test_entry_texts_parse_back(catalog6):
         e = ex.parse(entry.text)
         assert ex.length(e) == entry.n_nodes
         assert ex.param_count(e) == entry.n_params
+
+
+# Golden (entry count, crc32 of the entry lines) per length: they pin the
+# de-duplication semantics, so a change to enumeration, normalization or
+# saturation that moves a catalog by one entry fails here.
+GOLDEN = {4: (27, "b2e9792d"), 5: (129, "5d42a7e2"), 6: (334, "5ff16590"),
+          7: (1713, "5a9e2dcc"), 8: (5275, "3991ba8c")}
+
+
+def _digest(catalog):
+    crc = 0
+    for e in catalog.entries:
+        line = f"{e.semantic_hash}\t{e.n_nodes}\t{e.n_params}\t{e.text}\n"
+        crc = zlib.crc32(line.encode("utf-8"), crc)
+    return len(catalog.entries), f"{crc:08x}"
+
+
+def test_golden_catalogs(catalog4, catalog6):
+    assert _digest(catalog4) == GOLDEN[4]
+    assert _digest(build_catalog(5)) == GOLDEN[5]
+    assert _digest(catalog6) == GOLDEN[6]
+
+
+@slow
+@pytest.mark.parametrize("max_len", [7, 8])
+def test_golden_catalogs_slow(max_len):
+    assert _digest(build_catalog(max_len)) == GOLDEN[max_len]

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from esrlab import expr as ex
-from esrlab.dataset import Dataset
+from esrlab.dataset import Dataset, bundled_synthetic_path, load_csv
 from esrlab.fitting import (ESR_FIT, GP_FIT, FitConfig, entry_seed, fit,
                             fit_catalog, read_results)
+from esrlab.objectives import mnr_loglik
+from esrlab.simplify import canonicalize
 
 
 def test_constant_fit_closed_form(synth):
@@ -85,6 +87,18 @@ def test_mnr_fit_on_linear(noisy_linear_mnr):
     assert res.params[2] == res.mnr.sigma_int
 
 
+def test_mnr_omega_underflow_is_a_bad_point():
+    # on the bundled data some restarts drive log(omega) so low that omega
+    # underflows to 0.0; that point is rejected instead of raising
+    e = ex.parse("1.0 / |x| ^ (p1 ^ x)")
+    data = load_csv(bundled_synthetic_path())
+    res = fit(e, data, "mnr", ESR_FIT,
+              entry_seed(0, canonicalize(e).semantic_hash))
+    assert math.isfinite(res.objective)
+    assert res.mnr.omega > 0
+    assert res.objective == -mnr_loglik(e, res.mnr, data)
+
+
 def test_entry_seed_stable():
     assert entry_seed(1, 42) == entry_seed(1, 42)
     assert entry_seed(1, 42) != entry_seed(2, 42)
@@ -124,6 +138,20 @@ def test_fit_catalog_resumes_partial(tmp_path, linear_data, catalog4):
     assert out.read_text().rstrip().endswith("#done")
 
 
+def test_rerun_on_complete_file_changes_nothing(tmp_path, linear_data,
+                                                catalog4):
+    out = tmp_path / "results.tsv"
+    first = fit_catalog(catalog4, linear_data, "mse", FitConfig(restarts=2),
+                        seed=5, out_path=str(out))
+    text = out.read_text()
+    again = fit_catalog(catalog4, linear_data, "mse", FitConfig(restarts=2),
+                        seed=6, out_path=str(out))
+    assert out.read_text() == text
+    assert text.count("#done") == 1
+    assert {h: r.objective for h, r in again.items()} == \
+        {h: r.objective for h, r in first.items()}
+
+
 def test_fit_catalog_order_independent_seeds(linear_data, catalog4):
     # per-entry results depend only on (seed, hash), not processing order
     reversed_catalog = type(catalog4)(catalog4.max_len,
@@ -140,7 +168,6 @@ def test_fit_catalog_order_independent_seeds(linear_data, catalog4):
 def test_presets_follow_documented_shapes():
     assert ESR_FIT.restarts == 340
     assert ESR_FIT.rel_tol == 1e-8 and ESR_FIT.abs_tol == 1e-8
-    assert ESR_FIT.restart_budget_s == 300.0
     assert GP_FIT.restarts == 1
     assert GP_FIT.max_iters == 10
     assert GP_FIT.init_lo == -3.0 and GP_FIT.init_hi == 3.0

@@ -5,7 +5,7 @@ from esrlab import expr as ex
 from esrlab.autodiff import eval_expr
 from esrlab.enumeration import enumerate_trees
 from esrlab.normalize import normalize
-from esrlab.simplify import canonicalize
+from esrlab.simplify import Canonicalizer, canonicalize
 
 
 def test_examples():
@@ -21,6 +21,9 @@ def test_examples():
         "p1 + p2": "p1",
         "p1 * p2 + p3": "p1",
         "x / x": "1.0",
+        # a zero coefficient annihilates parameter factors too
+        "x * p1 * 0.0": "0.0",
+        "p1 / x * (x - x)": "0.0",
     }
     for text, want in cases.items():
         assert ex.render(normalize(ex.parse(text))) == want, text
@@ -110,3 +113,14 @@ def test_family_preserved_under_folding():
         orig = fit(t, data, "mse", cfg, seed=1).objective
         after = fit(n, data, "mse", cfg, seed=2).objective
         assert after <= orig + 1e-6, (text, ex.render(n))
+
+
+@pytest.mark.parametrize("order", [("p1 / x * (x - x)", "1.0 / (x * p1)"),
+                                   ("1.0 / (x * p1)", "p1 / x * (x - x)")])
+def test_cache_keeps_zero_product_apart(order):
+    # the cache keys on the normal form; a zero product must not share an
+    # entry with 1/(x*p1), whichever of the two arrives first
+    cache = Canonicalizer()
+    for text in order:
+        e = ex.parse(text)
+        assert cache(e).semantic_hash == canonicalize(e).semantic_hash, text

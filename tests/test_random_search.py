@@ -3,15 +3,15 @@ from collections import Counter
 
 import pytest
 
-from esrlab.fitting import FitConfig
-from esrlab.random_search import fit_entries, run_rs
+from esrlab.fitting import FitConfig, fit_catalog
+from esrlab.random_search import run_rs
 
 FAST_FIT = FitConfig(restarts=2, max_iters=60)
 
 
 @pytest.fixture(scope="module")
 def rs_logs(catalog4, linear_data):
-    results = fit_entries(catalog4, linear_data, "mse", FAST_FIT, seed=3)
+    results = fit_catalog(catalog4, linear_data, "mse", FAST_FIT, seed=3)
     return run_rs(catalog4, linear_data, "mse", FAST_FIT, runs=12, seed=3,
                   results=results), results
 
@@ -31,7 +31,7 @@ def test_no_revisits_within_run(rs_logs):
 
 def test_final_best_is_catalog_optimum(rs_logs):
     logs, results = rs_logs
-    optimum = min(v[0] for v in results.values())
+    optimum = min(v.objective for v in results.values())
     for log in logs:
         assert min(r.fitness for r in log.records) == optimum
 
@@ -54,8 +54,19 @@ def test_fevals_accumulate(rs_logs):
         assert all(b > a for a, b in zip(fevals, fevals[1:]))
 
 
+def test_partial_results_are_completed(rs_logs, catalog4, linear_data):
+    # entries missing from ``results`` are fitted with the same per-entry
+    # seeds, so the logs equal those from full results
+    logs, results = rs_logs
+    partial = dict(list(results.items())[::2])
+    again = run_rs(catalog4, linear_data, "mse", FAST_FIT, runs=12, seed=3,
+                   results=partial)
+    assert [log.records for log in again] == [log.records for log in logs]
+    assert len(partial) < len(results)
+
+
 def test_runs_differ_but_reproduce(catalog4, linear_data):
-    results = fit_entries(catalog4, linear_data, "mse", FAST_FIT, seed=3)
+    results = fit_catalog(catalog4, linear_data, "mse", FAST_FIT, seed=3)
     a = run_rs(catalog4, linear_data, "mse", FAST_FIT, runs=2, seed=3,
                results=results)
     b = run_rs(catalog4, linear_data, "mse", FAST_FIT, runs=2, seed=3,
@@ -66,7 +77,7 @@ def test_runs_differ_but_reproduce(catalog4, linear_data):
 
 def test_permutation_uniform_first_element(catalog4, linear_data):
     # first-visited entry over many seeded runs is uniform within 4 sigma
-    results = fit_entries(catalog4, linear_data, "mse", FAST_FIT, seed=3)
+    results = fit_catalog(catalog4, linear_data, "mse", FAST_FIT, seed=3)
     small = type(catalog4)(catalog4.max_len, catalog4.entries[:10],
                            catalog4.meta)
     logs = run_rs(small, linear_data, "mse", FAST_FIT, runs=10000, seed=11,
@@ -82,8 +93,8 @@ def test_permutation_uniform_first_element(catalog4, linear_data):
 def test_first_success_rank_matches_order_statistics(catalog4, linear_data):
     # threshold met by m of N entries: expected first-success rank is
     # (N+1)/(m+1); check the empirical mean within a loose band
-    results = fit_entries(catalog4, linear_data, "mse", FAST_FIT, seed=3)
-    values = sorted(v[0] for v in results.values())
+    results = fit_catalog(catalog4, linear_data, "mse", FAST_FIT, seed=3)
+    values = sorted(v.objective for v in results.values())
     m = 4
     threshold = values[m - 1]
     n_entries = len(values)
