@@ -61,6 +61,18 @@ def _load_dataset(path: str) -> Dataset:
         raise DataError(f"cannot load dataset {path}: {err}")
 
 
+def _load_results(path: str) -> dict:
+    try:
+        return read_results(path)
+    except (OSError, ValueError) as err:
+        raise DataError(f"cannot load results {path}: {err}")
+
+
+def _check_objective(objective: str, data: Dataset) -> None:
+    if objective == "mnr" and not data.has_uncertainties:
+        raise DataError("mnr objective requires sigma_x,sigma_y columns")
+
+
 def _load_catalog(path: str):
     try:
         return read_catalog(path)
@@ -142,6 +154,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_fit(args) -> int:
     catalog = _load_catalog(args.catalog)
     data = _load_dataset(args.data)
+    _check_objective(args.objective, data)
     preset = ESR_FIT if args.preset == "esr" else GP_FIT
     config = preset if args.restarts is None else \
         FitConfig(restarts=args.restarts, max_iters=preset.max_iters,
@@ -160,8 +173,7 @@ def _cmd_fit(args) -> int:
 def _cmd_gp(args) -> int:
     data = _load_dataset(args.data)
     cfg = parse_gp_config(args.config)
-    if cfg.objective == "mnr" and not data.has_uncertainties:
-        raise DataError("mnr objective requires sigma_x,sigma_y columns")
+    _check_objective(cfg.objective, data)
     os.makedirs(args.log_dir, exist_ok=True)
     write_gp_config(cfg, os.path.join(args.log_dir, "config_echo.txt"))
     workers = _workers(args)
@@ -188,11 +200,8 @@ def _gp_one(payload):
 def _cmd_rs(args) -> int:
     catalog = _load_catalog(args.catalog)
     data = _load_dataset(args.data)
-    if args.objective == "mnr" and not data.has_uncertainties:
-        raise DataError("mnr objective requires sigma_x,sigma_y columns")
-    results = None
-    if args.results:
-        results = read_results(args.results)
+    _check_objective(args.objective, data)
+    results = _load_results(args.results) if args.results else None
     os.makedirs(args.log_dir, exist_ok=True)
     logs = run_rs(catalog, data, args.objective, ESR_FIT, args.runs,
                   args.seed, results,
@@ -279,7 +288,7 @@ def _baseline_values(path: str, data: Dataset, objective: str) -> list:
 
 
 def _cmd_analyze_dist(args) -> int:
-    results = read_results(args.results)
+    results = _load_results(args.results)
     catalog = _load_catalog(args.catalog) if args.catalog else None
     baselines = None
     if args.baselines:

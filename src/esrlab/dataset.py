@@ -57,14 +57,21 @@ def load_csv(path_or_file, name: str = "") -> Dataset:
 def _load(f, name: str) -> Dataset:
     header = None
     rows = []
-    for line in f:
+    for lineno, line in enumerate(f, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if header is None:
             header = [c.strip().lower() for c in line.split(",")]
             continue
-        rows.append([float(v) for v in line.split(",")])
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"line {lineno}: {len(fields)} fields, "
+                             f"header has {len(header)}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     if header is None or not rows:
         raise ValueError("empty dataset file")
     cols = {h: np.array([r[i] for r in rows]) for i, h in enumerate(header)}

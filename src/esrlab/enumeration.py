@@ -56,7 +56,9 @@ class Catalog:
     max_len: int
     entries: list
     meta: dict = field(default_factory=dict)
-    _index: Optional[dict] = None
+    # lookup cache; not a field, so dataclasses.replace builds a fresh one
+    _index: Optional[dict] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -1,11 +1,17 @@
 """Parameter fitting: multi-restart quasi-Newton maximum likelihood.
 
 Each restart draws a start uniformly from the configured box and runs
-L-BFGS-B to the configured tolerances.  For the marginal likelihood the
-optimization vector is [theta, mu, log omega, log sigma_int], maximized
-jointly; a point where omega underflows to zero counts as a bad point.
-Restarts stop early once ``restart_patience`` consecutive starts fail to
-improve the best objective by more than the absolute tolerance.
+L-BFGS-B to the configured tolerances.  ``minimize`` drives scipy's compiled
+L-BFGS-B routine ``setulb`` directly: the routine uses reverse
+communication, returning to its caller whenever it needs the objective, so
+the caller owns the evaluation loop.  The driver keeps the bookkeeping of
+``scipy.optimize.minimize(method="L-BFGS-B")`` without its per-call
+wrappers, so every run takes the same steps and makes the same evaluations.
+For the marginal likelihood the optimization vector is
+[theta, mu, log omega, log sigma_int], maximized jointly; a point where
+omega underflows to zero counts as a bad point.  Restarts stop early once
+``restart_patience`` consecutive starts fail to improve the best objective
+by more than the absolute tolerance.
 
 ``fit_catalog`` is the one loop that fits catalog entries, serially or in a
 process pool; the random-search baseline and the command line both go
@@ -28,10 +34,10 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from . import expr as ex
 from .expr import Expr
@@ -147,6 +153,101 @@ def _objective_value(e: Expr, data: Dataset, objective: str, vec) -> float:
     return -mnr_loglik(e, MnrParams(theta, mu, omega, sigma_int), data)
 
 
+# scipy's L-BFGS-B defaults: stored corrections, line-search steps per
+# iteration, and the absolute finite-difference step
+_MAXCOR = 10
+_MAXLS = 20
+_FD_STEP = 1e-8
+_EPS = np.finfo(float).eps
+
+
+class OptResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nfev: int
+    njev: int
+    success: bool
+
+
+def minimize(fun, x0, jac: bool, maxiter: int, ftol: float, gtol: float,
+             maxfun: int) -> OptResult:
+    """Unbounded L-BFGS-B from ``x0``, one loop over scipy's ``setulb``.
+
+    With ``jac`` true ``fun(x)`` returns (value, gradient); otherwise it
+    returns the value and the gradient is a 2-point forward difference.
+    The bookkeeping is that of ``scipy.optimize.minimize(fun, x0, jac=jac or
+    None, method="L-BFGS-B")`` with these options, so a run takes the same
+    steps, makes the same evaluations and ends at the same point:
+    ``fun`` is evaluated once at ``x0`` before the routine starts, and a
+    requested point equal to the last one evaluated is not evaluated again.
+    With ``jac`` a point holding a NaN is evaluated twice, as scipy's
+    ``MemoizeJac`` did (it compares points with ==), which keeps evaluation
+    counts, and so results files, unchanged; ``nfev`` counts it once.  The
+    run stops at iteration ``maxiter``, or once ``nfev`` exceeds ``maxfun``,
+    checked as each iteration starts; ``success`` means the routine itself
+    declared convergence.
+    """
+    n = len(x0)
+    x = np.array(x0, dtype=float)
+    nbd = np.zeros(n, np.int32)   # no variable is bounded ...
+    bound = np.zeros(n)           # ... so the bounds are never read
+    wa = np.zeros(2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR ** 2 + 8 * _MAXCOR)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    factr = ftol / _EPS
+    nfev = njev = nit = 0
+
+    def evaluate(point):
+        nonlocal nfev, njev
+        nfev += 1
+        njev += 1
+        if not jac:
+            f0 = fun(x)
+            nfev += n
+            return f0, _forward_difference(fun, x, f0)
+        if any(map(math.isnan, point)):
+            fun(x)
+        return fun(x)
+
+    last = x.tolist()
+    f, g = evaluate(last)
+    while True:
+        setulb(_MAXCOR, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa,
+               task, lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == 3:      # the routine wants f and g at x
+            point = x.tolist()
+            if point != last:
+                last = point
+                f, g = evaluate(point)
+        elif task[0] == 1:    # a new iteration starts
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            return OptResult(x, f, nfev, njev, bool(task[0] == 4))
+
+
+def _forward_difference(fun, x, f0: float) -> np.ndarray:
+    """scipy's 2-point gradient: step ``_FD_STEP``, or sqrt(eps) * sign(x)
+    * max(1, |x|) where that step would not move x; coordinates in order."""
+    step = np.where((x + _FD_STEP) - x == 0,
+                    _EPS ** 0.5 * np.where(x >= 0, 1.0, -1.0)
+                    * np.maximum(1.0, np.abs(x)),
+                    _FD_STEP)
+    values = np.empty(len(x))
+    for i in range(len(x)):
+        moved = x.copy()
+        moved[i] = x[i] + step[i]
+        values[i] = fun(moved)
+    return (values - f0) / ((x + step) - x)
+
+
 def fit(e: Expr, data: Dataset, objective: str = "mse",
         config: FitConfig = FitConfig(), seed: int = 0) -> FitResult:
     """Fit the parameters of ``e`` to ``data``; deterministic given seed.
@@ -173,12 +274,11 @@ def fit(e: Expr, data: Dataset, objective: str = "mse",
         return FitResult((), val, 0, counter.obj, counter.grad, reasons)
 
     rng = np.random.default_rng(seed)
-    if objective == "mse":
+    jac = objective == "mse"
+    if jac:
         fun = _mse_value_grad(e, data, counter)
-        jac = True
     else:
         fun = _mnr_value(e, data, n_params, counter)
-        jac = None
 
     best_vec = None
     best_val = math.inf
@@ -188,18 +288,14 @@ def fit(e: Expr, data: Dataset, objective: str = "mse",
     for _ in range(config.restarts):
         used += 1
         x0 = rng.uniform(config.init_lo, config.init_hi, dim)
-        # scipy tolerances sit well below the declared bounds so that convex
-        # problems reach parameter-level accuracy at the declared tolerance
-        res = minimize(
-            fun, x0, jac=jac, method="L-BFGS-B",
-            options={
-                "maxiter": config.max_iters,
-                "ftol": config.rel_tol * 1e-3,
-                "gtol": config.abs_tol * 1e-3,
-                "maxfun": max(config.max_iters * 20, 100),
-            })
-        if jac is None:
-            counter.grad += int(res.njev) if hasattr(res, "njev") else 0
+        # optimizer tolerances sit well below the declared bounds so that
+        # convex problems reach parameter-level accuracy at the declared
+        # tolerance
+        res = minimize(fun, x0, jac, config.max_iters,
+                       config.rel_tol * 1e-3, config.abs_tol * 1e-3,
+                       max(config.max_iters * 20, 100))
+        if not jac:
+            counter.grad += res.njev
         val = _objective_value(e, data, objective, res.x)
         counter.obj += 1
         if res.success:
@@ -316,13 +412,23 @@ def _read_results(path: str) -> tuple:
     out: dict = {}
     complete = False
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if line.startswith("#done"):
                 complete = True
             if line.startswith("#") or not line.strip():
                 continue
-            h, obj, n_evals, params = line.rstrip("\n").split("\t")
-            vals = tuple(float(v) for v in params.split(",")) if params else ()
-            out[int(h)] = FitResult(vals, float(obj), 0, int(n_evals), 0,
-                                    ("loaded",))
+            # lines are written whole, newline included: a line without
+            # one was cut short, perhaps inside a number that still parses
+            if line.endswith("\n"):
+                try:
+                    h, obj, n_evals, params = line[:-1].split("\t")
+                    vals = tuple(float(v) for v in params.split(",")) \
+                        if params else ()
+                    out[int(h)] = FitResult(vals, float(obj), 0, int(n_evals),
+                                            0, ("loaded",))
+                    continue
+                except ValueError:
+                    pass
+            raise ValueError(f"{path}:{lineno}: malformed results line "
+                             f"{line.rstrip()!r}")
     return out, complete

@@ -1,8 +1,12 @@
 """The benchmark's traced run patches library functions by attribute name
 (perfbench/tracing.py).  Entering and leaving its ``Tracer`` here fails fast
-when a refactor removes or renames one of those names."""
+when a refactor removes or renames one of those names, or stops calling
+through one."""
 
 import os
+
+from esrlab import expr as ex
+from esrlab.fitting import GP_FIT
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -16,3 +20,15 @@ def test_tracer_patch_points_exist(monkeypatch):
         pass
     after = [getattr(owner, attr) for owner, attr, _, _ in tracing._PATCHES]
     assert after == before
+
+
+def test_fit_calls_through_patched_minimize(monkeypatch, synth):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import tracing
+    from esrlab import fitting
+
+    with tracing.Tracer() as t:
+        fitting.fit(ex.parse("p1 * x + p2"), synth, "mse", GP_FIT, seed=0)
+    spans = t.summary()["spans"]
+    assert spans["fitting.minimize"]["calls"] >= 1
+    assert spans["objectives.mse"]["calls"] >= 1

@@ -191,3 +191,39 @@ def test_rs_completes_partial_results(tmp_path, data_csv, catalog3_file):
     for log in ("rs_000.log", "rs_001.log"):
         assert (tmp_path / "full" / log).read_bytes() == \
             (tmp_path / "partial" / log).read_bytes()
+
+
+def test_fit_mnr_needs_uncertainty_columns(tmp_path, catalog3_file, capsys):
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n1.0,2.0\n2.0,3.0\n3.0,5.0\n")
+    out = tmp_path / "r.tsv"
+    assert main(["fit", "--catalog", catalog3_file, "--data", str(data),
+                 "--objective", "mnr", "--out", str(out),
+                 "--workers", "1"]) == 2
+    assert "sigma_x" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_ragged_csv_exits_2(tmp_path, catalog3_file, capsys):
+    data = tmp_path / "ragged.csv"
+    data.write_text("x,y\n1.0,2.0\n2.0\n3.0,5.0\n")
+    out = tmp_path / "r.tsv"
+    assert main(["fit", "--catalog", catalog3_file, "--data", str(data),
+                 "--out", str(out), "--workers", "1"]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rs_torn_results_exits_2(tmp_path, data_csv, catalog3_file, capsys):
+    full = tmp_path / "full.tsv"
+    assert main(["fit", "--catalog", catalog3_file, "--data", data_csv,
+                 "--seed", "5", "--out", str(full), "--workers", "1"]) == 0
+    lines = full.read_text().splitlines(True)[:5]
+    torn = tmp_path / "torn.tsv"
+    torn.write_text("".join(lines[:4]) + lines[4][:len(lines[4]) // 3])
+    capsys.readouterr()
+    assert main(["rs", "--catalog", catalog3_file, "--data", data_csv,
+                 "--runs", "1", "--results", str(torn),
+                 "--log-dir", str(tmp_path / "rs")]) == 2
+    err = capsys.readouterr().err
+    assert f"{torn}:5" in err

@@ -1,6 +1,7 @@
 import math
 import time
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -103,6 +104,15 @@ def test_catalog_lookup(catalog4):
     entry = catalog4.lookup(h)
     assert entry is not None and entry.text == "p1"
     assert catalog4.lookup(12345) is None
+
+
+def test_replaced_catalog_builds_fresh_index():
+    cat = build_catalog(3)
+    last = cat.entries[-1]
+    assert cat.lookup(last.semantic_hash) is last
+    subset = replace(cat, entries=cat.entries[:3])
+    assert subset.lookup(last.semantic_hash) is None
+    assert subset.lookup(cat.entries[0].semantic_hash) is cat.entries[0]
 
 
 def test_catalog_file_roundtrip(tmp_path, catalog6):

@@ -123,6 +123,20 @@ def test_fit_catalog_and_results_file(tmp_path, linear_data, catalog4):
         float(np.var(linear_data.y)), rel=1e-9)
 
 
+@pytest.mark.parametrize("cut", ["inside_hash", "inside_last_number"])
+def test_torn_results_line_is_rejected(tmp_path, linear_data, catalog4, cut):
+    out = tmp_path / "results.tsv"
+    fit_catalog(catalog4, linear_data, "mse", FitConfig(restarts=2), seed=5,
+                out_path=str(out))
+    lines = out.read_text().splitlines(keepends=True)
+    assert lines[1].count("\t") == 3 and lines[1][-4:-1].isdigit()
+    # a cut inside the last number leaves a line that would still parse
+    keep = 5 if cut == "inside_hash" else len(lines[1]) - 3
+    out.write_text(lines[0] + lines[1][:keep])
+    with pytest.raises(ValueError, match=r"results\.tsv:2: "):
+        read_results(str(out))
+
+
 def test_fit_catalog_resumes_partial(tmp_path, linear_data, catalog4):
     out = tmp_path / "results.tsv"
     full = fit_catalog(catalog4, linear_data, "mse", FitConfig(restarts=2),
@@ -171,3 +185,68 @@ def test_presets_follow_documented_shapes():
     assert GP_FIT.restarts == 1
     assert GP_FIT.max_iters == 10
     assert GP_FIT.init_lo == -3.0 and GP_FIT.init_hi == 3.0
+
+
+def _lbfgsb_both(e, data, objective, config, x0, maxfun=None):
+    """One start under ``fitting.minimize`` and under scipy's L-BFGS-B, with
+    the options ``fit`` uses (or the evaluation limit ``maxfun``); returns
+    both results and the (objective, gradient) evaluations each made."""
+    from scipy.optimize import minimize as scipy_minimize
+    from esrlab import fitting
+
+    opts = dict(maxiter=config.max_iters, ftol=config.rel_tol * 1e-3,
+                gtol=config.abs_tol * 1e-3,
+                maxfun=maxfun or max(config.max_iters * 20, 100))
+    runs = []
+    for driver in ("ours", "scipy"):
+        counter = fitting._Counter()
+        if objective == "mse":
+            fun = fitting._mse_value_grad(e, data, counter)
+        else:
+            fun = fitting._mnr_value(e, data, ex.param_count(e), counter)
+        if driver == "ours":
+            res = fitting.minimize(fun, x0, objective == "mse", **opts)
+        else:
+            res = scipy_minimize(fun, x0, jac=True if objective == "mse"
+                                 else None, method="L-BFGS-B", options=opts)
+        runs.append((res, (counter.obj, counter.grad)))
+    return runs
+
+
+
+@pytest.mark.parametrize("case",
+                         ["mse", "mnr", "gp_cap", "maxfun", "nan", "bad"])
+def test_minimize_matches_scipy_lbfgsb(case, synth):
+    """The in-house driver reproduces scipy's L-BFGS-B bit for bit; a scipy
+    whose compiled routine changes makes this fail rather than drift."""
+    rng = np.random.default_rng(11)
+    text, objective, config, x0 = {
+        "mse": ("p1 / (x + p2)", "mse", ESR_FIT, rng.uniform(-3, 3, 2)),
+        "mnr": ("p1 * x ^ p2", "mnr", ESR_FIT, rng.uniform(-3, 3, 5)),
+        "gp_cap": ("p1 * |x| ^ (p2 * x)", "mse", GP_FIT,
+                   rng.uniform(-3, 3, 2)),
+        "maxfun": ("p1 / (x + p2)", "mse", ESR_FIT, rng.uniform(-3, 3, 2)),
+        # the line search drives p1 to NaN, where the objective is bad
+        "nan": ("|x| ^ p1", "mse", ESR_FIT,
+                np.random.default_rng(2).uniform(-300, 300, 1)),
+        # omega = exp(-800) underflows, so the start is a bad point; at
+        # p1 = 1e9 the finite-difference step 1e-8 would not move p1
+        "bad": ("p1 * x + p2", "mnr", ESR_FIT,
+                np.array([1e9, 0.0, 0.0, -800.0, 0.0])),
+    }[case]
+    (ours, our_evals), (theirs, their_evals) = _lbfgsb_both(
+        ex.parse(text), synth, objective, config, x0,
+        maxfun=30 if case == "maxfun" else None)
+    assert ours.x.tobytes() == theirs.x.tobytes()
+    assert repr(ours.fun) == repr(float(theirs.fun))
+    assert (ours.nfev, ours.njev, ours.success) == \
+        (theirs.nfev, theirs.njev, theirs.success)
+    assert our_evals == their_evals
+    if case == "gp_cap":
+        assert theirs.nit == GP_FIT.max_iters and not theirs.success
+    if case == "maxfun":
+        assert theirs.nfev > 30 and not theirs.success
+    if case == "nan":
+        assert np.isnan(theirs.x).any() and their_evals[0] > theirs.nfev
+    if case == "bad":
+        assert theirs.fun == 1e300
