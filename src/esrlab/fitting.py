@@ -226,10 +226,10 @@ def minimize(fun, x0, jac: bool, maxiter: int, ftol: float, gtol: float,
         elif task[0] == 1:    # a new iteration starts
             nit += 1
             if nit >= maxiter:
-                task[:] = 5, 504
+                task[:] = 5, 504    # stop: iteration limit
             elif nfev > maxfun:
-                task[:] = 5, 502
-        else:
+                task[:] = 5, 502    # stop: evaluation limit
+        else:                 # 4 converged, 5 stopped, 6-8 failed
             return OptResult(x, f, nfev, njev, bool(task[0] == 4))
 
 
