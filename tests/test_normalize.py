@@ -1,11 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from esrlab import enumeration, simplify
 from esrlab import expr as ex
 from esrlab.autodiff import eval_expr
 from esrlab.enumeration import enumerate_trees
+from esrlab.expr import DEFAULT_GRAMMAR
 from esrlab.normalize import normalize
 from esrlab.simplify import Canonicalizer, canonicalize
+
+from conftest import slow
 
 
 def test_examples():
@@ -124,3 +130,68 @@ def test_cache_keeps_zero_product_apart(order):
     for text in order:
         e = ex.parse(text)
         assert cache(e).semantic_hash == canonicalize(e).semantic_hash, text
+
+
+# Digest over every partial and complete derivation of the enumeration (in
+# derivation order) of its normal form and its uncached canonical form;
+# partial counts, complete counts, digest prefix.
+GOLDEN_FORMS = {5: (459, 610, "0091b4ac767ca876"),
+                7: (14756, 19114, "e33c7327fbd29961")}
+# normalize and canonicalize calls build_catalog makes through its cache: the
+# cache's answers depend on its history, so these pin that history
+GOLDEN_CALLS = {6: (4394, 1126), 7: (25567, 6559)}
+
+
+def _forms_digest(max_len):
+    trees = {"partial": 0, "complete": 0}
+    h = hashlib.sha256()
+
+    def record(t):
+        cf = canonicalize(t)
+        h.update(f"{ex.render(t)}\t{ex.render(normalize(t))}\t{cf.text}\t"
+                 f"{cf.semantic_hash}\t{cf.n_params}\t{cf.n_nodes}\n"
+                 .encode("utf-8"))
+
+    def keep(t, key):
+        trees["partial"] += 1
+        record(t)
+        return True
+
+    for t in enumeration._expand(max_len, DEFAULT_GRAMMAR, keep):
+        trees["complete"] += 1
+        record(t)
+    return trees["partial"], trees["complete"], h.hexdigest()[:16]
+
+
+def _catalog_calls(monkeypatch, max_len):
+    calls = {"normalize": 0, "canonicalize": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simplify, name,
+                            counted(name, getattr(simplify, name)))
+    enumeration.build_catalog(max_len)
+    return calls["normalize"], calls["canonicalize"]
+
+
+def test_golden_forms():
+    assert _forms_digest(5) == GOLDEN_FORMS[5]
+
+
+def test_golden_catalog_calls(monkeypatch):
+    assert _catalog_calls(monkeypatch, 6) == GOLDEN_CALLS[6]
+
+
+@slow
+def test_golden_forms_slow():
+    assert _forms_digest(7) == GOLDEN_FORMS[7]
+
+
+@slow
+def test_golden_catalog_calls_slow(monkeypatch):
+    assert _catalog_calls(monkeypatch, 7) == GOLDEN_CALLS[7]
