@@ -15,7 +15,7 @@ from .expr import (
 from .egraph import EGraph, EqSatConfig, RULES, dump_rules, SaturationReport
 from .normalize import normalize
 from .simplify import (
-    CanonicalForm, canonicalize, semantic_hash, simplifies_to_constant,
+    CanonicalForm, canonicalize, simplifies_to_constant,
     Canonicalizer,
 )
 

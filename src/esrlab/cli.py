@@ -20,9 +20,10 @@ from .analysis import (duplicate_stats, ecdf, fitness_distribution,
                        write_distribution_tsv, write_dupstats_tsv,
                        write_ecdf_tsv)
 from .dataset import Dataset, load_csv
-from .egraph import EqSatConfig, dump_rules
+from .egraph import EGraphCapacityError, EqSatConfig, dump_rules
 from .enumeration import build_catalog, read_catalog, write_catalog
-from .fitting import ESR_FIT, GP_FIT, FitConfig, fit_catalog, read_results
+from .fitting import (ESR_FIT, GP_FIT, FitConfig, ResultsFileError,
+                      fit_catalog, read_results)
 from .gp import GpConfig, gp_preset, run_gp
 from .objectives import MnrParams, mnr_loglik, mse
 from .random_search import run_rs
@@ -54,18 +55,16 @@ def _workers(args) -> int:
     return os.cpu_count() or 1
 
 
-def _load_dataset(path: str) -> Dataset:
-    try:
-        return load_csv(path)
-    except (OSError, ValueError) as err:
-        raise DataError(f"cannot load dataset {path}: {err}")
+_READERS = {"dataset": load_csv, "catalog": read_catalog,
+            "results": read_results, "run log": read_runlog}
 
 
-def _load_results(path: str) -> dict:
+def _load(what: str, path: str):
+    """Read a ``what`` file; a file it rejects is a DataError."""
     try:
-        return read_results(path)
+        return _READERS[what](path)
     except (OSError, ValueError) as err:
-        raise DataError(f"cannot load results {path}: {err}")
+        raise DataError(f"cannot load {what} {path}: {err}")
 
 
 def _check_objective(objective: str, data: Dataset) -> None:
@@ -73,16 +72,12 @@ def _check_objective(objective: str, data: Dataset) -> None:
         raise DataError("mnr objective requires sigma_x,sigma_y columns")
 
 
-def _load_catalog(path: str):
-    try:
-        return read_catalog(path)
-    except (OSError, ValueError) as err:
-        raise DataError(f"cannot load catalog {path}: {err}")
-
-
 def _eqsat(args) -> EqSatConfig:
-    return EqSatConfig(max_iters=args.eqsat_iters,
-                       node_budget=args.node_budget)
+    try:
+        return EqSatConfig(max_iters=args.eqsat_iters,
+                           node_budget=args.node_budget)
+    except ValueError as err:
+        raise DataError(f"--eqsat-iters/--node-budget: {err}")
 
 
 # -- gp config files ------------------------------------------------------------
@@ -118,7 +113,12 @@ def parse_gp_config(path: str) -> GpConfig:
                 if key not in _GP_KEYS:
                     raise DataError(f"{path}:{lineno}: unknown key {key!r}")
                 field, conv = _GP_KEYS[key]
-                values[key] = conv(raw)
+                try:
+                    values[key] = conv(raw)
+                    if field is not None:
+                        GpConfig(**{field: values[key]})  # checks its bound
+                except ValueError as err:
+                    raise DataError(f"{path}:{lineno}: {key}: {err}")
     except OSError as err:
         raise DataError(f"cannot read config {path}: {err}")
     cfg = gp_preset(values.get("max_length", 10))
@@ -143,26 +143,38 @@ def write_gp_config(cfg: GpConfig, path: str) -> None:
 # -- subcommands ------------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
-    cat = build_catalog(args.max_length, _eqsat(args),
-                        prune_partials=not args.no_prune,
-                        progress=_progress("enumerate") if args.verbose else None)
+    eqsat = _eqsat(args)
+    try:
+        cat = build_catalog(args.max_length, eqsat,
+                            prune_partials=not args.no_prune,
+                            progress=_progress("enumerate") if args.verbose
+                            else None)
+    except ValueError as err:
+        raise DataError(f"--max-length {args.max_length}: {err}")
     write_catalog(cat, args.out)
     print(f"{len(cat)} unique expressions -> {args.out}")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    catalog = _load_catalog(args.catalog)
-    data = _load_dataset(args.data)
+    catalog = _load("catalog", args.catalog)
+    data = _load("dataset", args.data)
     _check_objective(args.objective, data)
     preset = ESR_FIT if args.preset == "esr" else GP_FIT
-    config = preset if args.restarts is None else \
-        FitConfig(restarts=args.restarts, max_iters=preset.max_iters,
-                  restart_patience=preset.restart_patience)
-    results = fit_catalog(catalog, data, args.objective, config, args.seed,
-                          args.out,
-                          progress=_progress("fit") if args.verbose else None,
-                          workers=_workers(args))
+    try:
+        config = preset if args.restarts is None else \
+            FitConfig(restarts=args.restarts, max_iters=preset.max_iters,
+                      restart_patience=preset.restart_patience)
+    except ValueError as err:
+        raise DataError(f"--restarts {args.restarts}: {err}")
+    try:
+        results = fit_catalog(catalog, data, args.objective, config,
+                              args.seed, args.out,
+                              progress=_progress("fit") if args.verbose
+                              else None,
+                              workers=_workers(args))
+    except ResultsFileError as err:
+        raise DataError(f"cannot resume results: {err}")
     best = min((r.objective for r in results.values()
                 if math.isfinite(r.objective)), default=math.inf)
     print(f"fitted {len(results)} entries, best objective {best!r} "
@@ -171,7 +183,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gp(args) -> int:
-    data = _load_dataset(args.data)
+    data = _load("dataset", args.data)
     cfg = parse_gp_config(args.config)
     _check_objective(cfg.objective, data)
     os.makedirs(args.log_dir, exist_ok=True)
@@ -198,10 +210,10 @@ def _gp_one(payload):
 
 
 def _cmd_rs(args) -> int:
-    catalog = _load_catalog(args.catalog)
-    data = _load_dataset(args.data)
+    catalog = _load("catalog", args.catalog)
+    data = _load("dataset", args.data)
     _check_objective(args.objective, data)
-    results = _load_results(args.results) if args.results else None
+    results = _load("results", args.results) if args.results else None
     os.makedirs(args.log_dir, exist_ok=True)
     logs = run_rs(catalog, data, args.objective, ESR_FIT, args.runs,
                   args.seed, results,
@@ -234,7 +246,7 @@ def _cmd_analyze_ecdf(args) -> int:
     paths = sorted(glob.glob(args.logs))
     if not paths:
         raise DataError(f"no logs match {args.logs!r}")
-    logs = [read_runlog(p) for p in paths]
+    logs = [_load("run log", p) for p in paths]
     thresholds = [float(t) for t in args.thresholds.split(",")]
     curves = ecdf(logs, thresholds, args.axis)
     write_ecdf_tsv(curves, args.out)
@@ -243,8 +255,8 @@ def _cmd_analyze_ecdf(args) -> int:
 
 
 def _cmd_analyze_dups(args) -> int:
-    log = read_runlog(args.log)
-    catalog = _load_catalog(args.catalog) if args.catalog else None
+    log = _load("run log", args.log)
+    catalog = _load("catalog", args.catalog) if args.catalog else None
     stats = duplicate_stats(log, catalog)
     write_dupstats_tsv(stats, args.out)
     print(f"dup stats over {len(log.records)} records -> {args.out}")
@@ -288,13 +300,13 @@ def _baseline_values(path: str, data: Dataset, objective: str) -> list:
 
 
 def _cmd_analyze_dist(args) -> int:
-    results = _load_results(args.results)
-    catalog = _load_catalog(args.catalog) if args.catalog else None
+    results = _load("results", args.results)
+    catalog = _load("catalog", args.catalog) if args.catalog else None
     baselines = None
     if args.baselines:
         if not args.data:
             raise DataError("--baselines requires --data")
-        data = _load_dataset(args.data)
+        data = _load("dataset", args.data)
         baselines = _baseline_values(args.baselines, data, args.objective)
     dist = fitness_distribution(results, catalog, baselines, args.top)
     write_distribution_tsv(dist, args.out)
@@ -407,6 +419,9 @@ def main(argv=None) -> int:
         return 1
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except EGraphCapacityError as err:  # only --node-budget sets a budget
+        print(f"error: {err}; raise --node-budget", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

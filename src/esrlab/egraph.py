@@ -9,11 +9,21 @@ rules operate on a small vocabulary with true-power semantics:
 Every e-class carries an analysis value: NumericConst(v) when the class folds
 to a literal, ParamOnly when it contains parameters/constants only (such a
 class collapses to a single fresh parameter: reparameterisation equivalence),
-or NotConstant.  A separate nonnegativity flag drives ``abs(a) -> a``.
+or NotConstant.  ``_const_analysis`` defines it from the children's values,
+and ``normalize`` folds through the same function.  A separate nonnegativity
+flag drives ``abs(a) -> a``.
 
 Extraction returns the cost-minimal member under (parameter count, node
-count, fixed total order), where costs are measured on the resugared surface
-form (an ``inv`` node is one node, the abs of a powabs base is free).
+count, fixed total order).  Costs are counted on the surface form an e-node
+prints as; ``EGraph._forms`` lists them, with one more node per operator:
+
+    leaf       x, p, a literal or a hole
+    plain      the operator over its children: a + b, a * b, abs(a), -a
+    inv        pow(a, -1) and 1 / a print as inv(a)
+    neg        -1 * a prints as -a
+    neg(inv)   -1 / a prints as -inv(a), two nodes over a
+    powabs     pow(a, b) prints as powabs(a, b) with an abs-free base: a base
+               class may print its member abs(u) as u, at the cost of u
 """
 
 from __future__ import annotations
@@ -33,9 +43,6 @@ __all__ = [
 
 POW = 12  # internal true-power operator (not an Expr kind)
 
-_OP_NAME = dict(ex.KIND_NAME)
-_OP_NAME[POW] = "pow"
-
 # analysis kinds, ordered by precision
 _OTHER = 0
 _PARAMONLY = 1
@@ -43,6 +50,26 @@ _CONST = 2
 
 # first fresh parameter index used when folding parameter-only classes
 _FRESH_BASE = 1 << 20
+
+_LEAVES = (VAR, PARAM, CONST, HOLE)
+
+
+def _neg_inv(a: Expr) -> Expr:
+    return ex.neg(ex.inv(a))
+
+
+def _unwrap(a: Expr) -> Expr:
+    return a
+
+
+# constructors of the plain surface forms, and the leaf forms with their
+# costs (see the module docstring)
+_PLAIN = {ADD: ex.add, SUB: ex.sub, MUL: ex.mul, DIV: ex.div, NEG: ex.neg,
+          ABS: ex.abs_}
+_LEAF_FORMS = {VAR: (((0, 1), ex.var, ()),),
+               PARAM: (((1, 1), ex.param, ()),),
+               CONST: (((0, 1), ex.const, ()),),
+               HOLE: (((0, 1), ex.hole, ()),)}
 
 
 class EGraphCapacityError(RuntimeError):
@@ -73,6 +100,13 @@ class EqSatConfig:
     """
     max_iters: int = 3
     node_budget: int = 600
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.node_budget < 1:
+            raise ValueError(
+                f"node_budget must be >= 1, got {self.node_budget}")
 
     def key(self) -> str:
         return f"iters={self.max_iters},budget={self.node_budget}"
@@ -353,27 +387,18 @@ class EGraph:
 
     def _make_analysis(self, node: tuple) -> list:
         op = node[0]
-        if op == CONST:
-            v = node[1]
-            return [_CONST, v, v >= 0.0, None]
-        if op == PARAM:
-            return [_PARAMONLY, None, False, None]
-        if op in (VAR, HOLE):
-            return [_OTHER, None, False, None]
-        kids = [self.analysis[self.find(c)] for c in node[1:]]
-        kinds = [k[0] for k in kids]
-        if all(k == _CONST for k in kinds):
-            v = _const_eval(op, [k[1] for k in kids])
-            if v is not None:
-                return [_CONST, v, v >= 0.0, None]
-        if all(k != _OTHER for k in kinds):
-            kind = _PARAMONLY
+        if op in _LEAVES:
+            kids, payload = (), node[1]
         else:
-            kind = _OTHER
-        nonneg = _nonneg_eval(op, kids)
-        return [kind, None, nonneg, None]
+            kids = [self.analysis[self.find(c)] for c in node[1:]]
+            payload = None
+        kind, v = _const_analysis(op, kids, payload)
+        if kind == _CONST:
+            return [_CONST, v, v >= 0.0, None]
+        return [kind, None, _nonneg_eval(op, kids), None]
 
-    def _join_analysis(self, c: int, other: list) -> None:
+    def _join_analysis(self, c: int, other: list) -> bool:
+        """Join ``other`` into the analysis of ``c``; True if it grew."""
         mine = self.analysis[c]
         changed = False
         if other[0] > mine[0]:
@@ -384,8 +409,7 @@ class EGraph:
             changed = True
         if mine[3] is None and other[3] is not None:
             mine[3] = other[3]
-        if changed:
-            self._dirty = True
+        return changed
 
     def _fold(self, c: int) -> None:
         """Collapse a constant class to its literal, a parameter-only class
@@ -470,7 +494,6 @@ class EGraph:
     # congruence maintenance ----------------------------------------------------
 
     def rebuild(self) -> None:
-        leaf_ops = (VAR, PARAM, CONST, HOLE)
         while self._dirty:
             self._dirty = False
             find = self.find
@@ -479,7 +502,7 @@ class EGraph:
             self.hashcons = {}
             new = self.hashcons
             for node, cid in old.items():
-                if node[0] in leaf_ops:
+                if node[0] in _LEAVES:
                     cnode = node
                 else:
                     cnode = (node[0],) + tuple(find(ch) for ch in node[1:])
@@ -512,16 +535,10 @@ class EGraph:
             for c in list(self.classes.keys()):
                 if self.find(c) != c:
                     continue
-                a = self.analysis[c]
                 for node in self.classes[c]:
-                    made = self._make_analysis(node)
-                    if made[0] > a[0]:
-                        a[0], a[1] = made[0], made[1]
+                    if self._join_analysis(c, self._make_analysis(node)):
                         changed = True
-                    if made[2] and not a[2]:
-                        a[2] = True
-                        changed = True
-                before = a[3]
+                before = self.analysis[c][3]
                 self._fold(c)
                 if self.analysis[self.find(c)][3] != before:
                     changed = True
@@ -623,14 +640,11 @@ class EGraph:
         """Cost-minimal member of ``root``: fewest parameters, then fewest
         nodes, then first under a fixed total order.  Deterministic.
 
-        Costs are measured on the resugared surface form: pow(abs(a), b)
-        counts as one powabs node, pow(a, -1) as one inv node, mul(-1, a) as
-        one neg node.
+        Costs are measured on the surface forms ``_forms`` lists.
         """
         root = self.find(root)
         # phase 1: integer cost pairs (params, nodes) per class, plus the
-        # variant cost when the class is consumed as a powabs base (a member
-        # abs(u) is then free).
+        # cost when the class is consumed as a powabs base
         cost: dict[int, tuple] = {}
         bcost: dict[int, tuple] = {}
         changed = True
@@ -638,23 +652,14 @@ class EGraph:
             changed = False
             for c, nodes in self.classes.items():
                 cur = cost.get(c)
-                for node in nodes:
-                    nc = self._node_cost(node, cost, bcost)
-                    if nc is not None and (cur is None or nc < cur):
-                        cur = nc
-                        cost[c] = nc
-                        changed = True
                 bb = bcost.get(c)
-                if cur is not None and (bb is None or cur < bb):
-                    bb = cur
-                    bcost[c] = cur
-                    changed = True
                 for node in nodes:
-                    if node[0] == ABS:
-                        inner = cost.get(self.find(node[1]))
-                        if inner is not None and (bb is None or inner < bb):
-                            bb = inner
-                            bcost[c] = inner
+                    for nc, make, _ in self._forms(node, cost, bcost):
+                        if make is not _unwrap and (cur is None or nc < cur):
+                            cur = cost[c] = nc
+                            changed = True
+                        if bb is None or nc < bb:
+                            bb = bcost[c] = nc
                             changed = True
         if root not in cost:
             raise ExtractionError("class has no finite extraction")
@@ -663,45 +668,53 @@ class EGraph:
         memo: dict[tuple, Expr] = {}
         return self._build(root, False, cost, bcost, memo)
 
-    def _node_cost(self, node, cost, bcost):
+    def _literal(self, c: int):
+        a = self.analysis[c]
+        return a[1] if a[0] == _CONST else None
+
+    def _forms(self, node: tuple, cost: dict, bcost: dict) -> list | tuple:
+        """Each surface form of ``node`` whose children have costs, as
+        (cost, constructor, child classes); see the module docstring.  A
+        leaf's constructor takes its payload; ``_unwrap`` is a form only of
+        a powabs base."""
         op = node[0]
-        if op == PARAM:
-            return (1, 1)
-        if op in (VAR, CONST, HOLE):
-            return (0, 1)
+        leaf = _LEAF_FORMS.get(op)
+        if leaf is not None:
+            return leaf
         find = self.find
+        forms: list = []
         if op == POW:
-            b = find(node[1])
-            p = find(node[2])
-            best = None
-            pa = self.analysis[p]
-            if pa[0] == _CONST and pa[1] == -1.0:
-                nb = cost.get(b)
-                if nb is not None:
-                    best = (nb[0], nb[1] + 1)
-            bb = bcost.get(b)
-            np_ = cost.get(p)
+            b, p = find(node[1]), find(node[2])
+            nb = cost.get(b)
+            if nb is not None and self._literal(p) == -1.0:
+                forms.append(((nb[0], nb[1] + 1), ex.inv, (b,)))
+            bb, np_ = bcost.get(b), cost.get(p)
             if bb is not None and np_ is not None:
-                alt = (bb[0] + np_[0], bb[1] + np_[1] + 1)
-                if best is None or alt < best:
-                    best = alt
-            return best
+                forms.append(((bb[0] + np_[0], bb[1] + np_[1] + 1),
+                              ex.powabs, (b, p)))
+            return forms
         if op in (ABS, NEG):
-            k = cost.get(find(node[1]))
-            return None if k is None else (k[0], k[1] + 1)
-        a = cost.get(find(node[1]))
-        b = cost.get(find(node[2]))
-        if a is None or b is None:
-            return None
+            u = find(node[1])
+            k = cost.get(u)
+            if k is None:
+                return forms
+            if op == ABS:
+                forms.append((k, _unwrap, (u,)))
+            forms.append(((k[0], k[1] + 1), _PLAIN[op], (u,)))
+            return forms
+        a, b = find(node[1]), find(node[2])
+        ca, cb = cost.get(a), cost.get(b)
+        if ca is None or cb is None:
+            return forms
         if op in (MUL, DIV):
-            la = self.analysis[find(node[1])]
-            if la[0] == _CONST and la[1] == -1.0:
-                alt = (b[0], b[1] + (1 if op == MUL else 2))
-                reg = (a[0] + b[0], a[1] + b[1] + 1)
-                return min(alt, reg)
-            if op == DIV and la[0] == _CONST and la[1] == 1.0:
-                return min((b[0], b[1] + 1), (a[0] + b[0], a[1] + b[1] + 1))
-        return (a[0] + b[0], a[1] + b[1] + 1)
+            lit = self._literal(a)
+            if lit == -1.0:
+                forms.append(((cb[0], cb[1] + 1), ex.neg, (b,)) if op == MUL
+                             else ((cb[0], cb[1] + 2), _neg_inv, (b,)))
+            elif op == DIV and lit == 1.0:
+                forms.append(((cb[0], cb[1] + 1), ex.inv, (b,)))
+        forms.append(((ca[0] + cb[0], ca[1] + cb[1] + 1), _PLAIN[op], (a, b)))
+        return forms
 
     @staticmethod
     def _key_of(e: Expr) -> tuple:
@@ -719,74 +732,19 @@ class EGraph:
         got = memo.get((c, as_base))
         if got is not None:
             return got
-        find = self.find
         target = bcost[c] if as_base else cost[c]
         candidates: list[Expr] = []
         for node in self.classes[c]:
-            op = node[0]
-            if as_base and op == ABS:
-                u = find(node[1])
-                if cost.get(u) == target:
-                    candidates.append(self._build(u, False, cost, bcost, memo))
-            if as_base and cost.get(c) != target:
-                continue
-            nc = self._node_cost(node, cost, bcost)
-            if nc != target:
-                continue
-            if op == PARAM:
-                candidates.append(ex.param(node[1]))
-            elif op == VAR:
-                candidates.append(ex.var(node[1]))
-            elif op == CONST:
-                candidates.append(ex.const(node[1]))
-            elif op == HOLE:
-                candidates.append(ex.hole(node[1]))
-            elif op == ABS:
-                candidates.append(ex.abs_(
-                    self._build(node[1], False, cost, bcost, memo)))
-            elif op == NEG:
-                candidates.append(ex.neg(
-                    self._build(node[1], False, cost, bcost, memo)))
-            elif op == POW:
-                b, p = find(node[1]), find(node[2])
-                pa = self.analysis[p]
-                nb = cost.get(b)
-                if (pa[0] == _CONST and pa[1] == -1.0 and nb is not None
-                        and (nb[0], nb[1] + 1) == target):
-                    candidates.append(ex.inv(
-                        self._build(b, False, cost, bcost, memo)))
-                bb = bcost.get(b)
-                np_ = cost.get(p)
-                if (bb is not None and np_ is not None
-                        and (bb[0] + np_[0], bb[1] + np_[1] + 1) == target):
-                    candidates.append(ex.powabs(
-                        self._build(b, True, cost, bcost, memo),
-                        self._build(p, False, cost, bcost, memo)))
-            else:
-                a, b = find(node[1]), find(node[2])
-                ca, cb = cost.get(a), cost.get(b)
-                la = self.analysis[a]
-                neg_one = la[0] == _CONST and la[1] == -1.0
-                one = la[0] == _CONST and la[1] == 1.0
-                if op == MUL and neg_one and cb is not None \
-                        and (cb[0], cb[1] + 1) == target:
-                    candidates.append(ex.neg(
-                        self._build(b, False, cost, bcost, memo)))
-                if op == DIV and one and cb is not None \
-                        and (cb[0], cb[1] + 1) == target:
-                    candidates.append(ex.inv(
-                        self._build(b, False, cost, bcost, memo)))
-                if op == DIV and neg_one and cb is not None \
-                        and (cb[0], cb[1] + 2) == target:
-                    candidates.append(ex.neg(ex.inv(
-                        self._build(b, False, cost, bcost, memo))))
-                if ca is not None and cb is not None \
-                        and (ca[0] + cb[0], ca[1] + cb[1] + 1) == target:
-                    builder = {ADD: ex.add, SUB: ex.sub,
-                               MUL: ex.mul, DIV: ex.div}[op]
-                    candidates.append(builder(
-                        self._build(a, False, cost, bcost, memo),
-                        self._build(b, False, cost, bcost, memo)))
+            for nc, make, kids in self._forms(node, cost, bcost):
+                if nc != target or (make is _unwrap and not as_base):
+                    continue
+                if not kids:
+                    candidates.append(make(node[1]))
+                    continue
+                candidates.append(make(*[
+                    self._build(k, make is ex.powabs and i == 0, cost, bcost,
+                                memo)
+                    for i, k in enumerate(kids)]))
         if not candidates:
             raise ExtractionError("inconsistent extraction state")
         result = min(candidates, key=self._key_of)
@@ -795,6 +753,7 @@ class EGraph:
 
 
 def _const_eval(op: int, vals: list) -> Optional[float]:
+    """Value of ``op`` on literal operands; None unless finite and real."""
     try:
         if op == ADD:
             v = vals[0] + vals[1]
@@ -803,9 +762,11 @@ def _const_eval(op: int, vals: list) -> Optional[float]:
         elif op == MUL:
             v = vals[0] * vals[1]
         elif op == DIV:
-            if vals[1] == 0.0:
-                return None
             v = vals[0] / vals[1]
+        elif op == INV:
+            v = 1.0 / vals[0]
+        elif op == POWABS:
+            v = abs(vals[0]) ** vals[1]
         elif op == POW:
             v = vals[0] ** vals[1]
             if isinstance(v, complex):
@@ -821,6 +782,26 @@ def _const_eval(op: int, vals: list) -> Optional[float]:
     if v != v or v in (float("inf"), float("-inf")):
         return None
     return float(v)
+
+
+def _const_analysis(op: int, kids, value=None) -> tuple:
+    """Constant analysis of a node from its children's (kind, value), or of
+    a leaf from its payload ``value``: (_CONST, v) for a literal, and for an
+    operator whose children are all literals and which evaluates to the
+    finite v; else (_PARAMONLY, None) when no variable or hole is below
+    (such a term folds to a fresh parameter); else (_OTHER, None).  ``op``
+    is an e-graph operator or an Expr kind (INV, POWABS)."""
+    if not kids:
+        if op == CONST:
+            return _CONST, value
+        return (_PARAMONLY if op == PARAM else _OTHER), None
+    if all(k[0] == _CONST for k in kids):
+        v = _const_eval(op, [k[1] for k in kids])
+        if v is not None:
+            return _CONST, v
+    if all(k[0] != _OTHER for k in kids):
+        return _PARAMONLY, None
+    return _OTHER, None
 
 
 def _nonneg_eval(op: int, kids: list) -> bool:

@@ -30,7 +30,7 @@ __all__ = [
     "var", "param", "const", "add", "sub", "mul", "div", "inv", "powabs",
     "neg", "abs_", "hole",
     "length", "render", "parse", "structural_hash",
-    "param_count", "renumber_params", "count_nodes", "subtrees", "validate",
+    "param_count", "renumber_params", "subtrees", "validate",
     "DEFAULT_GRAMMAR",
 ]
 
@@ -181,7 +181,8 @@ class Grammar:
 DEFAULT_GRAMMAR = Grammar()
 
 
-def count_nodes(e: Expr) -> int:
+def length(e: Expr) -> int:
+    """Expression length: the number of operator and operand nodes."""
     n = 0
     stack = [e]
     while stack:
@@ -189,11 +190,6 @@ def count_nodes(e: Expr) -> int:
         n += 1
         stack.extend(node.children)
     return n
-
-
-def length(e: Expr) -> int:
-    """Expression length: the number of operator and operand nodes."""
-    return count_nodes(e)
 
 
 def subtrees(e: Expr):
@@ -213,18 +209,21 @@ def param_count(e: Expr) -> int:
     return mx
 
 
-def renumber_params(e: Expr) -> Expr:
-    """Renumber parameter leaves 1..k in left-to-right (pre-order) order.
+def renumber_params(e: Expr, holes: bool = False) -> Expr:
+    """Renumber parameter leaves 1..k in left-to-right (pre-order) order,
+    and hole leaves the same way, apart from them, when ``holes`` is set.
 
     Distinct input indices map to distinct output indices; repeated indices
     stay shared.
     """
-    mapping: dict[int, int] = {}
+    mappings: dict[int, dict] = {k: {} for k in
+                                 ((PARAM, HOLE) if holes else (PARAM,))}
 
     def walk(node: Expr) -> Expr:
-        if node.kind == PARAM:
+        mapping = mappings.get(node.kind)
+        if mapping is not None:
             idx = mapping.setdefault(node.value, len(mapping) + 1)
-            return param(idx) if idx != node.value else node
+            return Expr(node.kind, idx) if idx != node.value else node
         if not node.children:
             return node
         kids = tuple(walk(c) for c in node.children)

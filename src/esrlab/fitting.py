@@ -47,7 +47,7 @@ from .objectives import MnrParams, mse, mnr_loglik
 
 __all__ = [
     "FitConfig", "FitResult", "fit", "fit_catalog",
-    "ESR_FIT", "GP_FIT", "read_results", "entry_seed",
+    "ESR_FIT", "GP_FIT", "read_results", "ResultsFileError", "entry_seed",
 ]
 
 
@@ -345,7 +345,8 @@ def fit_catalog(catalog, data: Dataset, objective: str = "mse",
     processing order.  When ``out_path`` is given, entries already in it
     are read back instead of fitted, and new results are appended line by
     line in catalog order: an interrupted run leaves a valid partial file
-    that a rerun resumes.  The ``#done`` footer is written once.  With
+    that a rerun resumes, after dropping a last line the interruption left
+    without its newline.  The ``#done`` footer is written once.  With
     ``workers > 1`` the entries to fit go to a pool of that many processes;
     the results, and the file, are the same as with one.
     """
@@ -353,6 +354,7 @@ def fit_catalog(catalog, data: Dataset, objective: str = "mse",
     complete = False
     if out_path is not None:
         try:
+            _drop_torn_tail(out_path)
             done, complete = _read_results(out_path)
         except FileNotFoundError:
             pass
@@ -402,6 +404,19 @@ def _result_line(h: int, res: FitResult) -> str:
     return f"{h}\t{res.objective!r}\t{res.n_obj_evals}\t{params}\n"
 
 
+class ResultsFileError(ValueError):
+    """A results file holds a line that is not one whole result."""
+
+
+def _drop_torn_tail(path: str) -> None:
+    """Cut off a last line that lacks its newline: the line an interrupted
+    write left behind."""
+    with open(path, "rb+") as f:
+        body = f.read()
+        if body and not body.endswith(b"\n"):
+            f.truncate(body.rfind(b"\n") + 1)
+
+
 def read_results(path: str) -> dict:
     """Read a results file into {hash: FitResult} (partial files allowed)."""
     return _read_results(path)[0]
@@ -429,6 +444,6 @@ def _read_results(path: str) -> tuple:
                     continue
                 except ValueError:
                     pass
-            raise ValueError(f"{path}:{lineno}: malformed results line "
-                             f"{line.rstrip()!r}")
+            raise ResultsFileError(f"{path}:{lineno}: malformed results "
+                                   f"line {line.rstrip()!r}")
     return out, complete

@@ -49,6 +49,21 @@ class GpConfig:
     eqsat: EqSatConfig = EqSatConfig()
     init_resample_cap: int = 10_000
 
+    def __post_init__(self):
+        # each bound is on one field alone, so a config file can check a
+        # value on the line that sets it
+        for name, lo, hi in (("pop_size", 1, math.inf),
+                             ("max_len", 1, math.inf),
+                             ("max_depth", 1, math.inf),
+                             ("tournament_size", 1, math.inf),
+                             ("p_cx", 0.0, 1.0), ("p_mut", 0.0, 1.0)):
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must be in [{lo}, {hi}], "
+                                 f"got {getattr(self, name)}")
+        if self.objective not in ("mse", "mnr"):
+            raise ValueError(
+                f"objective must be mse or mnr, got {self.objective!r}")
+
     def as_dict(self) -> dict:
         return {
             "pop_size": self.pop_size, "generations": self.generations,
@@ -164,8 +179,8 @@ def crossover(parent1: Expr, parent2: Expr, p_cx: float, rng) -> Expr:
     subtree of parent2; with probability 1 - p_cx return parent1 unchanged."""
     if rng.random() >= p_cx:
         return parent1
-    n1 = ex.count_nodes(parent1)
-    n2 = ex.count_nodes(parent2)
+    n1 = ex.length(parent1)
+    n2 = ex.length(parent2)
     target = int(rng.integers(0, n1))
     donor = _pick_subtree(parent2, int(rng.integers(0, n2)))
     return _replace_node(parent1, target, donor)
@@ -174,7 +189,7 @@ def crossover(parent1: Expr, parent2: Expr, p_cx: float, rng) -> Expr:
 def mutate(e: Expr, p_mut: float, rng) -> Expr:
     """Pre-order Bernoulli(p_mut) per node; the first success is replaced by
     a grow(depth <= 2) subtree; no success leaves the tree unchanged."""
-    nodes = ex.count_nodes(e)
+    nodes = ex.length(e)
     for i in range(nodes):
         if rng.random() < p_mut:
             return _replace_node(e, i, grow(rng, max_depth=2))

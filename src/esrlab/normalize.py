@@ -12,8 +12,10 @@ Every local rewrite preserves the function family:
     per term/product and exact constant folding;
   * repeated parameter-free terms/factors combine ((c1+c2)*u; u*u = |u|^2,
     odd copies keep one signed u);
-  * any variable-free subexpression folds to a fresh parameter (if it
-    contains one) or to its numeric value;
+  * any variable-free subexpression folds to its numeric value, or to a
+    fresh parameter when it holds one or its arithmetic is degenerate; the
+    fold uses the e-graph's constant analysis (``_const_analysis``), so both
+    passes fold alike;
   * inv(inv(u)) = u, inv(|u|^b) = |u|^-b, |c*u| = |c|*|u|, ||u|| = |u|,
     |u|^1 = |u|, (|u|^a)^b = |u|^(a*b), |-u| = |u|, |1/u| = 1/|u|;
   * differences and quotients rewrite to sums/products with -1 or inv.
@@ -25,16 +27,14 @@ parameters untouched (the exact rewrites still apply).
 
 from __future__ import annotations
 
-import math
-
 from . import expr as ex
+from .egraph import (_CONST, _FRESH_BASE, _OTHER, _PARAMONLY,
+                     _const_analysis)
 from .expr import (
     Expr, VAR, PARAM, CONST, ADD, SUB, MUL, DIV, INV, POWABS, NEG, ABS, HOLE,
 )
 
 __all__ = ["normalize"]
-
-_FRESH = 1 << 20  # parameter indices used by folding, renumbered away at the end
 
 
 def _sort_key(e: Expr):
@@ -53,46 +53,44 @@ def _sort_key(e: Expr):
     return tuple(parts)
 
 
-def _has_var(e: Expr) -> bool:
-    return any(n.kind in (VAR, HOLE) for n in ex.subtrees(e))
+def _merge_key(base: Expr, n_keys: int) -> tuple:
+    """Key under which equal bases merge their coefficients or counts; a
+    base with parameters never merges (parameters make it unsound)."""
+    if any(n.kind == PARAM for n in ex.subtrees(base)):
+        return ("unique", n_keys)
+    return ("base", _sort_key(base))
 
 
-def _has_param(e: Expr) -> bool:
-    return any(n.kind == PARAM for n in ex.subtrees(e))
+def _analyze(e: Expr) -> tuple:
+    """(kind, value) of ``e`` under the e-graph's constant analysis."""
+    kids = []
+    for c in e.children:
+        a = _analyze(c)
+        if a[0] == _OTHER:  # a variable below makes the whole term one too
+            return a
+        kids.append(a)
+    return _const_analysis(e.kind, kids, e.value)
 
 
-def _const_value(e: Expr):
-    """Numeric value of a constant-only subtree, or None."""
-    k = e.kind
-    if k == CONST:
-        return e.value
-    if k in (VAR, PARAM, HOLE):
-        return None
-    vals = [_const_value(c) for c in e.children]
-    if any(v is None for v in vals):
-        return None
-    try:
-        if k == ADD:
-            v = vals[0] + vals[1]
-        elif k == SUB:
-            v = vals[0] - vals[1]
-        elif k == MUL:
-            v = vals[0] * vals[1]
-        elif k == DIV:
-            v = vals[0] / vals[1]
-        elif k == INV:
-            v = 1.0 / vals[0]
-        elif k == POWABS:
-            v = abs(vals[0]) ** vals[1]
-        elif k == NEG:
-            v = -vals[0]
-        elif k == ABS:
-            v = abs(vals[0])
+def _chain(kind: int, items: list) -> Expr:
+    """Left-nested ADD or MUL chain over ``items``."""
+    acc = items[0]
+    for t in items[1:]:
+        acc = Expr(kind, None, (acc, t))
+    return acc
+
+
+def _flatten(e: Expr, kind: int) -> list:
+    """Operands of the ADD or MUL chain rooted at ``e``, right to left."""
+    out = []
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n.kind == kind:
+            stack.extend(n.children)
         else:
-            return None
-    except (ZeroDivisionError, OverflowError, ValueError):
-        return None
-    return v if math.isfinite(v) else None
+            out.append(n)
+    return out
 
 
 class _Normalizer:
@@ -102,19 +100,17 @@ class _Normalizer:
 
     def fresh_param(self) -> Expr:
         self.fresh += 1
-        return ex.param(_FRESH + self.fresh)
+        return ex.param(_FRESH_BASE + self.fresh)
 
     def fold(self, e: Expr) -> Expr | None:
-        """Fold a variable-free subtree: a finite constant folds to its
-        literal, anything else (parameters, or degenerate non-finite
-        arithmetic) collapses to a single fresh parameter, mirroring the
-        e-graph analysis."""
-        if _has_var(e):
-            return None
-        v = _const_value(e)
-        if v is not None:
+        """Fold a variable-free subtree by the e-graph's constant analysis:
+        a finite constant folds to its literal, anything else (parameters,
+        or degenerate non-finite arithmetic) collapses to a single fresh
+        parameter."""
+        kind, v = _analyze(e)
+        if kind == _CONST:
             return ex.const(v)
-        if self.fold_params:
+        if kind == _PARAMONLY and self.fold_params:
             return self.fresh_param()
         return None
 
@@ -175,41 +171,25 @@ class _Normalizer:
         const_sum = 0.0
         param_only: list[Expr] = []
         by_base: dict = {}
-        order: list = []
         for t in terms:
             if t.kind == ADD:  # re-flatten terms normalized into sums
-                stack = [t]
-                flat = []
-                while stack:
-                    n = stack.pop()
-                    if n.kind == ADD:
-                        stack.extend(n.children)
-                    else:
-                        flat.append(n)
-                terms.extend(flat)
+                terms.extend(_flatten(t, ADD))
                 continue
             coeff, base = self.split_coeff(t)
             if base is None:
                 const_sum += coeff
                 continue
-            if self.fold_params and not _has_var(base):
+            if self.fold_params and _analyze(base)[0] != _OTHER:
                 param_only.append(t)
                 continue
-            if _has_param(base):
-                # parameters make coefficient merging unsound; keep verbatim
-                key = ("unique", len(order))
-            else:
-                key = ("base", _sort_key(base))
+            key = _merge_key(base, len(by_base))
             if key in by_base:
-                c0, _ = by_base[key]
-                by_base[key] = (c0 + coeff, base)
+                by_base[key] = (by_base[key][0] + coeff, base)
             else:
                 by_base[key] = (coeff, base)
-                order.append(key)
 
         out: list[Expr] = []
-        for key in order:
-            coeff, base = by_base[key]
+        for key, (coeff, base) in by_base.items():
             if coeff == 0.0 and key[0] == "base":
                 continue
             out.append(self.apply_coeff(coeff, base))
@@ -221,10 +201,7 @@ class _Normalizer:
         if const_sum != 0.0 or not out:
             out.append(ex.const(const_sum))
         out.sort(key=_sort_key)
-        acc = out[0]
-        for t in out[1:]:
-            acc = ex.add(acc, t)
-        return acc
+        return _chain(ADD, out)
 
     def apply_coeff(self, coeff: float, base: Expr) -> Expr:
         if coeff == 1.0:
@@ -241,29 +218,18 @@ class _Normalizer:
                 collect(node.children[0])
                 collect(node.children[1])
             else:
-                n = self.norm(node)
-                if n.kind == MUL:
-                    stack = [n]
-                    while stack:
-                        m = stack.pop()
-                        if m.kind == MUL:
-                            stack.extend(m.children)
-                        else:
-                            factors.append(m)
-                else:
-                    factors.append(n)
+                factors.extend(_flatten(self.norm(node), MUL))
 
         collect(e.children[0])
         collect(e.children[1])
         coeff = 1.0
         param_only = False
         by_base: dict = {}
-        order: list = []
         for f in factors:
             if f.kind == CONST:
                 coeff *= f.value
                 continue
-            if self.fold_params and not _has_var(f):
+            if self.fold_params and _analyze(f)[0] != _OTHER:
                 param_only = True
                 continue
             # reciprocal factors count negatively against their base, so
@@ -273,21 +239,16 @@ class _Normalizer:
             if f.kind == INV:
                 step = -1
                 base = f.children[0]
-            if _has_param(base):
-                key = ("unique", len(order))
-            else:
-                key = ("base", _sort_key(base))
+            key = _merge_key(base, len(by_base))
             if key in by_base:
                 by_base[key] = (by_base[key][0] + step, base)
             else:
                 by_base[key] = (step, base)
-                order.append(key)
         if coeff == 0.0:
             return ex.const(0.0)
 
         out: list[Expr] = []
-        for key in order:
-            count, base = by_base[key]
+        for count, base in by_base.values():
             if count == 0:
                 continue  # u/u cancels (almost everywhere, as the rules do)
             # repeated factors stay verbatim: u*u and |u|^2 are equal
@@ -303,22 +264,10 @@ class _Normalizer:
         if coeff != 1.0 and len(out) == 1 and out[0].kind == ADD:
             # distribute a numeric coefficient over a sum (exact), so terms
             # like x - (x + p) cancel during sum normalization
-            terms = []
-            stack = [out[0]]
-            while stack:
-                n = stack.pop()
-                if n.kind == ADD:
-                    stack.extend(n.children)
-                else:
-                    terms.append(ex.mul(ex.const(coeff), n))
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = ex.add(acc, t)
-            return self.norm(acc)
+            return self.norm(_chain(ADD, [ex.mul(ex.const(coeff), n)
+                                          for n in _flatten(out[0], ADD)]))
         out.sort(key=_sort_key)
-        acc = out[0]
-        for f in out[1:]:
-            acc = ex.mul(acc, f)
+        acc = _chain(MUL, out)
         if coeff != 1.0:
             acc = ex.mul(ex.const(coeff), acc)
         return acc
@@ -397,23 +346,6 @@ class _Normalizer:
         return ex.powabs(base, exp)
 
 
-def _renumber(e: Expr) -> Expr:
-    counter = [0]
-
-    def walk(node: Expr) -> Expr:
-        if node.kind == PARAM:
-            counter[0] += 1
-            return node if node.value == counter[0] else ex.param(counter[0])
-        if not node.children:
-            return node
-        kids = tuple(walk(c) for c in node.children)
-        if all(a is b for a, b in zip(kids, node.children)):
-            return node
-        return Expr(node.kind, node.value, kids)
-
-    return walk(e)
-
-
 def normalize(e: Expr) -> Expr:
     """Normal form of ``e``; same function family, deterministic.
 
@@ -424,4 +356,4 @@ def normalize(e: Expr) -> Expr:
     indices = [n.value for n in ex.subtrees(e) if n.kind == PARAM]
     independent = len(indices) == len(set(indices))
     n = _Normalizer(fold_params=independent).norm(e)
-    return _renumber(n) if independent else n
+    return ex.renumber_params(n) if independent else n

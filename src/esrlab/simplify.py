@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .expr import Expr, PARAM, CONST, HOLE
+from .expr import Expr, PARAM, CONST
 from .egraph import EGraph, EqSatConfig, RULES
 from .normalize import normalize
 
 __all__ = [
     "CanonicalForm", "canonicalize", "simplifies_to_constant",
-    "semantic_hash", "Canonicalizer", "EqSatConfig",
+    "Canonicalizer", "EqSatConfig",
 ]
 
 
@@ -33,28 +33,6 @@ class CanonicalForm:
     @property
     def text(self) -> str:
         return ex.render(self.expression)
-
-
-def _renumber_leaves(e: Expr) -> Expr:
-    """Renumber parameter and hole leaves 1..k in left-to-right order."""
-    pmap: dict[int, int] = {}
-    hmap: dict[int, int] = {}
-
-    def walk(node: Expr) -> Expr:
-        if node.kind == PARAM:
-            idx = pmap.setdefault(node.value, len(pmap) + 1)
-            return node if idx == node.value else ex.param(idx)
-        if node.kind == HOLE:
-            idx = hmap.setdefault(node.value, len(hmap) + 1)
-            return node if idx == node.value else ex.hole(idx)
-        if not node.children:
-            return node
-        kids = tuple(walk(c) for c in node.children)
-        if all(k is c for k, c in zip(kids, node.children)):
-            return node
-        return Expr(node.kind, node.value, kids)
-
-    return walk(e)
 
 
 def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig()) -> CanonicalForm:
@@ -76,15 +54,11 @@ def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig()) -> CanonicalForm:
     g.saturate(RULES, max_iters=config.max_iters,
                node_budget=config.node_budget)
     extracted = g.extract(g.find(root))
-    canon = _renumber_leaves(extracted)
+    canon = ex.renumber_params(extracted, holes=True)
     text = ex.render(canon)
     n_params = sum(1 for n2 in ex.subtrees(canon) if n2.kind == PARAM)
     return CanonicalForm(canon, ex.text_hash(text), n_params,
-                         ex.count_nodes(canon))
-
-
-def semantic_hash(e: Expr, config: EqSatConfig = EqSatConfig()) -> int:
-    return canonicalize(e, config).semantic_hash
+                         ex.length(canon))
 
 
 def simplifies_to_constant(e: Expr, config: EqSatConfig = EqSatConfig()) -> bool:

@@ -227,3 +227,67 @@ def test_rs_torn_results_exits_2(tmp_path, data_csv, catalog3_file, capsys):
                  "--log-dir", str(tmp_path / "rs")]) == 2
     err = capsys.readouterr().err
     assert f"{torn}:5" in err
+
+
+def test_fit_resumes_torn_last_line(tmp_path, data_csv, catalog4_file):
+    full = tmp_path / "full.tsv"
+    assert _fit(catalog4_file, data_csv, full, 1) == 0
+    body = full.read_bytes()
+    cut = sum(len(line) for line in body.splitlines(True)[:5]) + 10
+    torn = tmp_path / "torn.tsv"
+    torn.write_bytes(body[:cut])  # ten bytes into the sixth line
+    assert _fit(catalog4_file, data_csv, torn, 1) == 0
+    assert torn.read_bytes() == body
+
+
+def test_fit_malformed_results_line_exits_2(tmp_path, data_csv,
+                                            catalog4_file, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("bad line\n")
+    assert _fit(catalog4_file, data_csv, bad, 1) == 2
+    assert f"{bad}:1" in capsys.readouterr().err
+    assert bad.read_text() == "bad line\n"
+
+
+@pytest.mark.parametrize("record", ["garbage",
+                                    "1\t2\t3\t4\tnan-ish\tx\t5\t"],
+                         ids=["field_count", "non_numeric"])
+@pytest.mark.parametrize("command", ["ecdf", "dups"])
+def test_analyze_malformed_runlog_exits_2(tmp_path, capsys, command, record):
+    log = tmp_path / "run_000.log"
+    log.write_text("#seed=1\n" + record + "\n")
+    out = str(tmp_path / "out.tsv")
+    if command == "ecdf":
+        argv = ["analyze", "ecdf", "--logs", str(log), "--thresholds", "0.1",
+                "--out", out]
+    else:
+        argv = ["analyze", "dups", "--log", str(log), "--out", out]
+    assert main(argv) == 2
+    assert f"{log}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, names", [
+    (["fit", "--restarts", "0"], None, "--restarts"),
+    (["simplify", "--expr", "x", "--eqsat-iters", "0"], None,
+     "--eqsat-iters"),
+    (["simplify", "--expr", "x*x*x*x", "--node-budget", "2"], None,
+     "--node-budget"),
+    (["enumerate", "--max-length", "20"], None, "--max-length"),
+    (["gp"], "max_length = 8\npop_size = abc\n", "gp.toml:2"),
+    (["gp"], "pop_size = 0\n", "gp.toml:1"),
+], ids=["fit_restarts", "eqsat_iters", "node_budget", "max_length",
+        "gp_not_a_number", "gp_out_of_range"])
+def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
+                                     capsys, argv, config, names):
+    out = str(tmp_path / "out.tsv")
+    extra = {"fit": ["--catalog", catalog3_file, "--data", data_csv,
+                     "--out", out, "--workers", "1"],
+             "enumerate": ["--out", out],
+             "gp": ["--data", data_csv, "--config", str(tmp_path / "gp.toml"),
+                    "--log-dir", str(tmp_path / "logs"), "--workers", "1"],
+             "simplify": []}[argv[0]]
+    if config is not None:
+        (tmp_path / "gp.toml").write_text(config)
+    assert main(argv + extra) == 2
+    assert names in capsys.readouterr().err
+    assert not os.path.exists(out)

@@ -133,7 +133,7 @@ def test_crossover_root_replacement_possible():
     seen_donor_subtrees = set()
     for _ in range(300):
         child = crossover(p1, p2, 1.0, rng)
-        assert ex.count_nodes(child) <= ex.count_nodes(p1) + ex.count_nodes(p2)
+        assert ex.length(child) <= ex.length(p1) + ex.length(p2)
         seen_donor_subtrees.add(ex.render(child))
     assert "x * x" in seen_donor_subtrees  # root replaced by whole donor
 
