@@ -143,9 +143,8 @@ def write_gp_config(cfg: GpConfig, path: str) -> None:
 # -- subcommands ------------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
-    eqsat = _eqsat(args)
     try:
-        cat = build_catalog(args.max_length, eqsat,
+        cat = build_catalog(args.max_length, _eqsat(args),
                             prune_partials=not args.no_prune,
                             progress=_progress("enumerate") if args.verbose
                             else None)
