@@ -30,8 +30,8 @@ __all__ = [
     "var", "param", "const", "add", "sub", "mul", "div", "inv", "powabs",
     "neg", "abs_", "hole",
     "length", "render", "parse", "structural_hash",
-    "param_count", "renumber_params", "subtrees", "validate",
-    "DEFAULT_GRAMMAR",
+    "param_count", "renumber_params", "renumber_leaves", "subtrees",
+    "validate", "DEFAULT_GRAMMAR",
 ]
 
 # Node kinds.  The numeric order doubles as the fixed tie-break order used by
@@ -209,15 +209,23 @@ def param_count(e: Expr) -> int:
     return mx
 
 
-def renumber_params(e: Expr, holes: bool = False) -> Expr:
-    """Renumber parameter leaves 1..k in left-to-right (pre-order) order,
-    and hole leaves the same way, apart from them, when ``holes`` is set.
+def renumber_params(e: Expr) -> Expr:
+    """Renumber parameter leaves 1..k in left-to-right (pre-order) order.
 
     Distinct input indices map to distinct output indices; repeated indices
     stay shared.
     """
-    mappings: dict[int, dict] = {k: {} for k in
-                                 ((PARAM, HOLE) if holes else (PARAM,))}
+    return _renumber(e, (PARAM,))
+
+
+def renumber_leaves(e: Expr) -> Expr:
+    """``renumber_params`` for parameter and for hole leaves, each kind
+    numbered apart."""
+    return _renumber(e, (PARAM, HOLE))
+
+
+def _renumber(e: Expr, kinds: tuple) -> Expr:
+    mappings: dict[int, dict] = {k: {} for k in kinds}
 
     def walk(node: Expr) -> Expr:
         mapping = mappings.get(node.kind)

@@ -54,7 +54,7 @@ def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig()) -> CanonicalForm:
     g.saturate(RULES, max_iters=config.max_iters,
                node_budget=config.node_budget)
     extracted = g.extract(g.find(root))
-    canon = ex.renumber_params(extracted, holes=True)
+    canon = ex.renumber_leaves(extracted)
     text = ex.render(canon)
     n_params = sum(1 for n2 in ex.subtrees(canon) if n2.kind == PARAM)
     return CanonicalForm(canon, ex.text_hash(text), n_params,
