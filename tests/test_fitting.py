@@ -250,3 +250,34 @@ def test_minimize_matches_scipy_lbfgsb(case, synth):
         assert np.isnan(theirs.x).any() and their_evals[0] > theirs.nfev
     if case == "bad":
         assert theirs.fun == 1e300
+
+
+# every fourth catalog(5) entry under mse; under mnr a spread of 0-, 1- and
+# 2-parameter entries, one of them degenerate
+_GOLDEN_MSE = slice(None, None, 4)
+_GOLDEN_MNR = (2, 4, 52, 56, 63, 82, 93)
+_GOLDEN_FITS = {"mse": "543fc15584f4a15f", "mnr": "26c981bf9fe696a2"}
+
+
+@pytest.mark.parametrize("objective", ["mse", "mnr"])
+def test_golden_esr_fits(objective, synth):
+    """ESR-preset fits at seed 0 are pinned to the last bit: objective,
+    evaluation counts, restarts used, parameters and terminations."""
+    import dataclasses
+    import hashlib
+    from esrlab.enumeration import build_catalog
+
+    catalog = build_catalog(5)
+    if objective == "mse":
+        entries = catalog.entries[_GOLDEN_MSE]
+    else:
+        entries = [catalog.entries[i] for i in _GOLDEN_MNR]
+    subset = dataclasses.replace(catalog, entries=entries)
+    results = fit_catalog(subset, synth, objective, ESR_FIT, seed=0)
+    h = hashlib.sha256()
+    for entry in entries:
+        r = results[entry.semantic_hash]
+        h.update(f"{entry.text}\t{r.objective!r}\t{r.n_obj_evals}\t"
+                 f"{r.n_grad_evals}\t{r.restarts_used}\t{r.params!r}\t"
+                 f"{r.terminations}\n".encode())
+    assert h.hexdigest()[:16] == _GOLDEN_FITS[objective]
