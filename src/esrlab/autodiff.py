@@ -10,9 +10,19 @@ chain rule at each operator.  powabs(a, b) = |a|**b differentiates to
 |a|**b * (b'*log|a| + b*a'/a); at a == 0 the derivative is 0 when b > 1 and
 non-finite otherwise (the almost-everywhere value, which avoids poisoning
 whole-gradient checks at isolated points).
+
+Fitting evaluates one structure thousands of times, so each structure is
+compiled once per lane layout and data shape into a straight-line numpy
+function (``_kernel``) and kept in a bounded cache.  Every leaf is a full
+``(n,)`` value array and a full ``(lanes, n)`` lane array, never a
+broadcast view: numpy may route strided input through other loops than
+contiguous input, and fits are pinned to the last bit.  Leaf lanes and
+literal values are built once and shared, read-only, between kernels.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,74 +97,143 @@ def _eval(e: Expr, theta: np.ndarray, pts: np.ndarray):
     raise ValueError(f"cannot evaluate node kind {k}")
 
 
-class _Dual:
-    """Value plus derivative lanes, both broadcastable to (n,) / (L, n)."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d):
-        self.v = v
-        self.d = d
+# compiled kernels kept at once; a structure is compiled again after it
+# drops out
+_CACHE_SIZE = 1024
 
 
-def _dual_eval(e: Expr, theta, pts, lanes: int, x_lane: int | None):
-    k = e.kind
-    n = pts.shape[-1]
-    if k == VAR:
-        v = _var_values(pts, e.value)
-        d = np.zeros((lanes, n))
-        if x_lane is not None and e.value == 1:
-            d[x_lane] = 1.0
-        return _Dual(v, d)
-    if k == PARAM:
-        if e.value > len(theta):
-            raise ValueError(f"p{e.value} requested but theta has "
-                             f"{len(theta)} entries")
-        v = np.full(n, theta[e.value - 1])
-        d = np.zeros((lanes, n))
-        if e.value - 1 < (lanes if x_lane is None else x_lane):
-            d[e.value - 1] = 1.0
-        return _Dual(v, d)
-    if k == CONST:
-        return _Dual(np.full(n, e.value), np.zeros((lanes, n)))
-    if k in (ADD, SUB):
-        a = _dual_eval(e.children[0], theta, pts, lanes, x_lane)
-        b = _dual_eval(e.children[1], theta, pts, lanes, x_lane)
-        if k == ADD:
-            return _Dual(a.v + b.v, a.d + b.d)
-        return _Dual(a.v - b.v, a.d - b.d)
-    if k == MUL:
-        a = _dual_eval(e.children[0], theta, pts, lanes, x_lane)
-        b = _dual_eval(e.children[1], theta, pts, lanes, x_lane)
-        return _Dual(a.v * b.v, a.d * b.v + b.d * a.v)
-    if k in (DIV, INV):
-        if k == INV:
-            a = None
-            b = _dual_eval(e.children[0], theta, pts, lanes, x_lane)
-            v = np.divide(1.0, b.v)
-            return _Dual(v, -b.d * v * v)
-        a = _dual_eval(e.children[0], theta, pts, lanes, x_lane)
-        b = _dual_eval(e.children[1], theta, pts, lanes, x_lane)
-        v = np.divide(a.v, b.v)
-        return _Dual(v, np.divide(a.d, b.v) - np.divide(v * b.d, b.v))
-    if k == POWABS:
-        a = _dual_eval(e.children[0], theta, pts, lanes, x_lane)
-        b = _dual_eval(e.children[1], theta, pts, lanes, x_lane)
-        absa = np.abs(a.v)
-        v = np.power(absa, b.v)
-        d = v * (b.d * np.log(absa) + np.divide(b.v * a.d, a.v))
-        at_zero = a.v == 0.0
-        if np.any(at_zero):
-            smooth = at_zero & (b.v > 1.0)
-            d = np.where(smooth, 0.0, d)
-        return _Dual(v, d)
-    if k == NEG:
-        a = _dual_eval(e.children[0], theta, pts, lanes, x_lane)
-        return _Dual(-a.v, -a.d)
-    if k == ABS:
-        a = _dual_eval(e.children[0], theta, pts, lanes, x_lane)
-        return _Dual(np.abs(a.v), a.d * np.sign(a.v))
-    raise ValueError(f"cannot differentiate node kind {k}")
+class _Key:
+    """An expression as a kernel-cache key.  ``Expr`` equality counts the
+    literals 0.0 and -0.0 as equal; kernels built from them are not, so keys
+    also compare the literals' bits."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, e: Expr):
+        self.e = e
+
+    def __hash__(self):
+        return hash(self.e)
+
+    def __eq__(self, other):
+        return self.e is other.e or (self.e == other.e
+                                     and _same_literals(self.e, other.e))
+
+
+def _same_literals(a: Expr, b: Expr) -> bool:
+    if a.kind == CONST:
+        return float(a.value).hex() == float(b.value).hex()
+    return all(map(_same_literals, a.children, b.children))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _lane(lanes: int, row, n: int) -> np.ndarray:
+    """Read-only leaf lanes: zeros, with a row of ones unless ``row`` is
+    None.  Kernels share them and never write to their operands."""
+    d = np.zeros((lanes, n))
+    if row is not None:
+        d[row] = 1.0
+    d.flags.writeable = False
+    return d
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _literal(bits: str, n: int) -> np.ndarray:
+    """Read-only values of a literal leaf, keyed on ``float.hex``."""
+    v = np.full(n, float.fromhex(bits))
+    v.flags.writeable = False
+    return v
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
+            ndim: int, n: int):
+    """Compile ``key.e`` into ``kernel(theta, pts) -> (value, lanes)``.
+
+    Each node becomes the numpy operations of the forward-mode chain rule
+    on full ``(n,)`` value and ``(lanes, n)`` derivative arrays; a parameter
+    leaf's values are built once per call.  Out-of-range leaves raise here,
+    and since the cache keeps no exceptions, they raise on every call.
+    """
+    ns = {"np": np}
+    lines = ["def kernel(theta, pts):"]
+    params: dict = {}
+
+    def shared(value) -> str:
+        name = f"s{len(ns)}"
+        ns[name] = value
+        return name
+
+    def assign(text: str) -> str:
+        name = f"t{len(lines)}"
+        lines.append(f"    {name} = {text}")
+        return name
+
+    def walk(e: Expr) -> tuple:
+        k = e.kind
+        if k == VAR:
+            if ndim == 1 and e.value != 1:
+                raise ValueError(f"x{e.value} requested but x is "
+                                 "one-dimensional")
+            row = x_lane if e.value == 1 else None
+            v = "pts" if ndim == 1 else f"pts[{e.value - 1}]"
+            return v, shared(_lane(lanes, row, n))
+        if k == PARAM:
+            if e.value > n_theta:
+                raise ValueError(f"p{e.value} requested but theta has "
+                                 f"{n_theta} entries")
+            if e.value not in params:
+                params[e.value] = assign(f"np.full({n}, theta[{e.value - 1}])")
+            has_lane = e.value - 1 < (lanes if x_lane is None else x_lane)
+            row = e.value - 1 if has_lane else None
+            return params[e.value], shared(_lane(lanes, row, n))
+        if k == CONST:
+            return (shared(_literal(float(e.value).hex(), n)),
+                    shared(_lane(lanes, None, n)))
+        if k not in _EMIT:
+            raise ValueError(f"cannot differentiate node kind {k}")
+        names = {}
+        for tag, (v, d) in zip("ab", [walk(c) for c in e.children]):
+            names[f"{tag}v"], names[f"{tag}d"] = v, d
+        for target, text in _EMIT[k]:
+            text = text.format(**names)
+            if target == "if":
+                lines.append(f"    if {text}:")
+            elif target.startswith("!"):
+                lines.append(f"        {names[target[1:]]} = {text}")
+            else:
+                names[target] = assign(text)
+        return names["v"], names["d"]
+
+    v, d = walk(key.e)
+    if key.e.kind in (VAR, PARAM, CONST):
+        lines.append(f"    return {v}.copy(), {d}.copy()")
+    else:
+        lines.append(f"    return {v}, {d}")
+    exec("\n".join(lines), ns)  # closed vocabulary: the templates below
+    return ns["kernel"]
+
+
+# per operator, the statements of the chain rule in order; (name, template)
+# binds the template's value to a new temporary called ``name`` in later
+# templates, ("if", test) opens a block, and ("!name", template) rebinds
+# ``name`` inside it.  av/ad and bv/bd are the children's values and lanes.
+_EMIT = {
+    ADD: [("v", "{av} + {bv}"), ("d", "{ad} + {bd}")],
+    SUB: [("v", "{av} - {bv}"), ("d", "{ad} - {bd}")],
+    MUL: [("v", "{av} * {bv}"), ("d", "{ad} * {bv} + {bd} * {av}")],
+    INV: [("v", "np.divide(1.0, {av})"), ("d", "-{ad} * {v} * {v}")],
+    DIV: [("v", "np.divide({av}, {bv})"),
+          ("d", "np.divide({ad}, {bv}) - np.divide({v} * {bd}, {bv})")],
+    POWABS: [("absa", "np.abs({av})"),
+             ("v", "np.power({absa}, {bv})"),
+             ("d", "{v} * ({bd} * np.log({absa}) + np.divide({bv} * {ad}, {av}))"),
+             ("zero", "{av} == 0.0"),
+             ("if", "{zero}.any()"),
+             ("!d", "np.where({zero} & ({bv} > 1.0), 0.0, {d})")],
+    NEG: [("v", "-{av}"), ("d", "-{ad}")],
+    ABS: [("v", "np.abs({av})"), ("d", "{ad} * np.sign({av})")],
+}
 
 
 def eval_with_grad(e: Expr, theta, x, wrt: str = "params"):
@@ -180,14 +259,10 @@ def eval_with_grad(e: Expr, theta, x, wrt: str = "params"):
         lanes, x_lane = 1, 0
     else:
         raise ValueError(f"unknown wrt {wrt!r}")
-    if wrt == "x":
-        with np.errstate(all="ignore"):
-            # parameters get no lanes: run with zero param lanes, x in lane 0
-            out = _dual_eval(e, theta, pts, 1, 0)
-    else:
-        with np.errstate(all="ignore"):
-            out = _dual_eval(e, theta, pts, lanes, x_lane)
-    v, g = out.v, out.d
+    kernel = _kernel(_Key(e), n_params, lanes, x_lane, pts.ndim,
+                     pts.shape[-1])
+    with np.errstate(all="ignore"):
+        v, g = kernel(theta, pts)
     if scalar:
         return float(v[0]), g[:, 0]
     return v, g

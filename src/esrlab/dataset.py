@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,6 +45,11 @@ class Dataset:
     @property
     def has_uncertainties(self) -> bool:
         return self.sigma_x is not None and self.sigma_y is not None
+
+    @cached_property
+    def variances(self) -> tuple:
+        """(sigma_x ** 2, sigma_y ** 2), computed once per dataset."""
+        return self.sigma_x ** 2, self.sigma_y ** 2
 
 
 def load_csv(path_or_file, name: str = "") -> Dataset:

@@ -43,7 +43,7 @@ from . import expr as ex
 from .expr import Expr
 from .autodiff import eval_with_grad
 from .dataset import Dataset
-from .objectives import MnrParams, mse, mnr_loglik
+from .objectives import MnrParams, mse, mnr_loglik, mnr_terms
 
 __all__ = [
     "FitConfig", "FitResult", "fit", "fit_catalog",
@@ -112,7 +112,7 @@ def _mse_value_grad(e: Expr, data: Dataset, counter: _Counter):
         with np.errstate(all="ignore"):
             f, g = eval_with_grad(e, vec, data.x, wrt="params")
             r = f - y
-            val = float(np.mean(r * r))
+            val = float(np.add.reduce(r * r) / n)
             grad = (2.0 / n) * (g @ r)
         if not math.isfinite(val):
             return _BAD, np.zeros_like(vec)
@@ -124,15 +124,24 @@ def _mse_value_grad(e: Expr, data: Dataset, counter: _Counter):
 
 
 def _mnr_value(e: Expr, data: Dataset, n_params: int, counter: _Counter):
+    # the theta-only likelihood terms of the last theta seen: moves of the
+    # hyperparameters alone reuse them.  Keyed on bytes, so -0.0 and 0.0
+    # differ and a NaN matches only its own bits.
+    memo = [None, None]
+
     def fun(vec):
         counter.obj += 1
-        theta = tuple(vec[:n_params])
         mu = vec[n_params]
         omega = math.exp(min(vec[n_params + 1], 300.0))
         if not omega > 0:
             return _BAD
         sigma_int = math.exp(min(vec[n_params + 2], 300.0))
-        val = -mnr_loglik(e, MnrParams(theta, mu, omega, sigma_int), data)
+        theta = vec[:n_params]
+        key = theta.tobytes()
+        if key != memo[0]:
+            memo[:] = key, mnr_terms(e, theta, data)
+        p = MnrParams(tuple(theta), mu, omega, sigma_int)
+        val = -mnr_loglik(e, p, data, memo[1])
         if not math.isfinite(val):
             return _BAD
         return val
@@ -235,13 +244,16 @@ def minimize(fun, x0, jac: bool, maxiter: int, ftol: float, gtol: float,
 
 def _forward_difference(fun, x, f0: float) -> np.ndarray:
     """scipy's 2-point gradient: step ``_FD_STEP``, or sqrt(eps) * sign(x)
-    * max(1, |x|) where that step would not move x; coordinates in order."""
+    * max(1, |x|) where that step would not move x.  Coordinates are visited
+    last to first, so moves of the marginal likelihood's hyperparameters,
+    which come last, follow the point ``f0`` was taken at; each coordinate's
+    value does not depend on the order."""
     step = np.where((x + _FD_STEP) - x == 0,
                     _EPS ** 0.5 * np.where(x >= 0, 1.0, -1.0)
                     * np.maximum(1.0, np.abs(x)),
                     _FD_STEP)
     values = np.empty(len(x))
-    for i in range(len(x)):
+    for i in reversed(range(len(x))):
         moved = x.copy()
         moved[i] = x[i] + step[i]
         values[i] = fun(moved)

@@ -22,7 +22,7 @@ from .expr import Expr
 from .autodiff import eval_expr, eval_with_grad
 from .dataset import Dataset
 
-__all__ = ["mse", "MnrParams", "mnr_loglik"]
+__all__ = ["mse", "MnrParams", "mnr_terms", "mnr_loglik"]
 
 
 def mse(e: Expr, theta, data: Dataset) -> float:
@@ -52,21 +52,36 @@ class MnrParams:
             raise ValueError("sigma_int must be nonnegative")
 
 
-def mnr_loglik(e: Expr, p: MnrParams, data: Dataset) -> float:
-    """Marginal log-likelihood (up to the dropped additive constant)."""
-    if not data.has_uncertainties:
-        raise ValueError("mnr objective requires sigma_x and sigma_y columns")
+def mnr_terms(e: Expr, theta, data: Dataset) -> tuple:
+    """The part of the likelihood that depends on theta alone: the slope
+    A_i, the intercept B_i, A_i * A_i and the squared residual at x_i."""
     with np.errstate(all="ignore"):
-        f, g = eval_with_grad(e, p.theta, data.x, wrt="x")
+        f, g = eval_with_grad(e, theta, data.x, wrt="x")
         a = g[0]
         b = f - a * data.x
-        sx2 = data.sigma_x ** 2
-        s2 = data.sigma_y ** 2 + p.sigma_int ** 2
-        w2 = p.omega ** 2
-        den = a * a * w2 * sx2 + s2 * (w2 + sx2)
         r_obs = a * data.x + b - data.y      # = f(x_i) - y_i
+        return a, b, a * a, r_obs ** 2
+
+
+def mnr_loglik(e: Expr, p: MnrParams, data: Dataset, terms=None) -> float:
+    """Marginal log-likelihood (up to the dropped additive constant).
+
+    ``terms`` are ``mnr_terms(e, p.theta, data)``, for a caller that
+    already has them.
+    """
+    if not data.has_uncertainties:
+        raise ValueError("mnr objective requires sigma_x and sigma_y columns")
+    if terms is None:
+        terms = mnr_terms(e, p.theta, data)
+    a, b, aa, r_obs2 = terms
+    sx2, sy2 = data.variances
+    with np.errstate(all="ignore"):
+        s2 = sy2 + p.sigma_int ** 2
+        w2 = p.omega ** 2
+        den = aa * w2 * sx2 + s2 * (w2 + sx2)
         r_mu = a * p.mu + b - data.y
-        t1 = (w2 * r_obs ** 2 + sx2 * r_mu ** 2) / den
+        t1 = (w2 * r_obs2 + sx2 * r_mu ** 2) / den
         t2 = s2 * (data.x - p.mu) ** 2 / den
         t3 = np.log(den)
-        return float(-0.5 * (np.sum(t1) + np.sum(t2) + np.sum(t3)))
+        add = np.add.reduce
+        return float(-0.5 * (add(t1) + add(t2) + add(t3)))

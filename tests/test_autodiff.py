@@ -128,3 +128,33 @@ def test_multivariable_naming():
 def test_missing_theta_rejected():
     with pytest.raises(ValueError):
         eval_expr(ex.parse("p2 + x"), [1.0], 0.5)
+
+
+@pytest.mark.parametrize("text", ["x", "p1", "2.0"])
+def test_leaf_results_are_fresh_writable_arrays(text):
+    e = ex.parse(text)
+    xs = np.array([1.0, -2.0, 3.0])
+    v, g = eval_with_grad(e, [0.5], xs, wrt="params_and_x")
+    want_v, want_g = v.copy(), g.copy()
+    v[:] = 7.0
+    g[:] = 7.0
+    v2, g2 = eval_with_grad(e, [0.5], xs, wrt="params_and_x")
+    assert np.array_equal(v2, want_v) and np.array_equal(g2, want_g)
+    assert np.array_equal(xs, [1.0, -2.0, 3.0])
+
+
+def test_out_of_range_leaves_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="p2 requested but theta has 1"):
+            eval_with_grad(ex.parse("p1 + p2"), [1.0], np.ones(3))
+        with pytest.raises(ValueError, match="x2 requested but x is one-d"):
+            eval_with_grad(ex.parse("x1 + x2"), [], np.ones(3))
+
+
+def test_signed_zero_literals_get_their_own_kernels():
+    xs = np.array([1.0, 2.0])
+    # Expr equality counts 0.0 and -0.0 as equal; the kernels may not
+    pos, _ = eval_with_grad(ex.mul(ex.var(1), ex.const(0.0)), [], xs)
+    neg, _ = eval_with_grad(ex.mul(ex.var(1), ex.const(-0.0)), [], xs)
+    assert not np.any(np.signbit(pos))
+    assert np.all(np.signbit(neg))

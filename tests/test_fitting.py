@@ -281,3 +281,51 @@ def test_golden_esr_fits(objective, synth):
                  f"{r.n_grad_evals}\t{r.restarts_used}\t{r.params!r}\t"
                  f"{r.terminations}\n".encode())
     assert h.hexdigest()[:16] == _GOLDEN_FITS[objective]
+
+
+def _counted_mnr_value(monkeypatch, text, data):
+    """``fitting._mnr_value`` for ``text`` and a list that grows by one at
+    each evaluation of the expression."""
+    from esrlab import fitting, objectives
+
+    calls = []
+    real = objectives.eval_with_grad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(objectives, "eval_with_grad", counting)
+    e = ex.parse(text)
+    return fitting._mnr_value(e, data, ex.param_count(e),
+                              fitting._Counter()), calls
+
+
+def test_mnr_hyperparameter_moves_reuse_the_expression(monkeypatch,
+                                                       noisy_linear_mnr):
+    from esrlab import fitting
+
+    fun, calls = _counted_mnr_value(monkeypatch, "p1 * x + p2",
+                                    noisy_linear_mnr)
+    x = np.array([0.7, 0.2, 0.1, -1.0, -2.0])
+    f0 = fun(x)
+    assert len(calls) == 1
+    for i in (2, 3, 4):
+        moved = x.copy()
+        moved[i] += 0.5
+        fun(moved)
+    assert len(calls) == 1
+    # a forward-difference gradient evaluates the expression at the centre
+    # and once per expression parameter
+    fitting._forward_difference(fun, x, f0)
+    assert len(calls) == 1 + 2
+
+
+def test_mnr_signed_zero_theta_is_evaluated_afresh(monkeypatch,
+                                                   noisy_linear_mnr):
+    # 0.0 == -0.0, but the memo must not hand one the other's terms
+    fun, calls = _counted_mnr_value(monkeypatch, "x * p1", noisy_linear_mnr)
+    fun(np.array([0.0, 0.1, -1.0, -2.0]))
+    fun(np.array([-0.0, 0.1, -1.0, -2.0]))
+    assert len(calls) == 2
+    assert np.signbit(calls[1][0]) and not np.signbit(calls[0][0])
