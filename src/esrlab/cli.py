@@ -51,7 +51,10 @@ def _workers(args) -> int:
         return max(1, args.workers)
     env = os.environ.get("ESRLAB_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DataError(f"ESRLAB_WORKERS must be an integer, got {env!r}")
     return os.cpu_count() or 1
 
 
@@ -242,11 +245,15 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_analyze_ecdf(args) -> int:
+    try:
+        thresholds = [float(t) for t in args.thresholds.split(",")]
+    except ValueError:
+        raise DataError(f"--thresholds must be comma-separated numbers, "
+                        f"got {args.thresholds!r}")
     paths = sorted(glob.glob(args.logs))
     if not paths:
         raise DataError(f"no logs match {args.logs!r}")
     logs = [_load("run log", p) for p in paths]
-    thresholds = [float(t) for t in args.thresholds.split(",")]
     curves = ecdf(logs, thresholds, args.axis)
     write_ecdf_tsv(curves, args.out)
     print(f"{len(curves)} curves over {len(logs)} runs -> {args.out}")

@@ -207,12 +207,16 @@ def write_catalog(catalog: Catalog, path: str) -> None:
 
 
 def read_catalog(path: str) -> Catalog:
+    """Read a catalog written by ``write_catalog``.  A file without its
+    ``#count/#crc`` footer (a truncated one), or whose entries do not match
+    it, raises ValueError, as does a malformed entry line (naming
+    ``path:line``)."""
     meta: dict = {}
     entries: list[CatalogEntry] = []
     crc = 0
     footer = None
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if line.startswith("#"):
                 body = line[1:].rstrip("\n")
                 if body.startswith("count="):
@@ -222,12 +226,24 @@ def read_catalog(path: str) -> Catalog:
                     meta[k] = v
                 continue
             crc = zlib.crc32(line.encode("utf-8"), crc)
-            h, n, p, text = line.rstrip("\n").split("\t")
-            entries.append(CatalogEntry(int(h), int(n), int(p), text))
-    if footer is not None:
-        fields = dict(part.split("=") for part in footer.replace("#", "").split(","))
-        if int(fields["count"]) != len(entries):
-            raise ValueError(f"catalog {path}: entry count mismatch")
-        if fields["crc"] != f"{crc:08x}":
-            raise ValueError(f"catalog {path}: checksum mismatch")
+            try:
+                h, n, p, text = line.rstrip("\n").split("\t")
+                entries.append(CatalogEntry(int(h), int(n), int(p), text))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed catalog entry "
+                                 f"{line.rstrip()!r}") from None
+    if footer is None:
+        raise ValueError(f"catalog {path}: no #count/#crc footer "
+                         "(truncated?)")
+    try:
+        fields = dict(part.split("=")
+                      for part in footer.replace("#", "").split(","))
+        count, want_crc = int(fields["count"]), fields["crc"]
+    except (KeyError, ValueError):
+        raise ValueError(f"catalog {path}: malformed footer "
+                         f"{footer!r}") from None
+    if count != len(entries):
+        raise ValueError(f"catalog {path}: entry count mismatch")
+    if want_crc != f"{crc:08x}":
+        raise ValueError(f"catalog {path}: checksum mismatch")
     return Catalog(int(meta.get("max_len", 0)), entries, meta)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from . import expr as ex
 from .egraph import (_CONST, _FRESH_BASE, _OTHER, _PARAMONLY,
-                     _const_analysis)
+                     _const_analysis, _const_eval)
 from .expr import (
     Expr, VAR, PARAM, CONST, ADD, SUB, MUL, DIV, INV, POWABS, NEG, ABS, HOLE,
 )
@@ -171,24 +171,33 @@ class _Normalizer:
         const_sum = 0.0
         param_only: list[Expr] = []
         by_base: dict = {}
+        unfolded: list[Expr] = []   # terms whose coefficient would overflow
         for t in terms:
             if t.kind == ADD:  # re-flatten terms normalized into sums
                 terms.extend(_flatten(t, ADD))
                 continue
             coeff, base = self.split_coeff(t)
             if base is None:
-                const_sum += coeff
+                folded = _const_eval(ADD, [const_sum, coeff])
+                if folded is None:   # the sum would not be finite
+                    unfolded.append(t)
+                else:
+                    const_sum = folded
                 continue
             if self.fold_params and _analyze(base)[0] != _OTHER:
                 param_only.append(t)
                 continue
             key = _merge_key(base, len(by_base))
-            if key in by_base:
-                by_base[key] = (by_base[key][0] + coeff, base)
-            else:
+            if key not in by_base:
                 by_base[key] = (coeff, base)
+                continue
+            folded = _const_eval(ADD, [by_base[key][0], coeff])
+            if folded is None:
+                unfolded.append(t)
+            else:
+                by_base[key] = (folded, base)
 
-        out: list[Expr] = []
+        out: list[Expr] = unfolded
         for key, (coeff, base) in by_base.items():
             if coeff == 0.0 and key[0] == "base":
                 continue
@@ -225,9 +234,14 @@ class _Normalizer:
         coeff = 1.0
         param_only = False
         by_base: dict = {}
+        unfolded: list[Expr] = []
         for f in factors:
             if f.kind == CONST:
-                coeff *= f.value
+                folded = _const_eval(MUL, [coeff, f.value])
+                if folded is None:   # the product would not be finite
+                    unfolded.append(f)
+                else:
+                    coeff = folded
                 continue
             if self.fold_params and _analyze(f)[0] != _OTHER:
                 param_only = True
@@ -247,7 +261,7 @@ class _Normalizer:
         if coeff == 0.0:
             return ex.const(0.0)
 
-        out: list[Expr] = []
+        out: list[Expr] = unfolded
         for count, base in by_base.values():
             if count == 0:
                 continue  # u/u cancels (almost everywhere, as the rules do)

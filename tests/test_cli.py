@@ -67,6 +67,11 @@ def test_simplify_prints_canonical(capsys):
     assert "canonical: p1" in capsys.readouterr().out
 
 
+def test_simplify_overflowing_literals(capsys):
+    assert main(["simplify", "--expr", "x * 1e300 * 1e300"]) == 0
+    assert "canonical: 1e+300 * (x * 1e+300)" in capsys.readouterr().out
+
+
 def test_rules_dump(capsys):
     assert main(["rules"]) == 0
     out = capsys.readouterr().out
@@ -214,6 +219,19 @@ def test_fit_ragged_csv_exits_2(tmp_path, catalog3_file, capsys):
     assert not out.exists()
 
 
+def test_fit_truncated_catalog_exits_2(tmp_path, data_csv, catalog3_file,
+                                       capsys):
+    # the header and the first four entries: no footer
+    lines = open(catalog3_file).read().splitlines(keepends=True)
+    truncated = tmp_path / "truncated.tsv"
+    truncated.write_text("".join(lines[:8]))
+    out = tmp_path / "r.tsv"
+    assert main(["fit", "--catalog", str(truncated), "--data", data_csv,
+                 "--out", str(out), "--workers", "1"]) == 2
+    assert "no #count/#crc footer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rs_torn_results_exits_2(tmp_path, data_csv, catalog3_file, capsys):
     full = tmp_path / "full.tsv"
     assert main(["fit", "--catalog", catalog3_file, "--data", data_csv,
@@ -266,7 +284,7 @@ def test_analyze_malformed_runlog_exits_2(tmp_path, capsys, command, record):
     assert f"{log}:2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, config, names", [
+@pytest.mark.parametrize("argv, setting, names", [
     (["fit", "--restarts", "0"], None, "--restarts"),
     (["simplify", "--expr", "x", "--eqsat-iters", "0"], None,
      "--eqsat-iters"),
@@ -275,19 +293,29 @@ def test_analyze_malformed_runlog_exits_2(tmp_path, capsys, command, record):
     (["enumerate", "--max-length", "20"], None, "--max-length"),
     (["gp"], "max_length = 8\npop_size = abc\n", "gp.toml:2"),
     (["gp"], "pop_size = 0\n", "gp.toml:1"),
+    (["fit"], "ESRLAB_WORKERS=abc", "ESRLAB_WORKERS"),
+    (["analyze", "ecdf", "--thresholds", "abc"], None, "--thresholds"),
 ], ids=["fit_restarts", "eqsat_iters", "node_budget", "max_length",
-        "gp_not_a_number", "gp_out_of_range"])
+        "gp_not_a_number", "gp_out_of_range", "workers_env", "thresholds"])
 def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
-                                     capsys, argv, config, names):
+                                     capsys, monkeypatch, argv, setting,
+                                     names):
+    """``setting`` is the GP config file's text, or a NAME=value to put in
+    the environment."""
     out = str(tmp_path / "out.tsv")
     extra = {"fit": ["--catalog", catalog3_file, "--data", data_csv,
                      "--out", out, "--workers", "1"],
              "enumerate": ["--out", out],
              "gp": ["--data", data_csv, "--config", str(tmp_path / "gp.toml"),
                     "--log-dir", str(tmp_path / "logs"), "--workers", "1"],
-             "simplify": []}[argv[0]]
-    if config is not None:
-        (tmp_path / "gp.toml").write_text(config)
+             "simplify": [],
+             "analyze": ["--logs", str(tmp_path / "run_*.log"),
+                         "--out", out]}[argv[0]]
+    if setting is not None and setting.startswith("ESRLAB_"):
+        monkeypatch.setenv(*setting.split("=", 1))
+        extra = extra[:-2]   # no --workers, so the variable is read
+    elif setting is not None:
+        (tmp_path / "gp.toml").write_text(setting)
     assert main(argv + extra) == 2
     assert names in capsys.readouterr().err
     assert not os.path.exists(out)

@@ -137,6 +137,28 @@ def test_catalog_checksum_detects_corruption(tmp_path, catalog6):
         read_catalog(str(path))
 
 
+def test_truncated_catalog_is_rejected(tmp_path, catalog4):
+    path = tmp_path / "catalog.tsv"
+    write_catalog(catalog4, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    head = [l for l in lines if l.startswith("#") and "count=" not in l]
+    body = [l for l in lines if not l.startswith("#")]
+    assert len(body) == 27
+    path.write_text("".join(head + body[:4]))
+    with pytest.raises(ValueError, match="catalog.tsv: no #count/#crc"):
+        read_catalog(str(path))
+
+
+def test_malformed_catalog_line_names_its_line(tmp_path, catalog4):
+    path = tmp_path / "catalog.tsv"
+    write_catalog(catalog4, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = "12\tx\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"catalog\.tsv:6: malformed"):
+        read_catalog(str(path))
+
+
 def test_entry_texts_parse_back(catalog6):
     for entry in catalog6.entries:
         e = ex.parse(entry.text)

@@ -99,6 +99,22 @@ def test_normalize_stable():
         assert normalize(n) == n, (ex.render(t), ex.render(n))
 
 
+@pytest.mark.parametrize("text", ["x * 1e300 * 1e300",
+                                  "1e308 * x + 1e308 * x",
+                                  "1e308 + 1e308 + x"])
+def test_overflowing_literals_stay_unfolded(text):
+    # folding these coefficients would give inf; the literals stay apart
+    n = normalize(ex.parse(text))
+    assert ex.parse(ex.render(n)) == n
+    assert normalize(n) == n
+    assert all(s.value == 1e300 or s.value == 1e308
+               for s in ex.subtrees(n) if s.kind == ex.CONST)
+    xs = np.array([0.5, 2.0])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(eval_expr(n, [], xs),
+                              eval_expr(ex.parse(text), [], xs))
+
+
 def test_repeated_params_not_folded():
     shared = ex.parse("p1 + p1 * x")  # p1 appears twice: a real constraint
     n = normalize(shared)
