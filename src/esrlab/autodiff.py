@@ -101,6 +101,9 @@ def _eval(e: Expr, theta: np.ndarray, pts: np.ndarray):
 # drops out
 _CACHE_SIZE = 1024
 
+# the one globals dict of every kernel
+_GLOBALS = {"np": np}
+
 
 class _Key:
     """An expression as a kernel-cache key.  ``Expr`` equality counts the
@@ -155,14 +158,12 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
     leaf's values are built once per call.  Out-of-range leaves raise here,
     and since the cache keeps no exceptions, they raise on every call.
     """
-    ns = {"np": np}
-    lines = ["def kernel(theta, pts):"]
+    lines = [""]          # the def line, once the shared arrays are known
     params: dict = {}
+    arrays: dict = {}     # id -> (name, shared array)
 
     def shared(value) -> str:
-        name = f"s{len(ns)}"
-        ns[name] = value
-        return name
+        return arrays.setdefault(id(value), (f"s{len(arrays)}", value))[0]
 
     def assign(text: str) -> str:
         name = f"t{len(lines)}"
@@ -190,49 +191,49 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
         if k == CONST:
             return (shared(_literal(float(e.value).hex(), n)),
                     shared(_lane(lanes, None, n)))
-        if k not in _EMIT:
+        if k != POWABS and k not in _RULES:
             raise ValueError(f"cannot differentiate node kind {k}")
-        names = {}
-        for tag, (v, d) in zip("ab", [walk(c) for c in e.children]):
-            names[f"{tag}v"], names[f"{tag}d"] = v, d
-        for target, text in _EMIT[k]:
-            text = text.format(**names)
-            if target == "if":
-                lines.append(f"    if {text}:")
-            elif target.startswith("!"):
-                lines.append(f"        {names[target[1:]]} = {text}")
-            else:
-                names[target] = assign(text)
-        return names["v"], names["d"]
+        kids = [walk(c) for c in e.children]
+        (av, ad), (bv, bd) = kids[0], kids[-1]   # a unary node's b is a
+        if k == POWABS:
+            absa = assign(f"np.abs({av})")
+            v = assign(f"np.power({absa}, {bv})")
+            d = assign(f"{v} * ({bd} * np.log({absa}) "
+                       f"+ np.divide({bv} * {ad}, {av}))")
+            zero = assign(f"{av} == 0.0")
+            lines.append(f"    if {zero}.any():")
+            lines.append(f"        {d} = np.where({zero} & ({bv} > 1.0), "
+                         f"0.0, {d})")
+            return v, d
+        value, lane = _RULES[k]
+        v = assign(value.format(av=av, bv=bv))
+        return v, assign(lane.format(v=v, av=av, ad=ad, bv=bv, bd=bd))
 
     v, d = walk(key.e)
     if key.e.kind in (VAR, PARAM, CONST):
         lines.append(f"    return {v}.copy(), {d}.copy()")
     else:
         lines.append(f"    return {v}, {d}")
-    exec("\n".join(lines), ns)  # closed vocabulary: the templates below
+    # shared arrays are bound as defaults, so they are fast locals and no
+    # kernel holds a namespace of its own
+    lines[0] = "def kernel(theta, pts, {}):".format(
+        ", ".join(f"{name}={name}" for name, _ in arrays.values()))
+    ns = dict(arrays.values())
+    exec("\n".join(lines), _GLOBALS, ns)  # closed vocabulary: _RULES, powabs
     return ns["kernel"]
 
 
-# per operator, the statements of the chain rule in order; (name, template)
-# binds the template's value to a new temporary called ``name`` in later
-# templates, ("if", test) opens a block, and ("!name", template) rebinds
-# ``name`` inside it.  av/ad and bv/bd are the children's values and lanes.
-_EMIT = {
-    ADD: [("v", "{av} + {bv}"), ("d", "{ad} + {bd}")],
-    SUB: [("v", "{av} - {bv}"), ("d", "{ad} - {bd}")],
-    MUL: [("v", "{av} * {bv}"), ("d", "{ad} * {bv} + {bd} * {av}")],
-    INV: [("v", "np.divide(1.0, {av})"), ("d", "-{ad} * {v} * {v}")],
-    DIV: [("v", "np.divide({av}, {bv})"),
-          ("d", "np.divide({ad}, {bv}) - np.divide({v} * {bd}, {bv})")],
-    POWABS: [("absa", "np.abs({av})"),
-             ("v", "np.power({absa}, {bv})"),
-             ("d", "{v} * ({bd} * np.log({absa}) + np.divide({bv} * {ad}, {av}))"),
-             ("zero", "{av} == 0.0"),
-             ("if", "{zero}.any()"),
-             ("!d", "np.where({zero} & ({bv} > 1.0), 0.0, {d})")],
-    NEG: [("v", "-{av}"), ("d", "-{ad}")],
-    ABS: [("v", "np.abs({av})"), ("d", "{ad} * np.sign({av})")],
+# the value and lane of each operator but powabs under the chain rule: av/ad
+# and bv/bd are the children's values and lanes, v the operator's value
+_RULES = {
+    ADD: ("{av} + {bv}", "{ad} + {bd}"),
+    SUB: ("{av} - {bv}", "{ad} - {bd}"),
+    MUL: ("{av} * {bv}", "{ad} * {bv} + {bd} * {av}"),
+    INV: ("np.divide(1.0, {av})", "-{ad} * {v} * {v}"),
+    DIV: ("np.divide({av}, {bv})",
+          "np.divide({ad}, {bv}) - np.divide({v} * {bd}, {bv})"),
+    NEG: ("-{av}", "-{ad}"),
+    ABS: ("np.abs({av})", "{ad} * np.sign({av})"),
 }
 
 

@@ -73,3 +73,55 @@ def mnr_quadrature(A, B, data, mu: float, omega: float,
                       limit=300, epsabs=1e-14, epsrel=1e-11)
         total += np.log(val) + shift
     return total + n * np.log(2 * np.pi)
+
+
+# -- forward-mode reference walk -------------------------------------------------
+#
+# The recursive walk the compiled kernels replaced: a tree is evaluated node by
+# node into full (n,) values and (lanes, n) derivative lanes.  Kernels perform
+# the same numpy operations on the same shapes, so they must match it bit for
+# bit, NaNs included.
+
+def dual_walk(e, theta, pts, lanes: int, x_lane):
+    from esrlab.expr import (VAR, PARAM, CONST, ADD, SUB, MUL, DIV, INV,
+                             POWABS, NEG, ABS)
+    k = e.kind
+    n = pts.shape[-1]
+    if k == VAR:
+        d = np.zeros((lanes, n))
+        if x_lane is not None and e.value == 1:
+            d[x_lane] = 1.0
+        return (pts if pts.ndim == 1 else pts[e.value - 1]), d
+    if k == PARAM:
+        d = np.zeros((lanes, n))
+        if e.value - 1 < (lanes if x_lane is None else x_lane):
+            d[e.value - 1] = 1.0
+        return np.full(n, theta[e.value - 1]), d
+    if k == CONST:
+        return np.full(n, e.value), np.zeros((lanes, n))
+    av, ad = dual_walk(e.children[0], theta, pts, lanes, x_lane)
+    if k in (NEG, ABS, INV):
+        if k == NEG:
+            return -av, -ad
+        if k == ABS:
+            return np.abs(av), ad * np.sign(av)
+        v = np.divide(1.0, av)
+        return v, -ad * v * v
+    bv, bd = dual_walk(e.children[1], theta, pts, lanes, x_lane)
+    if k == ADD:
+        return av + bv, ad + bd
+    if k == SUB:
+        return av - bv, ad - bd
+    if k == MUL:
+        return av * bv, ad * bv + bd * av
+    if k == DIV:
+        v = np.divide(av, bv)
+        return v, np.divide(ad, bv) - np.divide(v * bd, bv)
+    assert k == POWABS
+    absa = np.abs(av)
+    v = np.power(absa, bv)
+    d = v * (bd * np.log(absa) + np.divide(bv * ad, av))
+    at_zero = av == 0.0
+    if np.any(at_zero):
+        d = np.where(at_zero & (bv > 1.0), 0.0, d)
+    return v, d

@@ -158,3 +158,28 @@ def test_signed_zero_literals_get_their_own_kernels():
     neg, _ = eval_with_grad(ex.mul(ex.var(1), ex.const(-0.0)), [], xs)
     assert not np.any(np.signbit(pos))
     assert np.all(np.signbit(neg))
+
+
+def test_kernels_match_the_reference_walk_bitwise(catalog6):
+    from oracles import dual_walk
+
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.uniform(-3, 3, 20), [0.0, -0.0, 1.0, -1.0]])
+    for entry in catalog6.entries:
+        e = ex.parse(entry.text)
+        k = entry.n_params
+        theta = rng.uniform(-3, 3, k)
+        for wrt, lanes, x_lane in (("params", k, None),
+                                   ("params_and_x", k + 1, k), ("x", 1, 0)):
+            v, g = eval_with_grad(e, theta, xs, wrt=wrt)
+            with np.errstate(all="ignore"):
+                rv, rg = dual_walk(e, theta, xs, lanes, x_lane)
+            assert v.tobytes() == rv.tobytes(), (entry.text, wrt)
+            assert g.tobytes() == rg.tobytes(), (entry.text, wrt)
+    # two variables: points are rows
+    e = ex.parse("x1 * p1 + |x2| ^ p2")
+    pts = rng.uniform(-2, 2, (2, 9))
+    v, g = eval_with_grad(e, [0.5, 1.5], pts, wrt="params_and_x")
+    with np.errstate(all="ignore"):
+        rv, rg = dual_walk(e, [0.5, 1.5], pts, 3, 2)
+    assert v.tobytes() == rv.tobytes() and g.tobytes() == rg.tobytes()
