@@ -153,7 +153,8 @@ def test_out_of_range_leaves_raise_on_every_call():
 
 def test_signed_zero_literals_get_their_own_kernels():
     xs = np.array([1.0, 2.0])
-    # Expr equality counts 0.0 and -0.0 as equal; the kernels may not
+    # Expr equality counts 0.0 and -0.0 as equal; a kernel compiled for one
+    # must not serve the other
     pos, _ = eval_with_grad(ex.mul(ex.var(1), ex.const(0.0)), [], xs)
     neg, _ = eval_with_grad(ex.mul(ex.var(1), ex.const(-0.0)), [], xs)
     assert not np.any(np.signbit(pos))
