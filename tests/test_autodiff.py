@@ -177,6 +177,8 @@ def test_kernels_match_the_reference_walk_bitwise(catalog6):
                 rv, rg = dual_walk(e, theta, xs, lanes, x_lane)
             assert v.tobytes() == rv.tobytes(), (entry.text, wrt)
             assert g.tobytes() == rg.tobytes(), (entry.text, wrt)
+            assert eval_expr(e, theta, xs).tobytes() == rv.tobytes(), \
+                (entry.text, wrt)
     # two variables: points are rows
     e = ex.parse("x1 * p1 + |x2| ^ p2")
     pts = rng.uniform(-2, 2, (2, 9))

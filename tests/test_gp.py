@@ -230,3 +230,17 @@ def test_best_of_run_not_worse_than_init(synth):
     log = run_gp(SMALL, synth, seed=15)
     init_best = min(r.fitness for r in log.records if r.gen == 0)
     assert log.best_fitness() <= init_best
+
+
+# sha256 prefix of the run log file of one short seeded run: pins the random
+# draws, the fits and the log format together
+_GOLDEN_LOG = "e93b18f0751bbd76"
+
+
+def test_golden_run_log(synth, tmp_path):
+    import hashlib
+
+    cfg = replace(gp_preset(10), pop_size=30, generations=5)
+    path = tmp_path / "run.log"
+    write_runlog(run_gp(cfg, synth, seed=100), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == _GOLDEN_LOG
