@@ -8,7 +8,7 @@ and quantifies search efficiency against idealized random search.
 """
 
 from .expr import (
-    Expr, Grammar, ParseError, DEFAULT_GRAMMAR,
+    Expr, ParseError,
     var, param, const, add, sub, mul, div, inv, powabs, neg, abs_,
     length, render, parse, structural_hash,
 )

@@ -33,68 +33,14 @@ from .expr import (
 __all__ = ["eval_expr", "eval_with_grad"]
 
 
-def _as_points(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    return arr
-
-
 def eval_expr(e: Expr, theta, x) -> np.ndarray | float:
-    """Evaluate ``e`` at parameter vector ``theta`` over points ``x``.
+    """Evaluate ``e`` at parameter vector ``theta`` over points ``x``: the
+    value ``eval_with_grad`` returns, from the same kernel.
 
     ``x`` may be a scalar, a 1-d array (variable x1), or a 2-d array with one
     row per variable.  Returns a scalar for scalar input.
     """
-    scalar = np.ndim(x) == 0
-    pts = _as_points(x)
-    theta = np.asarray(theta, dtype=float)
-    with np.errstate(all="ignore"):
-        out = _eval(e, theta, pts)
-        out = np.broadcast_to(out, pts.shape[-1:]).astype(float) \
-            if np.ndim(out) == 0 else out
-    return float(out[0]) if scalar else out
-
-
-def _var_values(pts: np.ndarray, index: int) -> np.ndarray:
-    if pts.ndim == 1:
-        if index != 1:
-            raise ValueError(f"x{index} requested but x is one-dimensional")
-        return pts
-    return pts[index - 1]
-
-
-def _eval(e: Expr, theta: np.ndarray, pts: np.ndarray):
-    k = e.kind
-    if k == VAR:
-        return _var_values(pts, e.value)
-    if k == PARAM:
-        if e.value > len(theta):
-            raise ValueError(f"p{e.value} requested but theta has "
-                             f"{len(theta)} entries")
-        return theta[e.value - 1]
-    if k == CONST:
-        return e.value
-    if k == ADD:
-        return _eval(e.children[0], theta, pts) + _eval(e.children[1], theta, pts)
-    if k == SUB:
-        return _eval(e.children[0], theta, pts) - _eval(e.children[1], theta, pts)
-    if k == MUL:
-        return _eval(e.children[0], theta, pts) * _eval(e.children[1], theta, pts)
-    if k == DIV:
-        return np.divide(_eval(e.children[0], theta, pts),
-                         _eval(e.children[1], theta, pts))
-    if k == INV:
-        return np.divide(1.0, _eval(e.children[0], theta, pts))
-    if k == POWABS:
-        a = _eval(e.children[0], theta, pts)
-        b = _eval(e.children[1], theta, pts)
-        return np.power(np.abs(a), b)
-    if k == NEG:
-        return -_eval(e.children[0], theta, pts)
-    if k == ABS:
-        return np.abs(_eval(e.children[0], theta, pts))
-    raise ValueError(f"cannot evaluate node kind {k}")
+    return eval_with_grad(e, theta, x)[0]
 
 
 # compiled kernels kept at once; a structure is compiled again after it
@@ -248,8 +194,10 @@ def eval_with_grad(e: Expr, theta, x, wrt: str = "params"):
     row per lane.  Gradient values match central finite differences wherever
     the function is differentiable.
     """
-    scalar = np.ndim(x) == 0
-    pts = _as_points(x)
+    pts = np.asarray(x, dtype=float)
+    scalar = pts.ndim == 0
+    if scalar:
+        pts = pts.reshape(1)
     theta = np.asarray(theta, dtype=float)
     n_params = len(theta)
     if wrt == "params":

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from . import expr as ex
 from .analysis import (duplicate_stats, ecdf, fitness_distribution,
@@ -24,7 +25,7 @@ from .egraph import EGraphCapacityError, EqSatConfig, dump_rules
 from .enumeration import build_catalog, read_catalog, write_catalog
 from .fitting import (ESR_FIT, GP_FIT, FitConfig, ResultsFileError,
                       fit_catalog, read_results)
-from .gp import GpConfig, gp_preset, run_gp
+from .gp import CONFIG_KEYS, GpConfig, gp_preset, run_gp
 from .objectives import MnrParams, mnr_loglik, mse
 from .random_search import run_rs
 from .runlog import read_runlog, write_runlog
@@ -85,20 +86,6 @@ def _eqsat(args) -> EqSatConfig:
 
 # -- gp config files ------------------------------------------------------------
 
-_GP_KEYS = {
-    "max_length": ("max_len", int),
-    "pop_size": ("pop_size", int),
-    "generations": ("generations", int),
-    "min_depth": ("min_depth", int),
-    "max_depth": ("max_depth", int),
-    "tournament_size": ("tournament_size", int),
-    "cx_prob": ("p_cx", float),
-    "mut_prob": ("p_mut", float),
-    "objective": ("objective", str),
-    "optim_iterations": (None, int),
-}
-
-
 def parse_gp_config(path: str) -> GpConfig:
     """Simple key=value / TOML-style config with Table-style names."""
     values = {}
@@ -113,9 +100,9 @@ def parse_gp_config(path: str) -> GpConfig:
                 key, _, raw = line.partition("=")
                 key = key.strip().lower()
                 raw = raw.strip().strip('"').strip("'")
-                if key not in _GP_KEYS:
+                if key not in CONFIG_KEYS:
                     raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-                field, conv = _GP_KEYS[key]
+                field, conv = CONFIG_KEYS[key]
                 try:
                     values[key] = conv(raw)
                     if field is not None:
@@ -124,17 +111,12 @@ def parse_gp_config(path: str) -> GpConfig:
                     raise DataError(f"{path}:{lineno}: {key}: {err}")
     except OSError as err:
         raise DataError(f"cannot read config {path}: {err}")
-    cfg = gp_preset(values.get("max_length", 10))
-    kwargs = {}
-    for key, val in values.items():
-        field, _ = _GP_KEYS[key]
-        if field is not None:
-            kwargs[field] = val
+    kwargs = {CONFIG_KEYS[key][0]: val for key, val in values.items()
+              if CONFIG_KEYS[key][0] is not None}
     if "optim_iterations" in values:
         kwargs["fit_config"] = FitConfig(
             restarts=1, max_iters=values["optim_iterations"])
-    from dataclasses import replace
-    return replace(cfg, **kwargs)
+    return replace(gp_preset(values.get("max_length", 10)), **kwargs)
 
 
 def write_gp_config(cfg: GpConfig, path: str) -> None:

@@ -293,15 +293,7 @@ def _compile_rules(rules) -> list:
     return [t[1:] for t in compiled]
 
 
-_COMPILED_CACHE: dict[int, list] = {}
-
-
-def _compiled_for(rules) -> list:
-    got = _COMPILED_CACHE.get(id(rules))
-    if got is None:
-        got = _compile_rules(rules)
-        _COMPILED_CACHE[id(rules)] = got
-    return got
+_COMPILED = _compile_rules(RULES)
 
 
 def _pat_text(pat, parent_prec=0) -> str:
@@ -351,8 +343,8 @@ def dump_rules(rules=RULES) -> str:
 class EGraph:
     """Union-find backed congruence structure with analysis-driven folding."""
 
-    def __init__(self, node_budget: int = 100_000):
-        self.node_budget = node_budget
+    def __init__(self, config: EqSatConfig):
+        self.config = config
         self._parent: list[int] = []
         # class id -> list of e-nodes (tuples: (op, child ids...) or leaves)
         self.classes: dict[int, list[tuple]] = {}
@@ -465,9 +457,9 @@ class EGraph:
 
     def add_expr(self, e: Expr) -> int:
         """Insert an expression (desugaring inv and powabs); returns its class."""
-        if len(self.hashcons) > self.node_budget:
+        if len(self.hashcons) > self.config.node_budget:
             raise EGraphCapacityError(
-                f"node budget {self.node_budget} exceeded")
+                f"node budget {self.config.node_budget} exceeded")
         k = e.kind
         if k in (VAR, PARAM, HOLE):
             return self.add_leaf(k, e.value)
@@ -578,16 +570,13 @@ class EGraph:
 
     # saturation ------------------------------------------------------------------
 
-    def saturate(self, rules=RULES, max_iters: int = 30,
-                 node_budget: Optional[int] = None) -> SaturationReport:
-        if max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        budget = self.node_budget if node_budget is None else node_budget
-        compiled = _compiled_for(rules)
+    def saturate(self) -> SaturationReport:
+        """Apply ``RULES`` under the configured iteration cap and node
+        budget."""
+        budget = self.config.node_budget
         applied: set = set()
-        reason = "iter_limit"
         it = 0
-        while it < max_iters:
+        while it < self.config.max_iters:
             it += 1
             index: dict[int, list] = {}
             for c, nodes in self.classes.items():
@@ -596,7 +585,7 @@ class EGraph:
             matches = []
             analysis = self.analysis
             classes = self.classes
-            for rid, root_op, matcher, rhs, nvars in compiled:
+            for rid, root_op, matcher, rhs, nvars in _COMPILED:
                 rows = index.get(root_op)
                 if rows:
                     found: list = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from . import expr as ex
-from .expr import Expr, DEFAULT_GRAMMAR, Grammar
+from .expr import ARITY, Expr, GRAMMAR_ID, PRODUCTIONS
 from .egraph import EqSatConfig
 from .simplify import Canonicalizer
 
@@ -69,7 +69,7 @@ class Catalog:
         return self._index.get(semantic_hash)
 
 
-def _build_tree(tokens, productions) -> Expr:
+def _build_tree(tokens) -> Expr:
     """Build the pre-order expression for a (possibly partial) derivation."""
     pos = 0
     n_params = 0
@@ -82,19 +82,19 @@ def _build_tree(tokens, productions) -> Expr:
         if tok == _NT:
             n_holes += 1
             return ex.hole(n_holes)
-        name, kind, arity = productions[tok]
+        kind = PRODUCTIONS[tok]
         if kind == ex.VAR:
             return ex.var(1)
         if kind == ex.PARAM:
             n_params += 1
             return ex.param(n_params)
-        kids = tuple(walk() for _ in range(arity))
+        kids = tuple(walk() for _ in range(ARITY[kind]))
         return Expr(kind, None, kids)
 
     return walk()
 
 
-def _expand(max_len: int, grammar: Grammar, keep=None) -> Iterator[Expr]:
+def _expand(max_len: int, keep=None) -> Iterator[Expr]:
     """Breadth-first derivation search (first-nonterminal expansion) that
     yields each complete derivation with length <= max_len once.
 
@@ -105,14 +105,14 @@ def _expand(max_len: int, grammar: Grammar, keep=None) -> Iterator[Expr]:
     """
     if not 1 <= max_len <= 16:
         raise ValueError("max_len must be in 1..16")
-    productions = grammar.productions
     queue: deque = deque()
     # tokens, terminal count, nonterminal count, production counts
-    queue.append(((_NT,), 0, 1, (0,) * len(productions)))
+    queue.append(((_NT,), 0, 1, (0,) * len(PRODUCTIONS)))
     while queue:
         tokens, n_term, n_nt, counts = queue.popleft()
         slot = tokens.index(_NT)
-        for i, (name, kind, arity) in enumerate(productions):
+        for i, kind in enumerate(PRODUCTIONS):
+            arity = ARITY[kind]
             n_open = n_nt - 1 + arity
             # minimal completed length if we apply this production
             if n_term + 1 + n_open > max_len:
@@ -120,17 +120,16 @@ def _expand(max_len: int, grammar: Grammar, keep=None) -> Iterator[Expr]:
             new = tokens[:slot] + (i,) + ((_NT,) * arity) + tokens[slot + 1:]
             new_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
             if n_open == 0:
-                yield _build_tree(new, productions)
-            elif keep is None or keep(_build_tree(new, productions),
+                yield _build_tree(new)
+            elif keep is None or keep(_build_tree(new),
                                       new_counts + (n_open,)):
                 queue.append((new, n_term + 1, n_open, new_counts))
 
 
-def enumerate_trees(max_len: int,
-                    grammar: Grammar = DEFAULT_GRAMMAR) -> Iterator[Expr]:
+def enumerate_trees(max_len: int) -> Iterator[Expr]:
     """Yield every complete derivation with length <= max_len exactly once,
     in breadth-first order (first-nonterminal expansion)."""
-    return _expand(max_len, grammar)
+    return _expand(max_len)
 
 
 def _partial_key(canon_hash: int, token_counts: tuple) -> int:
@@ -141,7 +140,6 @@ def _partial_key(canon_hash: int, token_counts: tuple) -> int:
 
 def build_catalog(max_len: int,
                   eqsat: EqSatConfig = EqSatConfig(),
-                  grammar: Grammar = DEFAULT_GRAMMAR,
                   prune_partials: bool = True,
                   progress=None) -> Catalog:
     """Enumerate and de-duplicate all expressions up to ``max_len``.
@@ -166,7 +164,7 @@ def build_catalog(max_len: int,
         seen_partials.add(pk)
         return True
 
-    for n_visited, tree in enumerate(_expand(max_len, grammar, keep), 1):
+    for n_visited, tree in enumerate(_expand(max_len, keep), 1):
         cf = canon(tree)
         if cf.semantic_hash not in seen_exprs:
             seen_exprs.add(cf.semantic_hash)
@@ -176,7 +174,7 @@ def build_catalog(max_len: int,
             progress(n_visited, len(entries))
 
     meta = {
-        "grammar": grammar.name,
+        "grammar": GRAMMAR_ID,
         "rules": RULESET_ID,
         "eqsat": eqsat.key(),
         "max_len": str(max_len),

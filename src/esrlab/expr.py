@@ -21,17 +21,16 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 __all__ = [
-    "Expr", "Grammar", "ParseError",
+    "Expr", "ParseError",
     "VAR", "PARAM", "CONST", "ADD", "SUB", "MUL", "DIV", "INV", "POWABS",
     "NEG", "ABS", "HOLE",
     "var", "param", "const", "add", "sub", "mul", "div", "inv", "powabs",
     "neg", "abs_", "hole",
     "length", "render", "parse", "structural_hash",
     "param_count", "renumber_params", "renumber_leaves", "subtrees",
-    "validate", "DEFAULT_GRAMMAR",
+    "validate", "PRODUCTIONS", "GRAMMAR_ID",
 ]
 
 # Node kinds.  The numeric order doubles as the fixed tie-break order used by
@@ -155,30 +154,12 @@ def abs_(a: Expr) -> Expr:
     return Expr(ABS, None, (a,))
 
 
-@dataclass(frozen=True)
-class Grammar:
-    """The production alternatives for the single nonterminal E.
-
-    Each production is (token, node kind, arity); every node contributes one
-    unit to expression length.  The default grammar has the six alternative
-    forms x, p, inv(E), powabs(E,E), E (+|-) E, E (*|/) E, which expand to
-    eight concrete productions.
-    """
-
-    productions: tuple = (
-        ("x", VAR, 0),
-        ("p", PARAM, 0),
-        ("inv", INV, 1),
-        ("powabs", POWABS, 2),
-        ("+", ADD, 2),
-        ("-", SUB, 2),
-        ("*", MUL, 2),
-        ("/", DIV, 2),
-    )
-    name: str = "univariate-v1"
-
-
-DEFAULT_GRAMMAR = Grammar()
+# The generating grammar: the node kinds of the production alternatives for
+# the single nonterminal E, in enumeration order; every node contributes one
+# unit to expression length.  The six alternative forms x, p, inv(E),
+# powabs(E,E), E (+|-) E, E (*|/) E expand to these eight productions.
+PRODUCTIONS = (VAR, PARAM, INV, POWABS, ADD, SUB, MUL, DIV)
+GRAMMAR_ID = "univariate-v1"
 
 
 def length(e: Expr) -> int:

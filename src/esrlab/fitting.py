@@ -1,12 +1,13 @@
 """Parameter fitting: multi-restart quasi-Newton maximum likelihood.
 
-Each restart draws a start uniformly from the configured box and runs
-L-BFGS-B to the configured tolerances.  ``minimize`` drives scipy's compiled
-L-BFGS-B routine ``setulb`` directly: the routine uses reverse
-communication, returning to its caller whenever it needs the objective, so
-the caller owns the evaluation loop.  The driver keeps the bookkeeping of
-``scipy.optimize.minimize(method="L-BFGS-B")`` without its per-call
-wrappers, so every run takes the same steps and makes the same evaluations.
+Each restart draws a start uniformly from the box [-3, 3] in every
+coordinate and runs L-BFGS-B to relative and absolute tolerances of 1e-8.
+``minimize`` drives scipy's compiled L-BFGS-B routine ``setulb`` directly:
+the routine uses reverse communication, returning to its caller whenever it
+needs the objective, so the caller owns the evaluation loop.  The driver
+keeps the bookkeeping of ``scipy.optimize.minimize(method="L-BFGS-B")``
+without its per-call wrappers, so every run takes the same steps and makes
+the same evaluations.
 For the marginal likelihood the optimization vector is
 [theta, mu, log omega, log sigma_int], maximized jointly; a point where
 omega underflows to zero counts as a bad point.  Restarts stop early once
@@ -54,18 +55,17 @@ __all__ = [
 @dataclass(frozen=True)
 class FitConfig:
     restarts: int = 1
-    init_lo: float = -3.0
-    init_hi: float = 3.0
     max_iters: int = 500
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-8
     restart_patience: int = 20
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+
+
+# the box restarts draw their starts from, and the declared tolerances
+_INIT_LO, _INIT_HI = -3.0, 3.0
+_REL_TOL = _ABS_TOL = 1e-8
 
 
 # the exhaustive-search preset (deep multi-restart search) and the preset
@@ -299,12 +299,12 @@ def fit(e: Expr, data: Dataset, objective: str = "mse",
     used = 0
     for _ in range(config.restarts):
         used += 1
-        x0 = rng.uniform(config.init_lo, config.init_hi, dim)
+        x0 = rng.uniform(_INIT_LO, _INIT_HI, dim)
         # optimizer tolerances sit well below the declared bounds so that
         # convex problems reach parameter-level accuracy at the declared
         # tolerance
         res = minimize(fun, x0, jac, config.max_iters,
-                       config.rel_tol * 1e-3, config.abs_tol * 1e-3,
+                       _REL_TOL * 1e-3, _ABS_TOL * 1e-3,
                        max(config.max_iters * 20, 100))
         if not jac:
             counter.grad += res.njev
@@ -314,7 +314,7 @@ def fit(e: Expr, data: Dataset, objective: str = "mse",
             terminations.append("converged")
         else:
             terminations.append("iter_limit")
-        if math.isfinite(val) and val < best_val - config.abs_tol:
+        if math.isfinite(val) and val < best_val - _ABS_TOL:
             best_val = val
             best_vec = np.array(res.x)
             since_improve = 0

@@ -23,11 +23,12 @@ from .fitting import FitConfig, GP_FIT, fit
 from .runlog import LogRecord, RunLog
 from .simplify import Canonicalizer
 
-__all__ = ["GpConfig", "Individual", "run_gp", "init_population",
-           "tournament_select", "crossover", "mutate", "grow", "full",
-           "gp_preset", "GpInitError"]
+__all__ = ["GpConfig", "CONFIG_KEYS", "Individual", "run_gp",
+           "init_population", "tournament_select", "crossover", "mutate",
+           "grow", "full", "gp_preset", "GpInitError"]
 
-_FUNCTIONS = (ex.INV, ex.POWABS, ex.ADD, ex.SUB, ex.MUL, ex.DIV)
+# the grammar's operator productions; random draws index them in table order
+_FUNCTIONS = tuple(k for k in ex.PRODUCTIONS if ex.ARITY[k])
 
 
 class GpInitError(RuntimeError):
@@ -47,7 +48,6 @@ class GpConfig:
     objective: str = "mse"
     fit_config: FitConfig = GP_FIT
     eqsat: EqSatConfig = EqSatConfig()
-    init_resample_cap: int = 10_000
 
     def __post_init__(self):
         # each bound is on one field alone, so a config file can check a
@@ -65,14 +65,29 @@ class GpConfig:
                 f"objective must be mse or mnr, got {self.objective!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "pop_size": self.pop_size, "generations": self.generations,
-            "min_depth": self.min_depth, "max_depth": self.max_depth,
-            "tournament_size": self.tournament_size, "cx_prob": self.p_cx,
-            "mut_prob": self.p_mut, "max_length": self.max_len,
-            "objective": self.objective,
-            "optim_iterations": self.fit_config.max_iters,
-        }
+        """The config under its file keys, in ``CONFIG_KEYS`` order."""
+        return {key: self.fit_config.max_iters if field is None
+                else getattr(self, field)
+                for key, (field, _) in CONFIG_KEYS.items()}
+
+
+# config file key -> (GpConfig field, value type); optim_iterations sets
+# fit_config.max_iters
+CONFIG_KEYS = {
+    "pop_size": ("pop_size", int),
+    "generations": ("generations", int),
+    "min_depth": ("min_depth", int),
+    "max_depth": ("max_depth", int),
+    "tournament_size": ("tournament_size", int),
+    "cx_prob": ("p_cx", float),
+    "mut_prob": ("p_mut", float),
+    "max_length": ("max_len", int),
+    "objective": ("objective", str),
+    "optim_iterations": (None, int),
+}
+
+# samples drawn for one initial individual before giving up
+_INIT_RESAMPLE_CAP = 10_000
 
 
 def gp_preset(max_len: int) -> GpConfig:
@@ -242,10 +257,10 @@ def init_population(cfg: GpConfig, run: _Run) -> list:
         attempts = 0
         while True:
             attempts += 1
-            if attempts > cfg.init_resample_cap:
+            if attempts > _INIT_RESAMPLE_CAP:
                 raise GpInitError(
                     f"no finite-fitness individual after "
-                    f"{cfg.init_resample_cap} samples")
+                    f"{_INIT_RESAMPLE_CAP} samples")
             if method == "grow":
                 tree = grow(run.rng, depth, cfg.min_depth)
             else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from .expr import Expr, PARAM, CONST
-from .egraph import EGraph, EqSatConfig, RULES
+from .egraph import EGraph, EqSatConfig
 from .normalize import normalize
 
 __all__ = [
@@ -44,15 +44,14 @@ def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig()) -> CanonicalForm:
     configured budget, and the cost-minimal member is extracted.
     """
     n = normalize(e)
-    g = EGraph(node_budget=config.node_budget)
+    g = EGraph(config)
     root = g.add_expr(n)
     if n != e:
         # the raw tree anchors extraction: the canonical form can never cost
         # more than the input even when one-way rules cannot rebuild it
         g._union(root, g.add_expr(e))
     g.rebuild()
-    g.saturate(RULES, max_iters=config.max_iters,
-               node_budget=config.node_budget)
+    g.saturate()
     extracted = g.extract(g.find(root))
     canon = ex.renumber_leaves(extracted)
     text = ex.render(canon)

@@ -115,32 +115,32 @@ def test_rule_soundness_sampled(rule):
 # -- folding and canonical forms ----------------------------------------------
 
 def test_add_then_saturate_folds_x_plus_zero():
-    g = EGraph()
+    g = EGraph(EqSatConfig(max_iters=4))
     root = g.add_expr(ex.add(ex.var(), ex.const(0.0)))
     g.rebuild()
-    g.saturate(RULES, max_iters=4)
+    g.saturate()
     assert ex.render(g.extract(root)) == "x"
 
 
 def test_hash_consing_shares_identical_subtrees():
-    g = EGraph()
+    g = EGraph(CFG)
     a = g.add_expr(ex.var())
     b = g.add_expr(ex.var())
     assert a == b
 
 
 def test_distinct_before_saturation():
-    g = EGraph()
+    g = EGraph(EqSatConfig(max_iters=2))
     a = g.add_expr(ex.parse("x + p1"))
     b = g.add_expr(ex.parse("p1 + x"))
     assert a != b
     g.rebuild()
-    g.saturate(RULES, max_iters=2)
+    g.saturate()
     assert g.find(a) == g.find(b)
 
 
 def test_class_count_bounded_by_node_count():
-    g = EGraph()
+    g = EGraph(CFG)
     tree = ex.parse("p1 / (1.0 / (p2 + x) - p3 ^ x)")
     g.add_expr(tree)
     assert g.n_classes <= 12 + 2  # desugaring adds abs/-1 nodes
@@ -178,21 +178,21 @@ def test_simplifies_to_constant():
 
 
 def test_saturation_report_reasons():
-    g = EGraph()
+    g = EGraph(EqSatConfig(max_iters=50))
     g.add_expr(ex.parse("x + p1"))
     g.rebuild()
-    rep = g.saturate(RULES, max_iters=50)
+    rep = g.saturate()
     assert rep.stop_reason in ("fixpoint", "iter_limit", "node_budget")
-    g2 = EGraph()
+    g2 = EGraph(EqSatConfig(max_iters=50, node_budget=200))
     root = g2.add_expr(ex.parse("x * (x + p1) * (x + p2)"))
     g2.rebuild()
-    rep2 = g2.saturate(RULES, max_iters=50, node_budget=200)
+    rep2 = g2.saturate()
     assert rep2.stop_reason == "node_budget"
     g2.extract(root)  # extraction still works after budget stop
 
 
 def test_extraction_error_on_cycle_only_class():
-    g = EGraph()
+    g = EGraph(CFG)
     x = g.add_expr(ex.var())
     c = g.add(ex.ADD, x, x)
     # orphan the class: make it reference only itself

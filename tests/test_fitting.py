@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from esrlab import expr as ex
+from esrlab import expr as ex, fitting
 from esrlab.dataset import Dataset, bundled_synthetic_path, load_csv
 from esrlab.fitting import (ESR_FIT, GP_FIT, FitConfig, entry_seed, fit,
                             fit_catalog, read_results)
@@ -181,10 +181,10 @@ def test_fit_catalog_order_independent_seeds(linear_data, catalog4):
 
 def test_presets_follow_documented_shapes():
     assert ESR_FIT.restarts == 340
-    assert ESR_FIT.rel_tol == 1e-8 and ESR_FIT.abs_tol == 1e-8
+    assert fitting._REL_TOL == 1e-8 and fitting._ABS_TOL == 1e-8
     assert GP_FIT.restarts == 1
     assert GP_FIT.max_iters == 10
-    assert GP_FIT.init_lo == -3.0 and GP_FIT.init_hi == 3.0
+    assert fitting._INIT_LO == -3.0 and fitting._INIT_HI == 3.0
 
 
 def _lbfgsb_both(e, data, objective, config, x0, maxfun=None):
@@ -194,8 +194,8 @@ def _lbfgsb_both(e, data, objective, config, x0, maxfun=None):
     from scipy.optimize import minimize as scipy_minimize
     from esrlab import fitting
 
-    opts = dict(maxiter=config.max_iters, ftol=config.rel_tol * 1e-3,
-                gtol=config.abs_tol * 1e-3,
+    opts = dict(maxiter=config.max_iters, ftol=fitting._REL_TOL * 1e-3,
+                gtol=fitting._ABS_TOL * 1e-3,
                 maxfun=maxfun or max(config.max_iters * 20, 100))
     runs = []
     for driver in ("ours", "scipy"):

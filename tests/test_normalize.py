@@ -7,7 +7,6 @@ from esrlab import enumeration, simplify
 from esrlab import expr as ex
 from esrlab.autodiff import eval_expr
 from esrlab.enumeration import enumerate_trees
-from esrlab.expr import DEFAULT_GRAMMAR
 from esrlab.normalize import normalize
 from esrlab.simplify import Canonicalizer, canonicalize
 
@@ -173,7 +172,7 @@ def _forms_digest(max_len):
         record(t)
         return True
 
-    for t in enumeration._expand(max_len, DEFAULT_GRAMMAR, keep):
+    for t in enumeration._expand(max_len, keep):
         trees["complete"] += 1
         record(t)
     return trees["partial"], trees["complete"], h.hexdigest()[:16]
