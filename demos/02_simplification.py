@@ -5,7 +5,7 @@ Run: python demos/02_simplification.py
 
 from esrlab import expr as ex
 from esrlab.egraph import dump_rules
-from esrlab.simplify import canonicalize, simplifies_to_constant
+from esrlab.simplify import canonicalize
 
 # Two spellings of the same function family map to one canonical form.
 for left, right in [
@@ -21,8 +21,7 @@ for left, right in [
 # algebra folds to literals.
 for text in ["p1 + p2", "p1 / p2 ^ p3", "x - x", "x / x"]:
     cf = canonicalize(ex.parse(text))
-    print(f"{text:12} -> {cf.text:6} "
-          f"(constant family: {simplifies_to_constant(ex.parse(text))})")
+    print(f"{text:12} -> {cf.text:6} (constant family: {cf.is_constant})")
 
 # The rewrite rule set is data; dump it for auditing.
 print("\nfirst rules of the set:")

@@ -136,7 +136,7 @@ def duplicate_stats(log: RunLog, catalog: Optional[Catalog] = None,
     def is_const(rec) -> bool:
         got = const_cache.get(rec.struct_hash)
         if got is None:
-            got = canon.simplifies_to_constant(ex.parse(rec.text))
+            got = canon(ex.parse(rec.text)).is_constant
             const_cache[rec.struct_hash] = got
         return got
 

@@ -76,6 +76,11 @@ def _check_objective(objective: str, data: Dataset) -> None:
         raise DataError("mnr objective requires sigma_x,sigma_y columns")
 
 
+def _check_runs(args) -> None:
+    if args.runs < 1:
+        raise DataError(f"--runs must be >= 1, got {args.runs}")
+
+
 def _eqsat(args) -> EqSatConfig:
     try:
         return EqSatConfig(max_iters=args.eqsat_iters,
@@ -167,6 +172,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gp(args) -> int:
+    _check_runs(args)
     data = _load("dataset", args.data)
     cfg = parse_gp_config(args.config)
     _check_objective(cfg.objective, data)
@@ -194,6 +200,7 @@ def _gp_one(payload):
 
 
 def _cmd_rs(args) -> int:
+    _check_runs(args)
     catalog = _load("catalog", args.catalog)
     data = _load("dataset", args.data)
     _check_objective(args.objective, data)
@@ -236,7 +243,10 @@ def _cmd_analyze_ecdf(args) -> int:
     if not paths:
         raise DataError(f"no logs match {args.logs!r}")
     logs = [_load("run log", p) for p in paths]
-    curves = ecdf(logs, thresholds, args.axis)
+    try:
+        curves = ecdf(logs, thresholds, args.axis)
+    except ValueError as err:   # logs without function-evaluation counts
+        raise DataError(f"--axis {args.axis}: {err}")
     write_ecdf_tsv(curves, args.out)
     print(f"{len(curves)} curves over {len(logs)} runs -> {args.out}")
     return 0

@@ -17,10 +17,7 @@ from .expr import Expr, PARAM, CONST
 from .egraph import EGraph, EqSatConfig
 from .normalize import normalize
 
-__all__ = [
-    "CanonicalForm", "canonicalize", "simplifies_to_constant",
-    "Canonicalizer", "EqSatConfig",
-]
+__all__ = ["CanonicalForm", "canonicalize", "Canonicalizer", "EqSatConfig"]
 
 
 @dataclass(frozen=True)
@@ -33,6 +30,11 @@ class CanonicalForm:
     @property
     def text(self) -> str:
         return ex.render(self.expression)
+
+    @property
+    def is_constant(self) -> bool:
+        """True when the form is a lone parameter or literal."""
+        return self.expression.kind in (PARAM, CONST)
 
 
 def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig()) -> CanonicalForm:
@@ -60,12 +62,6 @@ def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig()) -> CanonicalForm:
                          ex.length(canon))
 
 
-def simplifies_to_constant(e: Expr, config: EqSatConfig = EqSatConfig()) -> bool:
-    """True when the canonical form is a lone parameter or literal."""
-    kind = canonicalize(e, config).expression.kind
-    return kind in (PARAM, CONST)
-
-
 class Canonicalizer:
     """Caching front-end for canonicalize; safe because Expr is immutable.
 
@@ -78,25 +74,15 @@ class Canonicalizer:
     def __init__(self, config: EqSatConfig = EqSatConfig()):
         self.config = config
         self._cache: dict[Expr, CanonicalForm] = {}
-        self.hits = 0
-        self.misses = 0
 
     def __call__(self, e: Expr) -> CanonicalForm:
         got = self._cache.get(e)
         if got is not None:
-            self.hits += 1
             return got
         n = normalize(e)
         cf = self._cache.get(n)
         if cf is None:
-            self.misses += 1
             cf = canonicalize(e, self.config)
             self._cache[n] = cf
-        else:
-            self.hits += 1
         self._cache[e] = cf
         return cf
-
-    def simplifies_to_constant(self, e: Expr) -> bool:
-        kind = self(e).expression.kind
-        return kind in (PARAM, CONST)

@@ -284,6 +284,16 @@ def test_analyze_malformed_runlog_exits_2(tmp_path, capsys, command, record):
     assert f"{log}:2" in capsys.readouterr().err
 
 
+def test_ecdf_fevals_axis_needs_counters(tmp_path, capsys):
+    log = tmp_path / "run_000.log"
+    log.write_text("#seed=1\n0\t1\t5\t5\t0.5\tx\t0\t\n")
+    out = tmp_path / "out.tsv"
+    assert main(["analyze", "ecdf", "--logs", str(log), "--thresholds",
+                 "0.1", "--axis", "fevals", "--out", str(out)]) == 2
+    assert "function-evaluation counters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, setting, names", [
     (["fit", "--restarts", "0"], None, "--restarts"),
     (["simplify", "--expr", "x", "--eqsat-iters", "0"], None,
@@ -295,8 +305,11 @@ def test_analyze_malformed_runlog_exits_2(tmp_path, capsys, command, record):
     (["gp"], "pop_size = 0\n", "gp.toml:1"),
     (["fit"], "ESRLAB_WORKERS=abc", "ESRLAB_WORKERS"),
     (["analyze", "ecdf", "--thresholds", "abc"], None, "--thresholds"),
+    (["gp", "--runs", "0"], None, "--runs"),
+    (["rs", "--runs", "0"], None, "--runs"),
 ], ids=["fit_restarts", "eqsat_iters", "node_budget", "max_length",
-        "gp_not_a_number", "gp_out_of_range", "workers_env", "thresholds"])
+        "gp_not_a_number", "gp_out_of_range", "workers_env", "thresholds",
+        "gp_runs", "rs_runs"])
 def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
                                      capsys, monkeypatch, argv, setting,
                                      names):
@@ -308,6 +321,8 @@ def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
              "enumerate": ["--out", out],
              "gp": ["--data", data_csv, "--config", str(tmp_path / "gp.toml"),
                     "--log-dir", str(tmp_path / "logs"), "--workers", "1"],
+             "rs": ["--catalog", catalog3_file, "--data", data_csv,
+                    "--log-dir", str(tmp_path / "logs")],
              "simplify": [],
              "analyze": ["--logs", str(tmp_path / "run_*.log"),
                          "--out", out]}[argv[0]]

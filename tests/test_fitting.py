@@ -137,6 +137,66 @@ def test_torn_results_line_is_rejected(tmp_path, linear_data, catalog4, cut):
         read_results(str(out))
 
 
+_WORKER_PROBE = """
+import json
+import os
+import sys
+
+import esrlab
+import numpy as np
+from esrlab.dataset import Dataset
+from esrlab.enumeration import Catalog, CatalogEntry
+from esrlab.fitting import GP_FIT, fit_catalog
+
+VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def seen_by_worker(out_dir):
+    # runs where the dataset is unpickled: in a fit worker
+    with open(os.path.join(out_dir, f"{os.getpid()}.json"), "w") as f:
+        json.dump({v: os.environ.get(v) for v in VARS}, f)
+    return Dataset(np.zeros(1), np.zeros(1))
+
+
+class Probe(Dataset):
+    def __reduce__(self):
+        return seen_by_worker, (sys.argv[1],)
+
+
+if __name__ == "__main__":
+    catalog = Catalog(1, [CatalogEntry(h, 1, 0, "x") for h in (1, 2)])
+    fit_catalog(catalog, Probe(np.zeros(1), np.zeros(1)), "mse", GP_FIT,
+                workers=2)
+"""
+
+
+def test_fit_workers_inherit_the_blas_pin(tmp_path):
+    """Importing esrlab pins BLAS to one thread where the environment does
+    not already set the thread count, and spawned fit workers inherit it."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    script = tmp_path / "probe.py"
+    script.write_text(_WORKER_PROBE)
+    seen = tmp_path / "seen"
+    seen.mkdir()
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["OMP_NUM_THREADS"] = "3"    # the caller's own setting wins
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, str(script), str(seen)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    reports = [json.loads(p.read_text()) for p in seen.iterdir()]
+    assert reports and all(
+        r == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+              "MKL_NUM_THREADS": "1"} for r in reports)
+
+
 def test_fit_catalog_resumes_partial(tmp_path, linear_data, catalog4):
     out = tmp_path / "results.tsv"
     full = fit_catalog(catalog4, linear_data, "mse", FitConfig(restarts=2),
