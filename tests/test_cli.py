@@ -149,6 +149,10 @@ def test_config_echo_roundtrip(tmp_path):
     assert back.pop_size == 50 and back.generations == 7
     assert back.max_len == 12 and back.p_mut == 0.3
     assert back.fit_config.max_iters == cfg.fit_config.max_iters
+    assert [line.split(" = ")[0] for line in path.read_text().splitlines()] \
+        == ["pop_size", "generations", "min_depth", "max_depth",
+            "tournament_size", "cx_prob", "mut_prob", "max_length",
+            "objective", "optim_iterations"]
     # echoing the parsed config reproduces the same file
     path2 = tmp_path / "echo2.txt"
     write_gp_config(back, str(path2))
