@@ -4,7 +4,7 @@ Each restart draws a start uniformly from the box [-3, 3] in every
 coordinate and runs L-BFGS-B to relative and absolute tolerances of 1e-8.
 ``minimize`` drives scipy's compiled L-BFGS-B routine ``setulb`` directly:
 the routine uses reverse communication, returning to its caller whenever it
-needs the objective, so the caller owns the evaluation loop.  The driver
+needs the objective, so the caller owns the evaluation loop.  ``minimize``
 keeps the bookkeeping of ``scipy.optimize.minimize(method="L-BFGS-B")``
 without its per-call wrappers, so every run takes the same steps and makes
 the same evaluations.
