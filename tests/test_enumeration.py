@@ -79,10 +79,14 @@ def test_unique_counts_monotone_and_bounded(catalog4, catalog6):
     assert len(catalog6) <= trees_cumulative(6)
 
 
-def test_partial_pruning_is_sound():
+@pytest.mark.parametrize("max_len", [5, pytest.param(6, marks=pytest.mark.xfail(
+    strict=True, reason="canonical forms depend on the cache's history and "
+    "are not idempotent: at length 6 pruning gives 334 entries, without "
+    "it 338"))])
+def test_partial_pruning_is_sound(max_len):
     # pruning may only remove duplicates, never change the unique set
-    pruned = build_catalog(5)
-    full = build_catalog(5, prune_partials=False)
+    pruned = build_catalog(max_len)
+    full = build_catalog(max_len, prune_partials=False)
     assert {e.semantic_hash for e in pruned.entries} == \
         {e.semantic_hash for e in full.entries}
 

@@ -178,6 +178,37 @@ def _forms_digest(max_len):
     return trees["partial"], trees["complete"], h.hexdigest()[:16]
 
 
+# Digest over seeded random trees up to depth 4 that the grammar does not
+# produce: literals, neg, abs and repeated parameter indices.  Each line holds
+# the tree, its normal form, its canonical text and its semantic hash.
+GOLDEN_RANDOM_FORMS = (1500, "dafa9c5e8aafe208")
+
+_RANDOM_LEAVES = ((ex.var(1),) + tuple(ex.param(i) for i in range(1, 5))
+                  + tuple(ex.const(v) for v in (0.0, 1.0, -1.0, 2.0, -2.0,
+                                                0.5)))
+_RANDOM_BINARY = (ex.add, ex.sub, ex.mul, ex.div, ex.powabs)
+_RANDOM_OPS = _RANDOM_BINARY + (ex.inv, ex.neg, ex.abs_)
+
+
+def _random_tree(rng, depth):
+    if depth == 1 or rng.random() < 0.3:
+        return _RANDOM_LEAVES[rng.integers(len(_RANDOM_LEAVES))]
+    op = _RANDOM_OPS[rng.integers(len(_RANDOM_OPS))]
+    arity = 2 if op in _RANDOM_BINARY else 1
+    return op(*(_random_tree(rng, depth - 1) for _ in range(arity)))
+
+
+def _random_forms_digest(n):
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for _ in range(n):
+        t = _random_tree(rng, 4)
+        cf = canonicalize(t)
+        h.update(f"{ex.render(t)}\t{ex.render(normalize(t))}\t{cf.text}\t"
+                 f"{cf.semantic_hash}\n".encode("utf-8"))
+    return n, h.hexdigest()[:16]
+
+
 def _catalog_calls(monkeypatch, max_len):
     calls = {"normalize": 0, "canonicalize": 0}
 
@@ -196,6 +227,10 @@ def _catalog_calls(monkeypatch, max_len):
 
 def test_golden_forms():
     assert _forms_digest(5) == GOLDEN_FORMS[5]
+
+
+def test_golden_random_forms():
+    assert _random_forms_digest(GOLDEN_RANDOM_FORMS[0]) == GOLDEN_RANDOM_FORMS
 
 
 def test_golden_catalog_calls(monkeypatch):
