@@ -212,7 +212,7 @@ class FitnessDistribution:
 def fitness_distribution(results: dict, catalog: Optional[Catalog] = None,
                          baselines: Optional[list] = None,
                          top_k: int = 5) -> FitnessDistribution:
-    """Summary of a results table {hash: FitResult-like}.
+    """Summary of a results table {hash: FitResult}.
 
     ``baselines`` entries are (name, objective value) pairs; the report
     carries the fraction of finite entries strictly better than each.
@@ -222,9 +222,7 @@ def fitness_distribution(results: dict, catalog: Optional[Catalog] = None,
         texts = {e.semantic_hash: e.text for e in catalog.entries}
     rows = []
     for h, res in results.items():
-        obj = res.objective if hasattr(res, "objective") else float(res)
-        params = res.params if hasattr(res, "params") else ()
-        rows.append((obj, texts.get(h, str(h)), params))
+        rows.append((res.objective, texts.get(h, str(h)), res.params))
     finite = sorted((r for r in rows if math.isfinite(r[0])),
                     key=lambda r: r[0])
     values = np.array([r[0] for r in finite]) if finite else np.array([])

@@ -541,38 +541,36 @@ class EGraph:
     # (flat nested loops over the class lists).  Matching runs on a rebuilt
     # graph, where node child ids are already canonical.
 
-    def _instantiate(self, pat: tuple, binding: tuple) -> int:
+    def _instantiate(self, pat: tuple, binding: tuple, grow: bool = True):
+        """Class of the pattern under ``binding``, adding missing nodes.
+        Without ``grow`` nothing is added, and the result is None unless
+        every node already exists: merging then continues past the node
+        budget."""
         tag = pat[0]
         if tag == "v":
             return self.find(binding[pat[1]])
         if tag == "l":
-            return self.add_leaf(CONST, pat[1])
-        kids = [self._instantiate(sub, binding) for sub in pat[1:]]
-        return self.add(pat[0], *kids)
-
-    def _probe(self, pat: tuple, binding: tuple):
-        """Class of the instantiated pattern if it already exists (no
-        growth), else None.  Lets merging continue past the node budget."""
-        tag = pat[0]
-        if tag == "v":
-            return self.find(binding[pat[1]])
-        if tag == "l":
-            got = self.hashcons.get((CONST, pat[1]))
-            return None if got is None else self.find(got)
-        kids = []
-        for sub in pat[1:]:
-            c = self._probe(sub, binding)
-            if c is None:
-                return None
-            kids.append(c)
-        got = self.hashcons.get((pat[0],) + tuple(kids))
+            node = (CONST, pat[1])
+        else:
+            kids = []
+            for sub in pat[1:]:
+                c = self._instantiate(sub, binding, grow)
+                if c is None:
+                    return None
+                kids.append(c)
+            # re-find: a fold while a sibling was added can move a root
+            node = (pat[0],) + tuple(map(self.find, kids))
+        if grow:
+            return self._add_node(node)
+        got = self.hashcons.get(node)
         return None if got is None else self.find(got)
 
     # saturation ------------------------------------------------------------------
 
     def saturate(self) -> SaturationReport:
         """Apply ``RULES`` under the configured iteration cap and node
-        budget."""
+        budget, starting from a rebuilt graph."""
+        self.rebuild()
         budget = self.config.node_budget
         applied: set = set()
         it = 0
@@ -603,15 +601,13 @@ class EGraph:
                     key = (rid, find(cid)) + tuple(map(find, binding))
                     if key in applied:
                         continue
-                    if len(self.hashcons) > budget:
-                        # growth is capped, but matches whose right side
-                        # already exists still merge (congruence keeps going)
-                        hit_budget = True
-                        new = self._probe(rhs, binding)
-                        if new is None:
-                            continue
-                    else:
-                        new = self._instantiate(rhs, binding)
+                    # growth is capped, but matches whose right side
+                    # already exists still merge (congruence keeps going)
+                    grow = len(self.hashcons) <= budget
+                    hit_budget = hit_budget or not grow
+                    new = self._instantiate(rhs, binding, grow)
+                    if new is None:
+                        continue
                     applied.add(key)
                     if self._union(self.find(cid), new):
                         changed = True

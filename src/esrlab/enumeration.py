@@ -94,14 +94,15 @@ def _build_tree(tokens) -> Expr:
     return walk()
 
 
-def _expand(max_len: int, keep=None) -> Iterator[Expr]:
+def enumerate_trees(max_len: int, keep=None) -> Iterator[Expr]:
     """Breadth-first derivation search (first-nonterminal expansion) that
     yields each complete derivation with length <= max_len once.
 
-    A partial derivation is expanded further only if ``keep(tree, key)`` is
-    true; ``key`` is its production counts followed by its number of open
-    nonterminals.  Calls to ``keep`` and yields interleave in derivation
-    order, the order ``build_catalog`` canonicalizes in.
+    With ``keep`` given, a partial derivation is expanded further only if
+    ``keep(tree, key)`` is true; ``key`` is its production counts followed
+    by its number of open nonterminals.  Calls to ``keep`` and yields
+    interleave in derivation order, the order ``build_catalog``
+    canonicalizes in.
     """
     if not 1 <= max_len <= 16:
         raise ValueError("max_len must be in 1..16")
@@ -124,12 +125,6 @@ def _expand(max_len: int, keep=None) -> Iterator[Expr]:
             elif keep is None or keep(_build_tree(new),
                                       new_counts + (n_open,)):
                 queue.append((new, n_term + 1, n_open, new_counts))
-
-
-def enumerate_trees(max_len: int) -> Iterator[Expr]:
-    """Yield every complete derivation with length <= max_len exactly once,
-    in breadth-first order (first-nonterminal expansion)."""
-    return _expand(max_len)
 
 
 def _partial_key(canon_hash: int, token_counts: tuple) -> int:
@@ -164,7 +159,7 @@ def build_catalog(max_len: int,
         seen_partials.add(pk)
         return True
 
-    for n_visited, tree in enumerate(_expand(max_len, keep), 1):
+    for n_visited, tree in enumerate(enumerate_trees(max_len, keep), 1):
         cf = canon(tree)
         if cf.semantic_hash not in seen_exprs:
             seen_exprs.add(cf.semantic_hash)

@@ -30,7 +30,7 @@ __all__ = [
     "neg", "abs_", "hole",
     "length", "render", "parse", "structural_hash",
     "param_count", "renumber_params", "renumber_leaves", "subtrees",
-    "validate", "PRODUCTIONS", "GRAMMAR_ID",
+    "PRODUCTIONS", "GRAMMAR_ID",
 ]
 
 # Node kinds.  The numeric order doubles as the fixed tie-break order used by
@@ -221,16 +221,6 @@ def _renumber(e: Expr, kinds: tuple) -> Expr:
         return Expr(node.kind, node.value, kids)
 
     return walk(e)
-
-
-def validate(e: Expr) -> None:
-    """Raise ValueError unless parameter indices are contiguous from 1."""
-    seen = set()
-    for node in subtrees(e):
-        if node.kind == PARAM:
-            seen.add(node.value)
-    if seen and sorted(seen) != list(range(1, len(seen) + 1)):
-        raise ValueError(f"parameter indices not contiguous: {sorted(seen)}")
 
 
 # -- hashing ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from .simplify import Canonicalizer
 
 __all__ = ["GpConfig", "CONFIG_KEYS", "Individual", "run_gp",
            "init_population", "tournament_select", "crossover", "mutate",
-           "grow", "full", "gp_preset", "GpInitError"]
+           "grow", "gp_preset", "GpInitError"]
 
 # the grammar's operator productions; random draws index them in table order
 _FUNCTIONS = tuple(k for k in ex.PRODUCTIONS if ex.ARITY[k])
@@ -106,12 +106,6 @@ class Individual:
     eval_id: int
 
 
-def _depth(e: Expr) -> int:
-    if not e.children:
-        return 1
-    return 1 + max(_depth(c) for c in e.children)
-
-
 def _terminal(rng) -> Expr:
     return ex.var(1) if rng.random() < 0.5 else ex.param(1)
 
@@ -124,7 +118,8 @@ def _function_node(rng, gen_child) -> Expr:
 
 def grow(rng, max_depth: int, min_depth: int = 1) -> Expr:
     """Grow method: below min_depth force functions, at max_depth force
-    terminals, in between choose a function with probability 0.5."""
+    terminals, in between choose a function with probability 0.5.  With
+    min_depth = max_depth this is the full method."""
 
     def gen(depth: int) -> Expr:
         if depth >= max_depth:
@@ -132,17 +127,6 @@ def grow(rng, max_depth: int, min_depth: int = 1) -> Expr:
         if depth < min_depth or rng.random() < 0.5:
             return _function_node(rng, lambda: gen(depth + 1))
         return _terminal(rng)
-
-    return gen(1)
-
-
-def full(rng, max_depth: int) -> Expr:
-    """Full method: functions at every level above max_depth."""
-
-    def gen(depth: int) -> Expr:
-        if depth >= max_depth:
-            return _terminal(rng)
-        return _function_node(rng, lambda: gen(depth + 1))
 
     return gen(1)
 
@@ -247,13 +231,14 @@ class _Run:
 
 def init_population(cfg: GpConfig, run: _Run) -> list:
     """Ramped half-and-half: cycle (depth, grow/full) combinations over
-    depths 3..max_depth; resample every individual until its fitness is
-    finite (and within the length limit)."""
-    combos = [(d, m) for d in range(min(3, cfg.max_depth), cfg.max_depth + 1)
-              for m in ("grow", "full")]
+    depths 3..max_depth, full being grow with min_depth = depth; resample
+    every individual until its fitness is finite (and within the length
+    limit)."""
+    combos = [(d, lo) for d in range(min(3, cfg.max_depth), cfg.max_depth + 1)
+              for lo in (cfg.min_depth, d)]
     pop = []
     for i in range(cfg.pop_size):
-        depth, method = combos[i % len(combos)]
+        depth, min_depth = combos[i % len(combos)]
         attempts = 0
         while True:
             attempts += 1
@@ -261,11 +246,7 @@ def init_population(cfg: GpConfig, run: _Run) -> list:
                 raise GpInitError(
                     f"no finite-fitness individual after "
                     f"{_INIT_RESAMPLE_CAP} samples")
-            if method == "grow":
-                tree = grow(run.rng, depth, cfg.min_depth)
-            else:
-                tree = full(run.rng, depth)
-            ind = run.evaluate(tree, 0)
+            ind = run.evaluate(grow(run.rng, depth, min_depth), 0)
             if math.isfinite(ind.fitness):
                 pop.append(ind)
                 break

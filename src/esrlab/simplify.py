@@ -37,22 +37,23 @@ class CanonicalForm:
         return self.expression.kind in (PARAM, CONST)
 
 
-def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig()) -> CanonicalForm:
+def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig(),
+                 normal: Expr | None = None) -> CanonicalForm:
     """Canonical representative of all expressions congruent to ``e``.
 
     The expression is first brought to algebraic normal form (collapsing
     commutative orderings, sign variants, reciprocal/power chains and
     parameter-only subexpressions), then saturated in an e-graph under the
     configured budget, and the cost-minimal member is extracted.
+    ``normal`` is ``normalize(e)`` when the caller already has it.
     """
-    n = normalize(e)
+    n = normalize(e) if normal is None else normal
     g = EGraph(config)
     root = g.add_expr(n)
     if n != e:
         # the raw tree anchors extraction: the canonical form can never cost
         # more than the input even when one-way rules cannot rebuild it
         g._union(root, g.add_expr(e))
-    g.rebuild()
     g.saturate()
     extracted = g.extract(g.find(root))
     canon = ex.renumber_leaves(extracted)
@@ -82,7 +83,7 @@ class Canonicalizer:
         n = normalize(e)
         cf = self._cache.get(n)
         if cf is None:
-            cf = canonicalize(e, self.config)
+            cf = canonicalize(e, self.config, n)
             self._cache[n] = cf
         self._cache[e] = cf
         return cf

@@ -117,7 +117,6 @@ def test_rule_soundness_sampled(rule):
 def test_add_then_saturate_folds_x_plus_zero():
     g = EGraph(EqSatConfig(max_iters=4))
     root = g.add_expr(ex.add(ex.var(), ex.const(0.0)))
-    g.rebuild()
     g.saturate()
     assert ex.render(g.extract(root)) == "x"
 
@@ -134,7 +133,6 @@ def test_distinct_before_saturation():
     a = g.add_expr(ex.parse("x + p1"))
     b = g.add_expr(ex.parse("p1 + x"))
     assert a != b
-    g.rebuild()
     g.saturate()
     assert g.find(a) == g.find(b)
 
@@ -180,12 +178,10 @@ def test_simplifies_to_constant():
 def test_saturation_report_reasons():
     g = EGraph(EqSatConfig(max_iters=50))
     g.add_expr(ex.parse("x + p1"))
-    g.rebuild()
     rep = g.saturate()
     assert rep.stop_reason in ("fixpoint", "iter_limit", "node_budget")
     g2 = EGraph(EqSatConfig(max_iters=50, node_budget=200))
     root = g2.add_expr(ex.parse("x * (x + p1) * (x + p2)"))
-    g2.rebuild()
     rep2 = g2.saturate()
     assert rep2.stop_reason == "node_budget"
     g2.extract(root)  # extraction still works after budget stop

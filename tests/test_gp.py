@@ -6,9 +6,8 @@ import numpy as np
 
 from esrlab import expr as ex
 from esrlab.fitting import FitConfig
-from esrlab.gp import (GpConfig, Individual, _Run, crossover, full, gp_preset,
-                       grow, init_population, mutate, run_gp,
-                       tournament_select)
+from esrlab.gp import (GpConfig, Individual, _Run, crossover, gp_preset, grow,
+                       init_population, mutate, run_gp, tournament_select)
 from esrlab.runlog import read_runlog, write_runlog
 
 SMALL = GpConfig(pop_size=20, generations=4, max_len=10,
@@ -37,7 +36,7 @@ def test_grow_and_full_depth_bounds():
         t = grow(rng, max_depth=4, min_depth=2)
         d = _depth(t)
         assert 2 <= d <= 4
-        t = full(rng, max_depth=3)
+        t = grow(rng, max_depth=3, min_depth=3)  # the full method
         assert _depth(t) == 3
 
 
