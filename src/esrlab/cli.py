@@ -110,8 +110,13 @@ def parse_gp_config(path: str) -> GpConfig:
                 field, conv = CONFIG_KEYS[key]
                 try:
                     values[key] = conv(raw)
-                    if field is not None:
-                        GpConfig(**{field: values[key]})  # checks its bound
+                    # check the value's own bound; the depth pair is
+                    # checked once both are read, in either order
+                    if field is None:
+                        FitConfig(max_iters=values[key])
+                    else:
+                        GpConfig(**{"min_depth": 1, "max_depth": sys.maxsize,
+                                    field: values[key]})
                 except ValueError as err:
                     raise DataError(f"{path}:{lineno}: {key}: {err}")
     except OSError as err:
@@ -121,7 +126,10 @@ def parse_gp_config(path: str) -> GpConfig:
     if "optim_iterations" in values:
         kwargs["fit_config"] = FitConfig(
             restarts=1, max_iters=values["optim_iterations"])
-    return replace(gp_preset(values.get("max_length", 10)), **kwargs)
+    try:
+        return replace(gp_preset(values.get("max_length", 10)), **kwargs)
+    except ValueError as err:
+        raise DataError(f"{path}: {err}")
 
 
 def write_gp_config(cfg: GpConfig, path: str) -> None:
@@ -298,6 +306,8 @@ def _baseline_values(path: str, data: Dataset, objective: str) -> list:
 
 
 def _cmd_analyze_dist(args) -> int:
+    if args.top < 0:
+        raise DataError(f"--top must be >= 0, got {args.top}")
     results = _load("results", args.results)
     catalog = _load("catalog", args.catalog) if args.catalog else None
     baselines = None

@@ -20,6 +20,7 @@ Text syntax (the interchange format for catalogs and run logs):
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 __all__ = [
@@ -384,10 +385,14 @@ class _Parser:
             else:
                 self.pos = mark
         try:
-            return float(t[start:self.pos])
+            v = float(t[start:self.pos])
         except ValueError:
             self.pos = start
             self.error("bad numeric literal")
+        if not math.isfinite(v):
+            self.pos = start
+            self.error("numeric literal out of range")
+        return v
 
     def parse_name(self) -> str:
         start = self.pos

@@ -61,6 +61,8 @@ class FitConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 # the box restarts draw their starts from, and the declared tolerances

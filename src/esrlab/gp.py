@@ -51,9 +51,11 @@ class GpConfig:
 
     def __post_init__(self):
         # each bound is on one field alone, so a config file can check a
-        # value on the line that sets it
+        # value on the line that sets it; the depth pair is checked last
         for name, lo, hi in (("pop_size", 1, math.inf),
+                             ("generations", 0, math.inf),
                              ("max_len", 1, math.inf),
+                             ("min_depth", 1, math.inf),
                              ("max_depth", 1, math.inf),
                              ("tournament_size", 1, math.inf),
                              ("p_cx", 0.0, 1.0), ("p_mut", 0.0, 1.0)):
@@ -63,6 +65,9 @@ class GpConfig:
         if self.objective not in ("mse", "mnr"):
             raise ValueError(
                 f"objective must be mse or mnr, got {self.objective!r}")
+        if self.min_depth > self.max_depth:
+            raise ValueError(f"min_depth must be <= max_depth, got "
+                             f"{self.min_depth} > {self.max_depth}")
 
     def as_dict(self) -> dict:
         """The config under its file keys, in ``CONFIG_KEYS`` order."""

@@ -45,6 +45,7 @@ def test_usage_errors_exit_1(capsys):
 
 def test_data_errors_exit_2(tmp_path, catalog3_file):
     assert main(["simplify", "--expr", "x + "]) == 2
+    assert main(["simplify", "--expr", "x + 1e999 - 1e999"]) == 2
     assert main(["fit", "--catalog", "/nonexistent", "--data", "/none",
                  "--out", str(tmp_path / "r.tsv")]) == 2
     assert main(["fit", "--catalog", catalog3_file, "--data", "/none",
@@ -139,6 +140,13 @@ def test_gp_determinism_across_invocations(tmp_path, data_csv):
                      "--workers", "1"]) == 0
     assert (d1 / "run_000.log").read_bytes() == \
         (d2 / "run_000.log").read_bytes()
+
+
+def test_gp_config_depths_in_either_order(tmp_path):
+    path = tmp_path / "gp.toml"
+    path.write_text("min_depth = 5\nmax_depth = 6\n")
+    cfg = parse_gp_config(str(path))
+    assert (cfg.min_depth, cfg.max_depth) == (5, 6)
 
 
 def test_config_echo_roundtrip(tmp_path):
@@ -307,13 +315,22 @@ def test_ecdf_fevals_axis_needs_counters(tmp_path, capsys):
     (["enumerate", "--max-length", "20"], None, "--max-length"),
     (["gp"], "max_length = 8\npop_size = abc\n", "gp.toml:2"),
     (["gp"], "pop_size = 0\n", "gp.toml:1"),
+    (["gp"], "optim_iterations = 0\n", "gp.toml:1: optim_iterations"),
+    (["gp"], "optim_iterations = -5\n", "gp.toml:1: optim_iterations"),
+    (["gp"], "generations = -1\n", "gp.toml:1: generations"),
+    (["gp"], "min_depth = 0\n", "gp.toml:1: min_depth"),
+    (["gp"], "min_depth = 9\nmax_depth = 4\n",
+     "min_depth must be <= max_depth"),
     (["fit"], "ESRLAB_WORKERS=abc", "ESRLAB_WORKERS"),
     (["analyze", "ecdf", "--thresholds", "abc"], None, "--thresholds"),
     (["gp", "--runs", "0"], None, "--runs"),
     (["rs", "--runs", "0"], None, "--runs"),
+    (["analyze", "dist", "--top", "-1"], None, "--top"),
 ], ids=["fit_restarts", "eqsat_iters", "node_budget", "max_length",
-        "gp_not_a_number", "gp_out_of_range", "workers_env", "thresholds",
-        "gp_runs", "rs_runs"])
+        "gp_not_a_number", "gp_out_of_range", "gp_optim_iterations_0",
+        "gp_optim_iterations_negative", "gp_generations", "gp_min_depth",
+        "gp_depth_pair", "workers_env", "thresholds", "gp_runs", "rs_runs",
+        "dist_top"])
 def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
                                      capsys, monkeypatch, argv, setting,
                                      names):
@@ -328,8 +345,11 @@ def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
              "rs": ["--catalog", catalog3_file, "--data", data_csv,
                     "--log-dir", str(tmp_path / "logs")],
              "simplify": [],
-             "analyze": ["--logs", str(tmp_path / "run_*.log"),
-                         "--out", out]}[argv[0]]
+             "analyze ecdf": ["--logs", str(tmp_path / "run_*.log"),
+                              "--out", out],
+             "analyze dist": ["--results", str(tmp_path / "results.tsv"),
+                              "--out", out]}[
+        " ".join(argv[:2]) if argv[0] == "analyze" else argv[0]]
     if setting is not None and setting.startswith("ESRLAB_"):
         monkeypatch.setenv(*setting.split("=", 1))
         extra = extra[:-2]   # no --workers, so the variable is read

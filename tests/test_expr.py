@@ -57,6 +57,14 @@ def test_parse_error_position():
         ex.parse("x + (x")
 
 
+@pytest.mark.parametrize("text", ["1e400", "x * 1e400", "x + 1e999 - 1e999"])
+def test_non_finite_literal_rejected(text):
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse(text)
+    assert "numeric literal out of range" in str(err.value)
+    assert err.value.position == text.index("1e") + 1
+
+
 def test_structural_hash_properties():
     a = ex.parse("x + p1")
     b = ex.parse("p1 + x")
