@@ -10,6 +10,8 @@ from esrlab.fitting import (ESR_FIT, GP_FIT, FitConfig, entry_seed, fit,
 from esrlab.objectives import mnr_loglik
 from esrlab.simplify import canonicalize
 
+from conftest import slow
+
 
 def test_constant_fit_closed_form(synth):
     res = fit(ex.parse("p1"), synth, "mse", FitConfig(restarts=3), seed=1)
@@ -389,3 +391,54 @@ def test_mnr_signed_zero_theta_is_evaluated_afresh(monkeypatch,
     fun(np.array([-0.0, 0.1, -1.0, -2.0]))
     assert len(calls) == 2
     assert np.signbit(calls[1][0]) and not np.signbit(calls[0][0])
+
+
+# the benchmark's fits: every entry of perfbench/data/catalog_l6.tsv under
+# mse and a 32-entry spread under mnr, at fit seed 0 on the bundled data;
+# and `esrlab fit` results files for catalog(5)
+_GOLDEN_L6_MNR = slice(0, 320, 10)
+_GOLDEN_L6 = {"mse": "5e7512e3e0749fe3", "mnr": "803544e64327d6f9"}
+_GOLDEN_RESULTS_L5 = {"mse": "9de8433a2db4f391", "mnr": "79fafc12161c171b"}
+
+
+@slow
+@pytest.mark.parametrize("objective", ["mse", "mnr"])
+def test_golden_benchmark_fits_slow(objective):
+    import hashlib
+    import os
+    from esrlab.enumeration import read_catalog
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    catalog = read_catalog(os.path.join(root, "perfbench", "data",
+                                        "catalog_l6.tsv"))
+    assert len(catalog.entries) == 334
+    entries = catalog.entries if objective == "mse" else \
+        catalog.entries[_GOLDEN_L6_MNR]
+    data = load_csv(bundled_synthetic_path())
+    h = hashlib.sha256()
+    for entry in entries:
+        r = fit(ex.parse(entry.text), data, objective, ESR_FIT,
+                entry_seed(0, entry.semantic_hash))
+        h.update(f"{entry.text}\t{r.objective!r}\t{r.n_obj_evals}\t"
+                 f"{r.n_grad_evals}\t{r.restarts_used}\t{r.params!r}\t"
+                 f"{r.terminations}\n".encode())
+    assert h.hexdigest()[:16] == _GOLDEN_L6[objective]
+
+
+@slow
+@pytest.mark.parametrize("objective", ["mse", "mnr"])
+def test_golden_results_files_slow(objective, tmp_path):
+    import hashlib
+    from esrlab.cli import main
+
+    catalog = tmp_path / "c5.tsv"
+    assert main(["enumerate", "--max-length", "5", "--out",
+                 str(catalog)]) == 0
+    digests = []
+    for workers in (1, 2):
+        out = tmp_path / f"{objective}-{workers}.tsv"
+        assert main(["fit", "--catalog", str(catalog), "--data",
+                     bundled_synthetic_path(), "--objective", objective,
+                     "--out", str(out), "--workers", str(workers)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest()[:16])
+    assert digests == [_GOLDEN_RESULTS_L5[objective]] * 2
