@@ -112,9 +112,13 @@ class DupStats:
 
 
 def _theta_key(theta: tuple) -> tuple:
+    """Parameters rounded to 1e-12.  A value that does not scale to a
+    finite number (non-finite, or above about 1.8e296 in magnitude) is
+    keyed by itself, in a tuple so that it cannot equal a rounded one."""
     out = []
     for v in theta:
-        out.append(round(v * 1e12) if math.isfinite(v) else v)
+        scaled = v * 1e12
+        out.append(round(scaled) if math.isfinite(scaled) else (v,))
     return tuple(out)
 
 

@@ -130,6 +130,18 @@ def test_dupstats_sentinels_excluded():
     assert stats.per_gen["expr"] == [1.0]  # denominator excludes sentinel
 
 
+def test_dupstats_huge_parameters():
+    # 1e300 * 1e12 overflows; such values are keyed by themselves, and two
+    # records differing only there are distinct expressions
+    records = [_record(0, 1, 7, 8, 1.0, "x + p1", (1e300,)),
+               _record(0, 2, 7, 8, 1.0, "x + p1", (-1e300,)),
+               _record(0, 3, 7, 8, 1.0, "x + p1", (1e300,)),
+               _record(0, 4, 7, 8, 1.0, "x + p1", (1e288,))]
+    stats = duplicate_stats(RunLog(records, {}, 0))
+    assert stats.per_gen["expr"] == [0.75]
+    assert stats.per_gen["structures"] == [0.25]
+
+
 def test_dupstats_coverage(catalog4):
     entry = catalog4.entries[0]
     e = ex.parse(entry.text)

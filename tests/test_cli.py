@@ -296,6 +296,17 @@ def test_analyze_malformed_runlog_exits_2(tmp_path, capsys, command, record):
     assert f"{log}:2" in capsys.readouterr().err
 
 
+def test_analyze_dups_huge_parameter(tmp_path):
+    log = tmp_path / "huge.log"
+    log.write_text("#seed=1\n"
+                   "0\t1\t7\t8\t1.0\tx + p1\t3\t1e300\n"
+                   "0\t2\t7\t8\t1.0\tx + p1\t3\t0.5\n")
+    out = tmp_path / "d.tsv"
+    assert main(["analyze", "dups", "--log", str(log), "--out",
+                 str(out)]) == 0
+    assert out.read_text().startswith("gen")
+
+
 def test_ecdf_fevals_axis_needs_counters(tmp_path, capsys):
     log = tmp_path / "run_000.log"
     log.write_text("#seed=1\n0\t1\t5\t5\t0.5\tx\t0\t\n")
