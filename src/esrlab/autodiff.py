@@ -13,11 +13,21 @@ whole-gradient checks at isolated points).
 
 Fitting evaluates one structure thousands of times, so each structure is
 compiled once per lane layout and data shape into a straight-line numpy
-function (``_kernel``) and kept in a bounded cache.  Every leaf is a full
-``(n,)`` value array and a full ``(lanes, n)`` lane array, never a
-broadcast view: numpy may route strided input through other loops than
-contiguous input, and fits are pinned to the last bit.  Leaf lanes and
-literal values are built once and shared, read-only, between kernels.
+function (``_kernel``) and kept in a bounded cache; a fit looks its kernel
+up once, not per evaluation.  Theta may carry a batch axis, ``(B, k)``, to
+evaluate B parameter vectors in one call; one kernel serves every B, since
+fitting's batches shrink from round to round.  Every value operand is a
+full array of the point shape, ``(n,)``, or of the batch shape, ``(B, n)``,
+never a broadcast view: numpy may route strided or broadcast input through
+other loops than contiguous input (an x of shape ``(1,)`` against
+``(B, 1)`` values takes another ``np.power`` loop and changes a last bit),
+and fits are pinned to the last bit.  Lanes are ``(lanes, n)``, or
+``(lanes, B, n)`` in a batch, and values broadcast along the lane axis.  A
+leaf's lanes, read-only zeros and ones built once and shared between
+kernels, are ``(lanes, 1, n)`` in a batch: they only ever meet +, -, * and
+/, which round exactly whatever loop numpy picks, and no leaf lane is NaN.
+Literal values are shared the same way for one theta and built per call
+in a batch.
 """
 
 from __future__ import annotations
@@ -96,16 +106,18 @@ def _literal(bits: str, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
-            ndim: int, n: int):
+            ndim: int, n: int, batched: bool):
     """Compile ``key.e`` into ``kernel(theta, pts) -> (value, lanes)``.
 
     Each node becomes the numpy operations of the forward-mode chain rule
-    on full ``(n,)`` value and ``(lanes, n)`` derivative arrays; a parameter
-    leaf's values are built once per call.  Out-of-range leaves raise here,
-    and since the cache keeps no exceptions, they raise on every call.
+    on full value and derivative arrays: ``(n,)`` and ``(lanes, n)`` for one
+    theta, ``(B, n)`` and ``(lanes, B, n)`` for a ``(B, k)`` batch of them.
+    Parameter leaves are built once per call, and so are a batch's literal
+    and x values.  Out-of-range leaves raise here, and since the cache keeps
+    no exceptions, they raise on every call.
     """
     lines = [""]          # the def line, once the shared arrays are known
-    params: dict = {}
+    made: dict = {}       # leaf key -> name of its array in the kernel
     arrays: dict = {}     # id -> (name, shared array)
 
     def shared(value) -> str:
@@ -116,6 +128,18 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
         lines.append(f"    {name} = {text}")
         return name
 
+    def once(key, text: str) -> str:
+        """The name of a per-call array, built at its first use."""
+        if key not in made:
+            made[key] = assign(text)
+        return made[key]
+
+    def lane(row) -> str:
+        if ("lane", row) not in made:
+            d = _lane(lanes, row, n)
+            made["lane", row] = shared(d[:, None] if batched else d)
+        return made["lane", row]
+
     def walk(e: Expr) -> tuple:
         k = e.kind
         if k == VAR:
@@ -123,20 +147,30 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
                 raise ValueError(f"x{e.value} requested but x is "
                                  "one-dimensional")
             row = x_lane if e.value == 1 else None
-            v = "pts" if ndim == 1 else f"pts[{e.value - 1}]"
-            return v, shared(_lane(lanes, row, n))
+            v = once("x", "np.repeat(np.expand_dims(pts, -2), len(theta), "
+                          "-2)") if batched else "pts"
+            return (v if ndim == 1 else f"{v}[{e.value - 1}]"), lane(row)
         if k == PARAM:
             if e.value > n_theta:
                 raise ValueError(f"p{e.value} requested but theta has "
                                  f"{n_theta} entries")
-            if e.value not in params:
-                params[e.value] = assign(f"np.full({n}, theta[{e.value - 1}])")
-            has_lane = e.value - 1 < (lanes if x_lane is None else x_lane)
-            row = e.value - 1 if has_lane else None
-            return params[e.value], shared(_lane(lanes, row, n))
+            i = e.value - 1
+            if batched:
+                rows = once("p", f"np.repeat(theta.T, {n}).reshape("
+                                 f"{n_theta}, -1, {n})")
+                v = once(e.value, f"{rows}[{i}]")
+            else:
+                v = once(e.value, f"np.full({n}, theta[{i}])")
+            has_lane = i < (lanes if x_lane is None else x_lane)
+            return v, lane(i if has_lane else None)
         if k == CONST:
-            return (shared(_literal(float(e.value).hex(), n)),
-                    shared(_lane(lanes, None, n)))
+            bits = float(e.value).hex()
+            if batched:
+                v = once(bits, f"np.full((len(theta), {n}), "
+                               f"float.fromhex({bits!r}))")
+            else:
+                v = shared(_literal(bits, n))
+            return v, lane(None)
         if k != POWABS and k not in _RULES:
             raise ValueError(f"cannot differentiate node kind {k}")
         kids = [walk(c) for c in e.children]
@@ -151,16 +185,21 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
             lines.append(f"        {d} = np.where({zero} & ({bv} > 1.0), "
                          f"0.0, {d})")
             return v, d
-        value, lane = _RULES[k]
+        value, lane_rule = _RULES[k]
         v = assign(value.format(av=av, bv=bv))
-        return v, assign(lane.format(v=v, av=av, ad=ad, bv=bv, bd=bd))
+        return v, assign(lane_rule.format(v=v, av=av, ad=ad, bv=bv, bd=bd))
 
     v, d = walk(key.e)
-    if key.e.kind in (VAR, PARAM, CONST):
+    if batched:
+        # lanes built from leaf lanes alone still lack the batch axis
+        lines.append(f"    if {d}.shape[1] != len(theta):")
+        lines.append(f"        {d} = np.repeat({d}, len(theta), 1)")
+        lines.append(f"    return {v}, {d}")
+    elif key.e.kind in (VAR, PARAM, CONST):
         lines.append(f"    return {v}.copy(), {d}.copy()")
     else:
         lines.append(f"    return {v}, {d}")
-    # shared arrays are bound as defaults, so they are fast locals and no
+    # shared objects are bound as defaults, so they are fast locals and no
     # kernel holds a namespace of its own
     lines[0] = "def kernel(theta, pts, {}):".format(
         ", ".join(f"{name}={name}" for name, _ in arrays.values()))
@@ -192,14 +231,17 @@ def eval_with_grad(e: Expr, theta, x, wrt: str = "params"):
 
     Returns (value, grad) with value shaped like the points and grad with one
     row per lane.  Gradient values match central finite differences wherever
-    the function is differentiable.
+    the function is differentiable.  A ``(B, k)`` theta is a batch of B
+    parameter vectors over the same points: value gains a leading batch axis
+    and grad is ``(B, lanes, ...)``, and each row is bit for bit what that
+    row alone gives.
     """
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 0
     if scalar:
         pts = pts.reshape(1)
     theta = np.asarray(theta, dtype=float)
-    n_params = len(theta)
+    n_params = theta.shape[-1]
     if wrt == "params":
         lanes, x_lane = n_params, None
     elif wrt == "params_and_x":
@@ -208,10 +250,41 @@ def eval_with_grad(e: Expr, theta, x, wrt: str = "params"):
         lanes, x_lane = 1, 0
     else:
         raise ValueError(f"unknown wrt {wrt!r}")
-    kernel = _kernel(_Key(e), n_params, lanes, x_lane, pts.ndim,
-                     pts.shape[-1])
+    # a one-row batch runs the one-theta kernel: the same bits, without
+    # the batch axis's cost
+    batched = theta.ndim == 2 and len(theta) > 1
+    kernel = _lookup(e, (n_params, lanes, x_lane, pts.ndim, pts.shape[-1],
+                         batched))
     with np.errstate(all="ignore"):
-        v, g = kernel(theta, pts)
+        if batched:
+            v, g = kernel(theta, pts)
+            g = g.swapaxes(0, 1)
+        elif theta.ndim == 2:
+            v, g = kernel(theta[0], pts)
+            v, g = v[None], g[None]
+        else:
+            v, g = kernel(theta, pts)
     if scalar:
-        return float(v[0]), g[:, 0]
+        if theta.ndim == 1:
+            return float(v[0]), g[:, 0]
+        return v[:, 0], g[..., 0]
     return v, g
+
+
+# the kernels of the Expr object evaluated last, by signature: a fit
+# evaluates one Expr object many times, and a lookup in the kernel cache
+# compares whole trees when the object is not the one the kernel was
+# compiled for
+_recent: tuple = (None, {})
+
+
+def _lookup(e: Expr, signature: tuple):
+    global _recent
+    owner, kernels = _recent
+    if owner is not e:
+        kernels = {}
+        _recent = (e, kernels)
+    kernel = kernels.get(signature)
+    if kernel is None:
+        kernel = kernels[signature] = _kernel(_Key(e), *signature)
+    return kernel

@@ -4,15 +4,23 @@ Each restart draws a start uniformly from the box [-3, 3] in every
 coordinate and runs L-BFGS-B to relative and absolute tolerances of 1e-8.
 ``minimize`` drives scipy's compiled L-BFGS-B routine ``setulb`` directly:
 the routine uses reverse communication, returning to its caller whenever it
-needs the objective, so the caller owns the evaluation loop.  ``minimize``
-keeps the bookkeeping of ``scipy.optimize.minimize(method="L-BFGS-B")``
-without its per-call wrappers, so every run takes the same steps and makes
-the same evaluations.
+needs the objective, so the caller owns the evaluation loop.  That lets one
+``minimize`` run several restarts in lockstep: each keeps its own ``setulb``
+state, and each round advances every active run until it asks for a new
+point or stops, then evaluates all the points asked for, with their
+forward-difference points, in one batched call of the objective.  Only the
+evaluations are pooled, and ``minimize`` keeps each run's bookkeeping that
+of ``scipy.optimize.minimize(method="L-BFGS-B")``, so every run takes the
+same steps and makes the same evaluations as it would alone.
 For the marginal likelihood the optimization vector is
 [theta, mu, log omega, log sigma_int], maximized jointly; a point where
 omega underflows to zero counts as a bad point.  Restarts stop early once
 ``restart_patience`` consecutive starts fail to improve the best objective
-by more than the absolute tolerance.
+by more than the absolute tolerance.  ``fit`` runs its restarts in batches
+of min(restart_patience - starts since the last improvement, restarts
+left): the fewest the one-at-a-time loop must still run before patience
+could stop it.  Starts are drawn and results folded in restart order, so
+the restarts used, evaluation counts and results are those of that loop.
 
 ``fit_catalog`` is the one loop that fits catalog entries, serially or in a
 process pool; the random-search baseline and the command line both go
@@ -44,7 +52,7 @@ from . import expr as ex
 from .expr import Expr
 from .autodiff import eval_with_grad
 from .dataset import Dataset
-from .objectives import MnrParams, mse, mnr_loglik, mnr_terms
+from .objectives import MnrBatch, MnrParams, mse, mnr_loglik, mnr_terms
 
 __all__ = [
     "FitConfig", "FitResult", "fit", "fit_catalog",
@@ -108,60 +116,92 @@ def _mse_value_grad(e: Expr, data: Dataset, counter: _Counter):
     y = data.y
     n = len(y)
 
-    def fun(vec):
-        counter.obj += 1
-        counter.grad += 1
-        with np.errstate(all="ignore"):
-            f, g = eval_with_grad(e, vec, data.x, wrt="params")
+    def fun(points):
+        """Values and gradients at each row of ``points``; a row with a
+        non-finite value is a bad point, and a non-finite gradient is
+        zeroed."""
+        counter.obj += len(points)
+        counter.grad += len(points)
+        if len(points) == 1:     # the same bits, without a batch axis
+            f, g = eval_with_grad(e, points[0], data.x, wrt="params")
             r = f - y
-            val = float(np.add.reduce(r * r) / n)
-            grad = (2.0 / n) * (g @ r)
-        if not math.isfinite(val):
-            return _BAD, np.zeros_like(vec)
-        if not np.all(np.isfinite(grad)):
-            grad = np.zeros_like(vec)
-        return val, grad
+            values = [float(np.add.reduce(r * r) / n)]
+            grads = ((2.0 / n) * (g @ r))[None]
+        else:
+            f, g = eval_with_grad(e, points, data.x, wrt="params")
+            r = f - y
+            values = (np.add.reduce(r * r, -1) / n).tolist()
+            grads = (2.0 / n) * (g @ r[..., None])[..., 0]
+        if not (all(map(math.isfinite, values)) and np.isfinite(grads).all()):
+            for i, value in enumerate(values):
+                if not math.isfinite(value):
+                    values[i] = _BAD
+                    grads[i] = 0.0
+                elif not np.isfinite(grads[i]).all():
+                    grads[i] = 0.0
+        return values, grads
 
     return fun
 
 
 def _mnr_value(e: Expr, data: Dataset, n_params: int, counter: _Counter):
-    # the theta-only likelihood terms of the last theta seen: moves of the
-    # hyperparameters alone reuse them.  Keyed on bytes, so -0.0 and 0.0
-    # differ and a NaN matches only its own bits.
-    memo = [None, None]
-
-    def fun(vec):
-        counter.obj += 1
-        mu = vec[n_params]
-        omega = math.exp(min(vec[n_params + 1], 300.0))
-        if not omega > 0:
-            return _BAD
-        sigma_int = math.exp(min(vec[n_params + 2], 300.0))
-        theta = vec[:n_params]
-        key = theta.tobytes()
-        if key != memo[0]:
-            memo[:] = key, mnr_terms(e, theta, data)
-        p = MnrParams(tuple(theta), mu, omega, sigma_int)
-        val = -mnr_loglik(e, p, data, memo[1])
-        if not math.isfinite(val):
-            return _BAD
-        return val
+    def fun(points):
+        """Negative log-likelihoods at each row of ``points``.  The
+        theta-only terms are computed once per distinct theta, keyed on
+        bytes, so -0.0 and 0.0 differ, a NaN matches only its own bits, and
+        rows that move only the hyperparameters share them."""
+        counter.obj += len(points)
+        values = [_BAD] * len(points)
+        rows, p = _mnr_batch(points, n_params, 300.0)
+        if not rows:
+            return values
+        slots: dict = {}
+        firsts, pick = [], []
+        for i, theta in enumerate(p.theta):
+            key = theta.tobytes()
+            if key not in slots:
+                slots[key] = len(firsts)
+                firsts.append(i)
+            pick.append(slots[key])
+        terms = mnr_terms(e, p.theta[firsts], data)
+        terms = tuple(t[pick] for t in terms)
+        for i, v in zip(rows, mnr_loglik(e, p, data, terms)):
+            if math.isfinite(v):
+                values[i] = -v
+        return values
 
     return fun
 
 
-def _objective_value(e: Expr, data: Dataset, objective: str, vec) -> float:
+def _mnr_batch(points: np.ndarray, n_params: int, cap: float) -> tuple:
+    """The rows of ``points`` where omega = exp(min(log omega, cap)) is
+    positive, and their ``MnrBatch``; each hyperparameter is exponentiated
+    and squared as a Python float, as for one ``MnrParams``."""
+    rows, mus, w2s, s2s = [], [], [], []
+    for i, row in enumerate(points.tolist()):
+        omega = math.exp(min(row[n_params + 1], cap))
+        if omega > 0:
+            rows.append(i)
+            mus.append(row[n_params])
+            w2s.append(omega ** 2)
+            s2s.append(math.exp(min(row[n_params + 2], cap)) ** 2)
+    return rows, MnrBatch(points[rows, :n_params], np.array(mus),
+                          np.array(w2s), np.array(s2s))
+
+
+def _objective_values(e: Expr, data: Dataset, objective: str,
+                      points: np.ndarray) -> list:
+    """The objective at each row of ``points``, as ``fit`` reports it."""
     if objective == "mse":
-        return mse(e, vec, data)
-    n_params = ex.param_count(e)
-    theta = tuple(vec[:n_params])
-    mu = vec[n_params]
-    omega = math.exp(vec[n_params + 1])
-    if not omega > 0:
-        return math.inf
-    sigma_int = math.exp(vec[n_params + 2])
-    return -mnr_loglik(e, MnrParams(theta, mu, omega, sigma_int), data)
+        if len(points) == 1:     # the same bits, without a batch axis
+            return [mse(e, points[0], data)]
+        return mse(e, points, data)
+    values = [math.inf] * len(points)
+    rows, p = _mnr_batch(points, ex.param_count(e), math.inf)
+    if rows:
+        for i, v in zip(rows, mnr_loglik(e, p, data)):
+            values[i] = -v
+    return values
 
 
 # scipy's L-BFGS-B defaults: stored corrections, line-search steps per
@@ -180,86 +220,133 @@ class OptResult(NamedTuple):
     success: bool
 
 
-def minimize(fun, x0, jac: bool, maxiter: int, ftol: float, gtol: float,
-             maxfun: int) -> OptResult:
-    """Unbounded L-BFGS-B from ``x0``, one loop over scipy's ``setulb``.
+class _Run:
+    """One L-BFGS-B run: the routine's reverse-communication state, the
+    point it last asked for and the counts of scipy's driver."""
 
-    With ``jac`` true ``fun(x)`` returns (value, gradient); otherwise it
-    returns the value and the gradient is a 2-point forward difference.
-    The bookkeeping is that of ``scipy.optimize.minimize(fun, x0, jac=jac or
-    None, method="L-BFGS-B")`` with these options, so a run takes the same
-    steps, makes the same evaluations and ends at the same point:
+    __slots__ = ("x", "f", "g", "last", "nfev", "njev", "nit", "nbd",
+                 "bound", "wa", "iwa", "task", "ln_task", "lsave", "isave",
+                 "dsave")
+
+    def __init__(self, x0: np.ndarray):
+        n = len(x0)
+        self.x = np.array(x0, dtype=float)
+        self.last = self.x.tolist()
+        self.nfev = self.njev = self.nit = 0
+        self.nbd = np.zeros(n, np.int32)   # no variable is bounded ...
+        self.bound = np.zeros(n)           # ... so the bounds are never read
+        self.wa = np.zeros(2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR ** 2
+                           + 8 * _MAXCOR)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task = np.zeros(2, np.int32)
+        self.ln_task = np.zeros(2, np.int32)
+        self.lsave = np.zeros(4, np.int32)
+        self.isave = np.zeros(44, np.int32)
+        self.dsave = np.zeros(29)
+
+    def advance(self, factr: float, gtol: float, maxiter: int,
+                maxfun: int) -> bool:
+        """Run the routine until it asks for a point other than the last
+        one evaluated (True) or stops (False)."""
+        x, f, g, bound, task = self.x, self.f, self.g, self.bound, self.task
+        nbd, wa, iwa, lsave, isave, dsave, ln_task = (
+            self.nbd, self.wa, self.iwa, self.lsave, self.isave, self.dsave,
+            self.ln_task)
+        while True:
+            setulb(_MAXCOR, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa,
+                   task, lsave, isave, dsave, _MAXLS, ln_task)
+            if task[0] == 3:      # the routine wants f and g at x
+                point = x.tolist()
+                if point != self.last:
+                    self.last = point
+                    return True
+            elif task[0] == 1:    # a new iteration starts
+                self.nit += 1
+                if self.nit >= maxiter:
+                    task[:] = 5, 504    # stop: iteration limit
+                elif self.nfev > maxfun:
+                    task[:] = 5, 502    # stop: evaluation limit
+            else:                 # 4 converged, 5 stopped, 6-8 failed
+                return False
+
+
+def minimize(fun, x0: np.ndarray, jac: bool, maxiter: int, ftol: float,
+             gtol: float, maxfun: int) -> list:
+    """Unbounded L-BFGS-B from each row of ``x0``, in lockstep over scipy's
+    ``setulb``; returns one ``OptResult`` per row.
+
+    ``fun(points)`` takes a ``(R, dim)`` array and returns R values, with
+    ``jac`` true also their ``(R, dim)`` gradients; otherwise each gradient
+    is a 2-point forward difference.  It runs with numpy's floating-point
+    errors ignored.  Every run keeps its own ``setulb`` state, and each
+    round advances every active run until it asks for a new point or stops;
+    the points asked for, with their forward-difference points, go to
+    ``fun`` in one call.  Each row's bookkeeping is that of
+    ``scipy.optimize.minimize(fun, x0, jac=jac or None, method="L-BFGS-B")``
+    with these options, so a run takes the same steps, makes the same
+    evaluations and ends at the same point as it would alone:
     ``fun`` is evaluated once at ``x0`` before the routine starts, and a
     requested point equal to the last one evaluated is not evaluated again.
     With ``jac`` a point holding a NaN is evaluated twice, as scipy's
     ``MemoizeJac`` did (it compares points with ==), which keeps evaluation
-    counts, and so results files, unchanged; ``nfev`` counts it once.  The
+    counts, and so results files, unchanged; ``nfev`` counts it once.  A
     run stops at iteration ``maxiter``, or once ``nfev`` exceeds ``maxfun``,
     checked as each iteration starts; ``success`` means the routine itself
     declared convergence.
     """
-    n = len(x0)
-    x = np.array(x0, dtype=float)
-    nbd = np.zeros(n, np.int32)   # no variable is bounded ...
-    bound = np.zeros(n)           # ... so the bounds are never read
-    wa = np.zeros(2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR ** 2 + 8 * _MAXCOR)
-    iwa = np.zeros(3 * n, np.int32)
-    task = np.zeros(2, np.int32)
-    ln_task = np.zeros(2, np.int32)
-    lsave = np.zeros(4, np.int32)
-    isave = np.zeros(44, np.int32)
-    dsave = np.zeros(29)
     factr = ftol / _EPS
-    nfev = njev = nit = 0
-
-    def evaluate(point):
-        nonlocal nfev, njev
-        nfev += 1
-        njev += 1
-        if not jac:
-            f0 = fun(x)
-            nfev += n
-            return f0, _forward_difference(fun, x, f0)
-        if any(map(math.isnan, point)):
-            fun(x)
-        return fun(x)
-
-    last = x.tolist()
-    f, g = evaluate(last)
-    while True:
-        setulb(_MAXCOR, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa,
-               task, lsave, isave, dsave, _MAXLS, ln_task)
-        if task[0] == 3:      # the routine wants f and g at x
-            point = x.tolist()
-            if point != last:
-                last = point
-                f, g = evaluate(point)
-        elif task[0] == 1:    # a new iteration starts
-            nit += 1
-            if nit >= maxiter:
-                task[:] = 5, 504    # stop: iteration limit
-            elif nfev > maxfun:
-                task[:] = 5, 502    # stop: evaluation limit
-        else:                 # 4 converged, 5 stopped, 6-8 failed
-            return OptResult(x, f, nfev, njev, bool(task[0] == 4))
+    runs = [_Run(row) for row in x0]
+    pending = runs
+    with np.errstate(all="ignore"):
+        while pending:
+            _evaluate(fun, jac, pending)
+            pending = [run for run in pending
+                       if run.advance(factr, gtol, maxiter, maxfun)]
+    return [OptResult(run.x, run.f, run.nfev, run.njev,
+                      bool(run.task[0] == 4)) for run in runs]
 
 
-def _forward_difference(fun, x, f0: float) -> np.ndarray:
-    """scipy's 2-point gradient: step ``_FD_STEP``, or sqrt(eps) * sign(x)
-    * max(1, |x|) where that step would not move x.  Coordinates are visited
-    last to first, so moves of the marginal likelihood's hyperparameters,
-    which come last, follow the point ``f0`` was taken at; each coordinate's
-    value does not depend on the order."""
-    step = np.where((x + _FD_STEP) - x == 0,
-                    _EPS ** 0.5 * np.where(x >= 0, 1.0, -1.0)
-                    * np.maximum(1.0, np.abs(x)),
+def _evaluate(fun, jac: bool, runs: list) -> None:
+    """Set ``f`` and ``g`` of every run at its point, in one call of
+    ``fun``, and a second call for points holding a NaN."""
+    points = runs[0].x[None] if len(runs) == 1 else \
+        np.array([run.last for run in runs])
+    if jac:
+        values, grads = fun(points)
+        twice = [run.last for run in runs if any(map(math.isnan, run.last))]
+        if twice:
+            fun(np.array(twice))
+        for run, f, g in zip(runs, values, grads):
+            run.f, run.g = f, g
+            run.nfev += 1
+            run.njev += 1
+        return
+    moved, step = _forward_points(points)
+    r, n = points.shape
+    values = np.array(fun(np.concatenate([points, moved.reshape(-1, n)])))
+    f0 = values[:r]
+    grads = (values[r:].reshape(r, n) - f0[:, None]) / ((points + step)
+                                                        - points)
+    for run, f, g in zip(runs, f0.tolist(), grads):
+        run.f, run.g = f, g
+        run.nfev += 1 + n
+        run.njev += 1
+
+
+def _forward_points(points: np.ndarray) -> tuple:
+    """scipy's 2-point gradient steps for each row of ``points``: step
+    ``_FD_STEP``, or sqrt(eps) * sign(x) * max(1, |x|) where that step would
+    not move x.  Returns the ``(R, dim, dim)`` moved points, row i of a
+    block moving coordinate i, and the steps."""
+    step = np.where((points + _FD_STEP) - points == 0,
+                    _EPS ** 0.5 * np.where(points >= 0, 1.0, -1.0)
+                    * np.maximum(1.0, np.abs(points)),
                     _FD_STEP)
-    values = np.empty(len(x))
-    for i in reversed(range(len(x))):
-        moved = x.copy()
-        moved[i] = x[i] + step[i]
-        values[i] = fun(moved)
-    return (values - f0) / ((x + step) - x)
+    r, n = points.shape
+    moved = np.repeat(points[:, None], n, axis=1)
+    diag = np.arange(n)
+    moved[:, diag, diag] = points + step
+    return moved, step
 
 
 def fit(e: Expr, data: Dataset, objective: str = "mse",
@@ -299,33 +386,40 @@ def fit(e: Expr, data: Dataset, objective: str = "mse",
     terminations = []
     since_improve = 0
     used = 0
-    for _ in range(config.restarts):
-        used += 1
-        x0 = rng.uniform(_INIT_LO, _INIT_HI, dim)
+    while True:
+        # the restarts a one-at-a-time loop must still run before patience
+        # could stop it, and at least one: an improvement resets the count,
+        # and no other outcome stops the loop sooner
+        batch = max(1, min(config.restart_patience - since_improve,
+                           config.restarts - used))
+        x0 = rng.uniform(_INIT_LO, _INIT_HI, (batch, dim))
         # optimizer tolerances sit well below the declared bounds so that
         # convex problems reach parameter-level accuracy at the declared
         # tolerance
-        res = minimize(fun, x0, jac, config.max_iters,
-                       _REL_TOL * 1e-3, _ABS_TOL * 1e-3,
-                       max(config.max_iters * 20, 100))
-        if not jac:
-            counter.grad += res.njev
-        val = _objective_value(e, data, objective, res.x)
-        counter.obj += 1
-        if res.success:
-            terminations.append("converged")
-        else:
-            terminations.append("iter_limit")
-        if math.isfinite(val) and val < best_val - _ABS_TOL:
-            best_val = val
-            best_vec = np.array(res.x)
-            since_improve = 0
-        else:
-            if math.isfinite(val) and val < best_val:
+        runs = minimize(fun, x0, jac, config.max_iters,
+                        _REL_TOL * 1e-3, _ABS_TOL * 1e-3,
+                        max(config.max_iters * 20, 100))
+        vals = _objective_values(e, data, objective,
+                                 np.array([res.x for res in runs]))
+        counter.obj += batch
+        for res, val in zip(runs, vals):
+            used += 1
+            if not jac:
+                counter.grad += res.njev
+            if res.success:
+                terminations.append("converged")
+            else:
+                terminations.append("iter_limit")
+            if math.isfinite(val) and val < best_val - _ABS_TOL:
                 best_val = val
                 best_vec = np.array(res.x)
-            since_improve += 1
-        if since_improve >= config.restart_patience:
+                since_improve = 0
+            else:
+                if math.isfinite(val) and val < best_val:
+                    best_val = val
+                    best_vec = np.array(res.x)
+                since_improve += 1
+        if used >= config.restarts or since_improve >= config.restart_patience:
             break
 
     if best_vec is None:

@@ -15,6 +15,7 @@ those into "poor fitness".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,15 +23,16 @@ from .expr import Expr
 from .autodiff import eval_expr, eval_with_grad
 from .dataset import Dataset
 
-__all__ = ["mse", "MnrParams", "mnr_terms", "mnr_loglik"]
+__all__ = ["mse", "MnrParams", "MnrBatch", "mnr_terms", "mnr_loglik"]
 
 
-def mse(e: Expr, theta, data: Dataset) -> float:
-    """Mean of squared residuals; non-finite if any residual is."""
+def mse(e: Expr, theta, data: Dataset):
+    """Mean of squared residuals; non-finite if any residual is.  A
+    ``(B, k)`` theta gives a list of B values."""
     with np.errstate(all="ignore"):
         f = eval_expr(e, theta, data.x)
         r = f - data.y
-        return float(np.mean(r * r))
+        return (np.add.reduce(r * r, -1) / r.shape[-1]).tolist()
 
 
 @dataclass(frozen=True)
@@ -52,20 +54,33 @@ class MnrParams:
             raise ValueError("sigma_int must be nonnegative")
 
 
+class MnrBatch(NamedTuple):
+    """B points of the likelihood: a ``(B, k)`` theta and, per row, mu and
+    the squares of omega and sigma_int.  Callers square each hyperparameter
+    as a Python float, as ``mnr_loglik`` does for one ``MnrParams``, so a
+    row's value is bit for bit that of the point alone."""
+    theta: np.ndarray
+    mu: np.ndarray
+    omega2: np.ndarray
+    sigma_int2: np.ndarray
+
+
 def mnr_terms(e: Expr, theta, data: Dataset) -> tuple:
     """The part of the likelihood that depends on theta alone: the slope
-    A_i, the intercept B_i, A_i * A_i and the squared residual at x_i."""
+    A_i, the intercept B_i, A_i * A_i and the squared residual at x_i, each
+    with a leading batch axis for a ``(B, k)`` theta."""
     with np.errstate(all="ignore"):
         f, g = eval_with_grad(e, theta, data.x, wrt="x")
-        a = g[0]
+        a = g[..., 0, :]
         b = f - a * data.x
         r_obs = a * data.x + b - data.y      # = f(x_i) - y_i
         return a, b, a * a, r_obs ** 2
 
 
-def mnr_loglik(e: Expr, p: MnrParams, data: Dataset, terms=None) -> float:
+def mnr_loglik(e: Expr, p, data: Dataset, terms=None):
     """Marginal log-likelihood (up to the dropped additive constant).
 
+    ``p`` is one ``MnrParams``, or an ``MnrBatch`` for an array of B values.
     ``terms`` are ``mnr_terms(e, p.theta, data)``, for a caller that
     already has them.
     """
@@ -74,14 +89,17 @@ def mnr_loglik(e: Expr, p: MnrParams, data: Dataset, terms=None) -> float:
     if terms is None:
         terms = mnr_terms(e, p.theta, data)
     a, b, aa, r_obs2 = terms
+    if isinstance(p, MnrParams):
+        mu, w2, si2 = p.mu, p.omega ** 2, p.sigma_int ** 2
+    else:
+        mu, w2, si2 = p.mu[:, None], p.omega2[:, None], p.sigma_int2[:, None]
     sx2, sy2 = data.variances
     with np.errstate(all="ignore"):
-        s2 = sy2 + p.sigma_int ** 2
-        w2 = p.omega ** 2
+        s2 = sy2 + si2
         den = aa * w2 * sx2 + s2 * (w2 + sx2)
-        r_mu = a * p.mu + b - data.y
+        r_mu = a * mu + b - data.y
         t1 = (w2 * r_obs2 + sx2 * r_mu ** 2) / den
-        t2 = s2 * (data.x - p.mu) ** 2 / den
+        t2 = s2 * (data.x - mu) ** 2 / den
         t3 = np.log(den)
         add = np.add.reduce
-        return float(-0.5 * (add(t1) + add(t2) + add(t3)))
+        return (-0.5 * (add(t1, -1) + add(t2, -1) + add(t3, -1))).tolist()

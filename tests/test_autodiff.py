@@ -186,3 +186,82 @@ def test_kernels_match_the_reference_walk_bitwise(catalog6):
     with np.errstate(all="ignore"):
         rv, rg = dual_walk(e, [0.5, 1.5], pts, 3, 2)
     assert v.tobytes() == rv.tobytes() and g.tobytes() == rg.tobytes()
+
+
+# every operator, powabs at a zero base among them; literal exponents and
+# bases, repeated parameters, and the mixed-rank regression case below
+_BATCH_CASES = [
+    "p1 + x", "p1 - x", "p1 * x", "p1 / x", "1.0 / (p1 + x)", "-(p1 * x)",
+    "|p1 - x|", "|x| ^ p1", "|x - p1| ^ p2", "|p1| ^ x", "|x| ^ 2.0",
+    "|x| ^ 0.5", "2.0 ^ (p1 * x)", "p1 * (x + p2) / (x - p2)",
+    "|(p1 * x)| ^ (p2 - x) - 1.0 / x",
+    # at x = 0.5 a value operand that lacks the batch shape takes another
+    # np.power loop and changes the last bit of one row
+    "p1 / (1.0 / (p2 + x) - p3 ^ x)",
+    "p1", "x", "2.0", "p1 + p2", "-0.0 * x",
+]
+
+
+def _batch_points(n):
+    # random points, then zero, signed zero, 0.5 (where the first theta row
+    # puts powabs of x - p1 at a zero base) and +-1
+    pts = np.random.default_rng(n).uniform(-3, 3, n)
+    special = [0.5, 0.0, -0.0, 1.0, -1.0][:n - 1]
+    pts[1:1 + len(special)] = special
+    return pts
+
+
+@pytest.mark.parametrize("wrt", ["params", "x", "params_and_x"])
+@pytest.mark.parametrize("n", [1, 7, 64])
+@pytest.mark.parametrize("batch", [1, 3, 20])
+def test_batched_rows_match_single_rows_bitwise(batch, n, wrt):
+    """Each row of a (B, k) batch equals the one-theta call and the reference
+    walk bit for bit, NaNs and signed zeros included."""
+    from oracles import dual_walk
+
+    rng = np.random.default_rng(batch * 100 + n)
+    xs = _batch_points(n)
+    for text in _BATCH_CASES:
+        e = ex.parse(text)
+        k = ex.param_count(e)
+        theta = rng.uniform(-3, 3, (batch, k))
+        theta[0, :] = 0.5
+        if batch > 2:
+            theta[1, :] = -0.0
+        v, g = eval_with_grad(e, theta, xs, wrt=wrt)
+        lanes, x_lane = {"params": (k, None), "x": (1, 0),
+                         "params_and_x": (k + 1, k)}[wrt]
+        assert v.shape == (batch, n) and g.shape == (batch, lanes, n)
+        for b in range(batch):
+            v1, g1 = eval_with_grad(e, theta[b], xs, wrt=wrt)
+            with np.errstate(all="ignore"):
+                rv, rg = dual_walk(e, theta[b], xs, lanes, x_lane)
+            assert v[b].tobytes() == v1.tobytes() == rv.tobytes(), (text, b)
+            assert g[b].tobytes() == g1.tobytes() == rg.tobytes(), (text, b)
+        assert eval_expr(e, theta, xs).tobytes() == v.tobytes()
+
+
+def test_batch_mixed_rank_regression():
+    """A value operand without the batch shape (x as (1,) against (B, 1)
+    values) takes another np.power loop and changes the last bit at x = 0.5;
+    every value operand is a full array of the batch shape."""
+    e = ex.parse("p1 / (1.0 / (p2 + x) - p3 ^ x)")
+    theta = np.array([[0.301, 0.673, -0.453], [1.5, -0.25, 2.0],
+                      [0.301, 0.673, -0.453]])
+    for x in (0.5, np.array([0.5]), np.linspace(0.5, 3.0, 11)):
+        v, g = eval_with_grad(e, theta, x)
+        for b in range(len(theta)):
+            v1, g1 = eval_with_grad(e, theta[b], x)
+            assert np.asarray(v[b]).tobytes() == np.asarray(v1).tobytes()
+            assert g[b].tobytes() == g1.tobytes()
+
+
+def test_batched_two_variables():
+    e = ex.parse("x1 * p1 + |x2| ^ p2")
+    pts = np.random.default_rng(1).uniform(-2, 2, (2, 9))
+    theta = np.array([[0.5, 1.5], [-1.0, 0.25], [2.0, -0.0]])
+    v, g = eval_with_grad(e, theta, pts, wrt="params_and_x")
+    for b in range(3):
+        v1, g1 = eval_with_grad(e, theta[b], pts, wrt="params_and_x")
+        assert v[b].tobytes() == v1.tobytes()
+        assert g[b].tobytes() == g1.tobytes()

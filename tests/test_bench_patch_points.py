@@ -6,7 +6,7 @@ through one."""
 import os
 
 from esrlab import expr as ex
-from esrlab.fitting import GP_FIT
+from esrlab.fitting import ESR_FIT, GP_FIT
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,3 +32,22 @@ def test_fit_calls_through_patched_minimize(monkeypatch, synth):
     spans = t.summary()["spans"]
     assert spans["fitting.minimize"]["calls"] >= 1
     assert spans["objectives.mse"]["calls"] >= 1
+
+
+def test_mnr_fit_calls_through_patched_spans(monkeypatch, synth):
+    """The spans behind ``fitting.overhead_ratio``,
+    ``autodiff.eval_with_grad.us_per_call`` and
+    ``objectives.mnr_loglik.calls`` see an ESR-preset mnr fit."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import tracing
+    from esrlab import fitting
+
+    with tracing.Tracer() as t:
+        fitting.fit(ex.parse("p1 * x + p2"), synth, "mnr", ESR_FIT, seed=0)
+    spans = t.summary()["spans"]
+    for name in ("fitting.minimize", "autodiff.eval_with_grad",
+                 "objectives.mnr_loglik"):
+        assert spans[name]["calls"] >= 1, name
+    child = t.summary()["child_incl"]
+    assert child[("fitting.minimize", "autodiff.eval_with_grad")] > 0
+    assert child[("fitting.minimize", "objectives.mnr_loglik")] > 0

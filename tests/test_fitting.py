@@ -249,31 +249,42 @@ def test_presets_follow_documented_shapes():
     assert fitting._INIT_LO == -3.0 and fitting._INIT_HI == 3.0
 
 
+def _objective_fun(e, data, objective):
+    """The batched function ``fit`` minimizes and its evaluation counter."""
+    counter = fitting._Counter()
+    if objective == "mse":
+        return fitting._mse_value_grad(e, data, counter), counter
+    return fitting._mnr_value(e, data, ex.param_count(e), counter), counter
+
+
+def _options(config, maxfun=None):
+    return dict(maxiter=config.max_iters, ftol=fitting._REL_TOL * 1e-3,
+                gtol=fitting._ABS_TOL * 1e-3,
+                maxfun=maxfun or max(config.max_iters * 20, 100))
+
+
 def _lbfgsb_both(e, data, objective, config, x0, maxfun=None):
     """One start under ``fitting.minimize`` and under scipy's L-BFGS-B, with
     the options ``fit`` uses (or the evaluation limit ``maxfun``); returns
     both results and the (objective, gradient) evaluations each made."""
     from scipy.optimize import minimize as scipy_minimize
-    from esrlab import fitting
 
-    opts = dict(maxiter=config.max_iters, ftol=fitting._REL_TOL * 1e-3,
-                gtol=fitting._ABS_TOL * 1e-3,
-                maxfun=maxfun or max(config.max_iters * 20, 100))
-    runs = []
-    for driver in ("ours", "scipy"):
-        counter = fitting._Counter()
-        if objective == "mse":
-            fun = fitting._mse_value_grad(e, data, counter)
-        else:
-            fun = fitting._mnr_value(e, data, ex.param_count(e), counter)
-        if driver == "ours":
-            res = fitting.minimize(fun, x0, objective == "mse", **opts)
-        else:
-            res = scipy_minimize(fun, x0, jac=True if objective == "mse"
-                                 else None, method="L-BFGS-B", options=opts)
-        runs.append((res, (counter.obj, counter.grad)))
+    opts = _options(config, maxfun)
+    fun, counter = _objective_fun(e, data, objective)
+    res = fitting.minimize(fun, x0[None], objective == "mse", **opts)[0]
+    runs = [(res, (counter.obj, counter.grad))]
+    fun, counter = _objective_fun(e, data, objective)
+    if objective == "mse":
+        def one(x):
+            values, grads = fun(x[None])
+            return values[0], grads[0]
+    else:
+        def one(x):
+            return fun(x[None])[0]
+    res = scipy_minimize(one, x0, jac=True if objective == "mse" else None,
+                         method="L-BFGS-B", options=opts)
+    runs.append((res, (counter.obj, counter.grad)))
     return runs
-
 
 
 @pytest.mark.parametrize("case",
@@ -346,9 +357,9 @@ def test_golden_esr_fits(objective, synth):
 
 
 def _counted_mnr_value(monkeypatch, text, data):
-    """``fitting._mnr_value`` for ``text`` and a list that grows by one at
-    each evaluation of the expression."""
-    from esrlab import fitting, objectives
+    """``fitting._mnr_value`` for ``text`` and the list of thetas at which
+    the expression is evaluated, one (U, k) array per call."""
+    from esrlab import objectives
 
     calls = []
     real = objectives.eval_with_grad
@@ -365,32 +376,69 @@ def _counted_mnr_value(monkeypatch, text, data):
 
 def test_mnr_hyperparameter_moves_reuse_the_expression(monkeypatch,
                                                        noisy_linear_mnr):
-    from esrlab import fitting
-
     fun, calls = _counted_mnr_value(monkeypatch, "p1 * x + p2",
                                     noisy_linear_mnr)
     x = np.array([0.7, 0.2, 0.1, -1.0, -2.0])
-    f0 = fun(x)
-    assert len(calls) == 1
+    fun(x[None])
+    assert len(calls) == 1 and len(calls[0]) == 1
+    moved = np.repeat(x[None], 4, axis=0)
     for i in (2, 3, 4):
-        moved = x.copy()
-        moved[i] += 0.5
-        fun(moved)
-    assert len(calls) == 1
+        moved[i - 1, i] += 0.5
+    calls.clear()
+    fun(moved)
+    assert len(calls) == 1 and len(calls[0]) == 1
     # a forward-difference gradient evaluates the expression at the centre
-    # and once per expression parameter
-    fitting._forward_difference(fun, x, f0)
-    assert len(calls) == 1 + 2
+    # and once per expression parameter: 1 + k distinct thetas, and a round
+    # of two runs makes one call
+    calls.clear()
+    fitting._evaluate(fun, False, [fitting._Run(x), fitting._Run(-x)])
+    assert len(calls) == 1 and len(calls[0]) == 2 * (1 + 2)
 
 
 def test_mnr_signed_zero_theta_is_evaluated_afresh(monkeypatch,
                                                    noisy_linear_mnr):
-    # 0.0 == -0.0, but the memo must not hand one the other's terms
+    # 0.0 == -0.0, but the rows must not share each other's terms
     fun, calls = _counted_mnr_value(monkeypatch, "x * p1", noisy_linear_mnr)
-    fun(np.array([0.0, 0.1, -1.0, -2.0]))
-    fun(np.array([-0.0, 0.1, -1.0, -2.0]))
-    assert len(calls) == 2
-    assert np.signbit(calls[1][0]) and not np.signbit(calls[0][0])
+    fun(np.array([[0.0, 0.1, -1.0, -2.0], [-0.0, 0.1, -1.0, -2.0]]))
+    assert len(calls) == 1 and len(calls[0]) == 2
+    assert np.signbit(calls[0][1, 0]) and not np.signbit(calls[0][0, 0])
+
+
+@pytest.mark.parametrize("objective", ["mse", "mnr"])
+def test_lockstep_rows_match_runs_alone(objective, synth):
+    """Every row of a lockstep batch ends where its start ends alone, with
+    the same evaluations: a normal start, the NaN start (mse) or the bad
+    start (mnr) of the scipy parity test, and a start that stops on the
+    evaluation limit."""
+    if objective == "mse":
+        e, maxfun = ex.parse("|x| ^ p1"), 10
+        x0 = np.array([[-0.00433283],
+                       np.random.default_rng(2).uniform(-300, 300, 1),
+                       [-2.82786595]])
+    else:
+        e, maxfun = ex.parse("p1 * x + p2"), 250
+        rng = np.random.default_rng(3)
+        slow, normal = rng.uniform(-3, 3, 5), rng.uniform(-3, 3, 5)
+        x0 = np.array([normal, [1e9, 0.0, 0.0, -800.0, 0.0], slow])
+    opts = _options(ESR_FIT, maxfun)
+    fun, counter = _objective_fun(e, synth, objective)
+    batch = fitting.minimize(fun, x0, objective == "mse", **opts)
+    evals = [0, 0]
+    for row, res in zip(x0, batch):
+        fun, alone_counter = _objective_fun(e, synth, objective)
+        alone, = fitting.minimize(fun, row[None], objective == "mse", **opts)
+        assert res.x.tobytes() == alone.x.tobytes()
+        assert repr(res.fun) == repr(alone.fun)
+        assert (res.nfev, res.njev, res.success) == \
+            (alone.nfev, alone.njev, alone.success)
+        evals[0] += alone_counter.obj
+        evals[1] += alone_counter.grad
+    assert [counter.obj, counter.grad] == evals
+    assert batch[0].success and batch[1].fun == 1e300
+    assert batch[2].nfev > maxfun and not batch[2].success
+    if objective == "mse":
+        assert np.isnan(batch[1].x).any() and counter.obj > sum(
+            res.nfev for res in batch)
 
 
 # the benchmark's fits: every entry of perfbench/data/catalog_l6.tsv under
