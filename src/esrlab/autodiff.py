@@ -250,25 +250,15 @@ def eval_with_grad(e: Expr, theta, x, wrt: str = "params"):
         lanes, x_lane = 1, 0
     else:
         raise ValueError(f"unknown wrt {wrt!r}")
-    # a one-row batch runs the one-theta kernel: the same bits, without
-    # the batch axis's cost
-    batched = theta.ndim == 2 and len(theta) > 1
+    batched = theta.ndim == 2
     kernel = _lookup(e, (n_params, lanes, x_lane, pts.ndim, pts.shape[-1],
                          batched))
     with np.errstate(all="ignore"):
-        if batched:
-            v, g = kernel(theta, pts)
-            g = g.swapaxes(0, 1)
-        elif theta.ndim == 2:
-            v, g = kernel(theta[0], pts)
-            v, g = v[None], g[None]
-        else:
-            v, g = kernel(theta, pts)
-    if scalar:
-        if theta.ndim == 1:
-            return float(v[0]), g[:, 0]
-        return v[:, 0], g[..., 0]
-    return v, g
+        v, g = kernel(theta, pts)
+    if batched:
+        g = g.swapaxes(0, 1)
+        return (v[:, 0], g[..., 0]) if scalar else (v, g)
+    return (float(v[0]), g[:, 0]) if scalar else (v, g)
 
 
 # the kernels of the Expr object evaluated last, by signature: a fit
