@@ -24,10 +24,11 @@ other loops than contiguous input (an x of shape ``(1,)`` against
 and fits are pinned to the last bit.  Lanes are ``(lanes, n)``, or
 ``(lanes, B, n)`` in a batch, and values broadcast along the lane axis.  A
 leaf's lanes, read-only zeros and ones built once and shared between
-kernels, are ``(lanes, 1, n)`` in a batch: they only ever meet +, -, * and
-/, which round exactly whatever loop numpy picks, and no leaf lane is NaN.
-Literal values are shared the same way for one theta and built per call
-in a batch.
+kernels, are ``(lanes, 1, n)`` in a batch: lanes only ever meet negation,
++, -, * and / and selection, which are exact or exactly rounded whatever
+loop numpy picks, and a leaf lane holds no NaN whose payload could depend
+on operand order.  Literal values are shared the same way for one theta
+and built per call in a batch.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
         lines.append(f"    return {v}.copy(), {d}.copy()")
     else:
         lines.append(f"    return {v}, {d}")
-    # shared objects are bound as defaults, so they are fast locals and no
+    # shared arrays are bound as defaults, so they are fast locals and no
     # kernel holds a namespace of its own
     lines[0] = "def kernel(theta, pts, {}):".format(
         ", ".join(f"{name}={name}" for name, _ in arrays.values()))

@@ -80,7 +80,7 @@ def mnr_terms(e: Expr, theta, data: Dataset) -> tuple:
 def mnr_loglik(e: Expr, p, data: Dataset, terms=None):
     """Marginal log-likelihood (up to the dropped additive constant).
 
-    ``p`` is one ``MnrParams``, or an ``MnrBatch`` for an array of B values.
+    ``p`` is one ``MnrParams``, or an ``MnrBatch`` for a list of B values.
     ``terms`` are ``mnr_terms(e, p.theta, data)``, for a caller that
     already has them.
     """
