@@ -21,14 +21,10 @@ full array of the point shape, ``(n,)``, or of the batch shape, ``(B, n)``,
 never a broadcast view: numpy may route strided or broadcast input through
 other loops than contiguous input (an x of shape ``(1,)`` against
 ``(B, 1)`` values takes another ``np.power`` loop and changes a last bit),
-and fits are pinned to the last bit.  Lanes are ``(lanes, n)``, or
-``(lanes, B, n)`` in a batch, and values broadcast along the lane axis.  A
-leaf's lanes, read-only zeros and ones built once and shared between
-kernels, are ``(lanes, 1, n)`` in a batch: lanes only ever meet negation,
-+, -, * and / and selection, which are exact or exactly rounded whatever
-loop numpy picks, and a leaf lane holds no NaN whose payload could depend
-on operand order.  Literal values are shared the same way for one theta
-and built per call in a batch.
+and fits are pinned to the last bit.  Lanes are full ``(lanes, n)``, or
+``(lanes, B, n)`` in a batch, arrays, and values broadcast along the lane
+axis only.  Leaf lanes and literal values are built once and shared,
+read-only, between kernels; a batch kernel builds full ones per call.
 """
 
 from __future__ import annotations
@@ -113,9 +109,9 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
     Each node becomes the numpy operations of the forward-mode chain rule
     on full value and derivative arrays: ``(n,)`` and ``(lanes, n)`` for one
     theta, ``(B, n)`` and ``(lanes, B, n)`` for a ``(B, k)`` batch of them.
-    Parameter leaves are built once per call, and so are a batch's literal
-    and x values.  Out-of-range leaves raise here, and since the cache keeps
-    no exceptions, they raise on every call.
+    Parameter leaves are built once per call, and so are a batch's other
+    leaves.  Out-of-range leaves raise here, and since the cache keeps no
+    exceptions, they raise on every call.
     """
     lines = [""]          # the def line, once the shared arrays are known
     made: dict = {}       # leaf key -> name of its array in the kernel
@@ -136,10 +132,10 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
         return made[key]
 
     def lane(row) -> str:
-        if ("lane", row) not in made:
-            d = _lane(lanes, row, n)
-            made["lane", row] = shared(d[:, None] if batched else d)
-        return made["lane", row]
+        d = shared(_lane(lanes, row, n))
+        if not batched:
+            return d
+        return once(("lane", row), f"np.repeat({d}[:, None], len(theta), 1)")
 
     def walk(e: Expr) -> tuple:
         k = e.kind
@@ -191,12 +187,7 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
         return v, assign(lane_rule.format(v=v, av=av, ad=ad, bv=bv, bd=bd))
 
     v, d = walk(key.e)
-    if batched:
-        # lanes built from leaf lanes alone still lack the batch axis
-        lines.append(f"    if {d}.shape[1] != len(theta):")
-        lines.append(f"        {d} = np.repeat({d}, len(theta), 1)")
-        lines.append(f"    return {v}, {d}")
-    elif key.e.kind in (VAR, PARAM, CONST):
+    if key.e.kind in (VAR, PARAM, CONST) and not batched:
         lines.append(f"    return {v}.copy(), {d}.copy()")
     else:
         lines.append(f"    return {v}, {d}")
