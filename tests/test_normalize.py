@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from esrlab import enumeration, simplify
+from esrlab import egraph, enumeration, simplify
 from esrlab import expr as ex
 from esrlab.autodiff import eval_expr
 from esrlab.enumeration import enumerate_trees
@@ -155,6 +155,11 @@ GOLDEN_FORMS = {5: (459, 610, "0091b4ac767ca876"),
 # normalize and canonicalize calls build_catalog makes through its cache: the
 # cache's answers depend on its history, so these pin that history
 GOLDEN_CALLS = {6: (3268, 1126), 7: (19008, 6559)}
+# SaturationReport fields summed over the saturations build_catalog makes:
+# saturations, iterations, fixpoint / iter_limit / node_budget stops, and the
+# n_nodes and n_classes sums (n_nodes is the size the node budget reads)
+GOLDEN_SATURATIONS = {6: (1126, 2654, 762, 364, 0, 18956, 10387),
+                      7: (6559, 16384, 3705, 2854, 0, 156588, 80944)}
 
 
 def _forms_digest(max_len):
@@ -225,6 +230,23 @@ def _catalog_calls(monkeypatch, max_len):
     return calls["normalize"], calls["canonicalize"]
 
 
+def _catalog_saturations(monkeypatch, max_len):
+    reports = []
+    saturate = egraph.EGraph.saturate
+
+    def recorded(self):
+        reports.append(saturate(self))
+        return reports[-1]
+
+    monkeypatch.setattr(egraph.EGraph, "saturate", recorded)
+    enumeration.build_catalog(max_len)
+    stops = [r.stop_reason for r in reports]
+    return (len(reports), sum(r.iterations for r in reports),
+            stops.count("fixpoint"), stops.count("iter_limit"),
+            stops.count("node_budget"), sum(r.n_nodes for r in reports),
+            sum(r.n_classes for r in reports))
+
+
 def test_golden_forms():
     assert _forms_digest(5) == GOLDEN_FORMS[5]
 
@@ -237,6 +259,11 @@ def test_golden_catalog_calls(monkeypatch):
     assert _catalog_calls(monkeypatch, 6) == GOLDEN_CALLS[6]
 
 
+def test_golden_catalog_saturations(monkeypatch):
+    assert (_catalog_saturations(monkeypatch, 6)
+            == GOLDEN_SATURATIONS[6])
+
+
 @slow
 def test_golden_forms_slow():
     assert _forms_digest(7) == GOLDEN_FORMS[7]
@@ -245,3 +272,9 @@ def test_golden_forms_slow():
 @slow
 def test_golden_catalog_calls_slow(monkeypatch):
     assert _catalog_calls(monkeypatch, 7) == GOLDEN_CALLS[7]
+
+
+@slow
+def test_golden_catalog_saturations_slow(monkeypatch):
+    assert (_catalog_saturations(monkeypatch, 7)
+            == GOLDEN_SATURATIONS[7])
