@@ -71,6 +71,13 @@ def _load(what: str, path: str):
         raise DataError(f"cannot load {what} {path}: {err}")
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output file whose directory is missing before any work."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise DataError(f"--out {path}: directory {folder} does not exist")
+
+
 def _check_objective(objective: str, data: Dataset) -> None:
     if objective == "mnr" and not data.has_uncertainties:
         raise DataError("mnr objective requires sigma_x,sigma_y columns")
@@ -141,6 +148,7 @@ def write_gp_config(cfg: GpConfig, path: str) -> None:
 # -- subcommands ------------------------------------------------------------------
 
 def _cmd_enumerate(args) -> int:
+    _check_out_dir(args.out)
     try:
         cat = build_catalog(args.max_length, _eqsat(args),
                             prune_partials=not args.no_prune,
@@ -154,6 +162,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _check_out_dir(args.out)
     catalog = _load("catalog", args.catalog)
     data = _load("dataset", args.data)
     _check_objective(args.objective, data)
@@ -430,6 +439,9 @@ def main(argv=None) -> int:
         return 2
     except EGraphCapacityError as err:  # only --node-budget sets a budget
         print(f"error: {err}; raise --node-budget", file=sys.stderr)
+        return 2
+    except OSError as err:  # an output file that cannot be written
+        print(f"error: {err}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -317,6 +317,33 @@ def test_ecdf_fevals_axis_needs_counters(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, work", [("enumerate", "build_catalog"),
+                                           ("fit", "fit_catalog")])
+def test_missing_output_directory_exits_2_before_work(
+        tmp_path, data_csv, catalog3_file, capsys, monkeypatch, command,
+        work):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    monkeypatch.setattr(f"esrlab.cli.{work}", no_work)
+    out = str(tmp_path / "missing" / "out.tsv")
+    argv = {"enumerate": ["enumerate", "--max-length", "3", "--out", out],
+            "fit": ["fit", "--catalog", catalog3_file, "--data", data_csv,
+                    "--out", out, "--workers", "1"]}[command]
+    assert main(argv) == 2
+    assert "does not exist" in capsys.readouterr().err
+
+
+def test_unwritable_ecdf_output_exits_2(tmp_path, capsys):
+    log = tmp_path / "run_000.log"
+    log.write_text("#seed=1\n0\t1\t5\t5\t0.5\tx\t0\t\n")
+    out = tmp_path / "missing" / "out.tsv"
+    assert main(["analyze", "ecdf", "--logs", str(log), "--thresholds",
+                 "0.1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 @pytest.mark.parametrize("argv, setting, names", [
     (["fit", "--restarts", "0"], None, "--restarts"),
     (["simplify", "--expr", "x", "--eqsat-iters", "0"], None,
