@@ -13,6 +13,29 @@ or NotConstant.  ``_const_analysis`` defines it from the children's values,
 and ``normalize`` folds through the same function.  A separate nonnegativity
 flag drives ``abs(a) -> a``.
 
+Rebuilding is deferred and incremental, as in egg (Willsey et al., "egg:
+Fast and Extensible Equality Saturation", POPL 2021).  Each class has a use
+list: the e-nodes that have it as a child.  A union concatenates the two use
+lists and puts the surviving root on a pending list, and ``rebuild`` works
+through that list.  For a pending root it re-keys only the nodes in the
+root's use list; a key that now collides with another node's merges the two
+classes.  It then re-makes those nodes' analyses and joins them into their
+classes, and a class whose analysis grew is pending in turn, so analyses are
+repaired upward from the merge.  Last, it re-canonicalizes the node lists of
+the classes it touched.
+
+A node sits in the use list of each of its children as one shared record,
+[hashcons key, class, live].  Re-keying through one child updates the key
+the other list sees, and a node merged into a congruent one is marked dead
+for both.  With a copy of the key in each list, the second list would later
+hold a key that is already gone, and the node's current key would stay in
+the hashcons for good: ``n_nodes``, the size the node budget reads, would
+grow.
+
+Each directed rule is compiled once: its left-hand side into a matcher, its
+right-hand side into a builder, straight-line code that adds the right
+side's missing nodes bottom-up.
+
 Extraction returns the cost-minimal member under (parameter count, node
 count, fixed total order).  Costs are counted on the surface form an e-node
 prints as; ``EGraph._forms`` lists them, with one more node per operator:
@@ -92,9 +115,10 @@ class SaturationReport:
 class EqSatConfig:
     """Equality-saturation effort limits.
 
-    This rule set does not reach a finite fixpoint (power/exponent rules keep
-    producing larger terms), so canonicalization always runs under an
-    iteration cap and a node budget.  The defaults are calibrated so that
+    This rule set does not always reach a finite fixpoint (power/exponent
+    rules keep producing larger terms; 3,705 of the 6,559 saturations of a
+    length-7 catalog build reach one), so canonicalization always runs
+    under an iteration cap and a node budget.  The defaults are calibrated so that
     catalog deduplication matches the published unique-expression counts
     while one canonicalization stays in the low-millisecond range.
     """
@@ -261,6 +285,36 @@ def _emit_match(lhs: tuple, guard, nvars: int) -> str:
     return "\n".join(lines)
 
 
+def _emit_build(rhs: tuple) -> str:
+    """Source of a specialized builder returning the class of ``rhs`` under
+    the binding ``v``.  It passes each node to ``add`` bottom-up, left to
+    right, re-finding the children of each (a fold while a sibling was
+    added can move a root).  ``add`` inserts a missing node, or, past the
+    node budget, only looks it up: the result is then None unless every node
+    already exists, and merging continues past the budget."""
+    lines = ["def _build(find, add, v):"]
+    if rhs[0] == "v":
+        lines.append(f"    return find(v[{rhs[1]}])")
+        return "\n".join(lines)
+
+    def node(pat: tuple) -> str:
+        if pat[0] == "v":
+            return f"v[{pat[1]}]"
+        if pat[0] == "l":
+            key = f"({CONST}, {pat[1]!r})"
+        else:
+            kids = "".join(f", find({node(sub)})" for sub in pat[1:])
+            key = f"({pat[0]}{kids})"
+        name = f"c{len(lines) // 3}"
+        lines.extend([f"    {name} = add({key})",
+                      f"    if {name} is None:",
+                      "        return None"])
+        return name
+
+    lines.append(f"    return find({node(rhs)})")
+    return "\n".join(lines)
+
+
 def _pat_size(pat: tuple) -> int:
     if pat[0] in ("v", "l"):
         return 0
@@ -268,9 +322,9 @@ def _pat_size(pat: tuple) -> int:
 
 
 def _compile_rules(rules) -> list:
-    """Directed (rule id, root op, match function, rhs template, nvars),
-    ordered so low-growth rules apply before expanding ones: the node budget
-    is then spent on merges rather than on expansion."""
+    """Directed (rule id, root op, match function, build function), ordered
+    so low-growth rules apply before expanding ones: the node budget is then
+    spent on merges rather than on expansion."""
     compiled = []
     rid = 0
     for rule in rules:
@@ -282,12 +336,13 @@ def _compile_rules(rules) -> list:
             if guard is not None:
                 kind, name = guard.split(":")
                 cguard = (kind, slots[name])
-            src = _emit_match(clhs, cguard, len(slots))
+            src = (_emit_match(clhs, cguard, len(slots)) + "\n\n\n"
+                   + _emit_build(crhs))
             ns: dict = {}
             exec(src, ns)  # closed vocabulary: patterns come from the table
             growth = _pat_size(crhs) - _pat_size(clhs)
-            compiled.append((growth, rid, clhs[0], ns["_match"], crhs,
-                             len(slots)))
+            compiled.append((growth, rid, clhs[0], ns["_match"],
+                             ns["_build"]))
             rid += 1
     compiled.sort(key=lambda t: (t[0], t[1]))
     return [t[1:] for t in compiled]
@@ -351,8 +406,12 @@ class EGraph:
         self.hashcons: dict[tuple, int] = {}
         # class id -> [kind, const value, nonneg, folded leaf or None]
         self.analysis: dict[int, list] = {}
+        # class id -> the e-nodes using the class as a child, as records
+        # [hashcons key, class id, live] shared by all the node's children
+        self._uses: list = []
+        # roots merged or grown since the last rebuild
+        self._pending: list[int] = []
         self._fresh_params = 0
-        self._dirty = False
 
     # union-find ------------------------------------------------------------
 
@@ -371,8 +430,10 @@ class EGraph:
             ra, rb = rb, ra
         self._parent[rb] = ra
         self.classes[ra].extend(self.classes.pop(rb))
+        self._uses[ra].extend(self._uses[rb])
+        self._uses[rb] = None
         self._join_analysis(ra, self.analysis.pop(rb))
-        self._dirty = True
+        self._pending.append(ra)
         return True
 
     # analyses ----------------------------------------------------------------
@@ -419,7 +480,6 @@ class EGraph:
             else:
                 self.hashcons[leaf] = c
                 self.classes[self.find(c)] = [leaf]
-            self._dirty = True
         elif a[0] == _PARAMONLY:
             if a[3] is not None:
                 return
@@ -432,7 +492,6 @@ class EGraph:
             a[3] = leaf
             a[2] = False  # a fresh parameter absorbs any sign
             self.classes[c] = [leaf]
-            self._dirty = True
 
     # construction ------------------------------------------------------------
 
@@ -442,11 +501,22 @@ class EGraph:
             return self.find(existing)
         c = len(self._parent)
         self._parent.append(c)
+        self._uses.append([])
         self.hashcons[node] = c
         self.classes[c] = [node]
+        if node[0] not in _LEAVES:  # children are roots here
+            use = [node, c, True]
+            self._uses[node[1]].append(use)
+            if len(node) == 3 and node[2] != node[1]:
+                self._uses[node[2]].append(use)
         self.analysis[c] = self._make_analysis(node)
         self._fold(c)
         return self.find(c)
+
+    def _lookup(self, node: tuple) -> Optional[int]:
+        """Class of ``node`` if it exists; adds nothing."""
+        got = self.hashcons.get(node)
+        return None if got is None else self.find(got)
 
     def add(self, op: int, *children: int) -> int:
         node = (op,) + tuple(self.find(c) for c in children)
@@ -486,86 +556,75 @@ class EGraph:
     # congruence maintenance ----------------------------------------------------
 
     def rebuild(self) -> None:
-        while self._dirty:
-            self._dirty = False
-            find = self.find
-            # congruence closure over the hashcons
-            old = self.hashcons
-            self.hashcons = {}
-            new = self.hashcons
-            for node, cid in old.items():
-                if node[0] in _LEAVES:
-                    cnode = node
-                else:
-                    cnode = (node[0],) + tuple(find(ch) for ch in node[1:])
-                ccid = find(cid)
-                prev = new.get(cnode)
-                if prev is None:
-                    new[cnode] = ccid
-                elif find(prev) != ccid:
-                    self._union(prev, ccid)
-            # rebuild class node lists (respecting folded classes)
-            classes: dict[int, list] = {}
-            for node, cid in new.items():
-                r = find(cid)
-                lst = classes.get(r)
-                if lst is None:
-                    classes[r] = [node]
-                elif node not in lst:
-                    lst.append(node)
-            for c, a in self.analysis.items():
-                if self.find(c) == c and a[3] is not None and c in classes:
-                    classes[c] = [a[3]]
-            self.classes = classes
-            # analysis fixpoint + folding
-            self._refresh_analyses()
+        """Restore congruence and the analyses after unions.
 
-    def _refresh_analyses(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for c in list(self.classes.keys()):
-                if self.find(c) != c:
+        Works only on what the unions touched: each pending root is folded,
+        then the nodes in its use list are re-keyed (a key that now
+        collides merges the two classes and retires the node) and their
+        classes re-join the nodes' analyses; a class whose analysis grew is
+        pending in turn.  Last, the node lists of the touched classes get
+        root children and lose duplicates; a folded class stays its leaf.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        find = self.find
+        hashcons = self.hashcons
+        uses = self._uses
+        touched = []
+        i = 0
+        while i < len(pending):
+            c = find(pending[i])
+            i += 1
+            self._fold(c)
+            c = find(c)
+            # unions made while repairing append to the fresh list
+            todo, uses[c] = uses[c], []
+            kept = []
+            for use in todo:
+                if not use[2]:
                     continue
-                for node in self.classes[c]:
-                    if self._join_analysis(c, self._make_analysis(node)):
-                        changed = True
-                before = self.analysis[c][3]
-                self._fold(c)
-                if self.analysis[self.find(c)][3] != before:
-                    changed = True
-
-    # pattern matching ----------------------------------------------------------
-    #
-    # Each directed rule is compiled once into a specialized match function
-    # (flat nested loops over the class lists).  Matching runs on a rebuilt
-    # graph, where node child ids are already canonical.
-
-    def _instantiate(self, pat: tuple, binding: tuple, grow: bool = True):
-        """Class of the pattern under ``binding``, adding missing nodes.
-        Without ``grow`` nothing is added, and the result is None unless
-        every node already exists: merging then continues past the node
-        budget."""
-        tag = pat[0]
-        if tag == "v":
-            return self.find(binding[pat[1]])
-        if tag == "l":
-            node = (CONST, pat[1])
-        else:
-            kids = []
-            for sub in pat[1:]:
-                c = self._instantiate(sub, binding, grow)
-                if c is None:
-                    return None
-                kids.append(c)
-            # re-find: a fold while a sibling was added can move a root
-            node = (pat[0],) + tuple(map(self.find, kids))
-        if grow:
-            return self._add_node(node)
-        got = self.hashcons.get(node)
-        return None if got is None else self.find(got)
+                node = use[0]
+                key = ((node[0], find(node[1])) if len(node) == 2
+                       else (node[0], find(node[1]), find(node[2])))
+                if key != node:
+                    del hashcons[node]
+                    touched.append(use[1])
+                    other = hashcons.get(key)
+                    if other is not None:
+                        use[2] = False
+                        self._union(other, use[1])
+                        continue
+                    hashcons[key] = use[1]
+                    use[0] = key
+                kept.append(use)
+            for use in kept:
+                p = find(use[1])
+                if self._join_analysis(p, self._make_analysis(use[0])):
+                    pending.append(p)
+            c = find(c)
+            uses[c].extend(kept)
+            touched.append(c)
+        pending.clear()
+        classes, analysis = self.classes, self.analysis
+        for c in set(map(find, touched)):
+            leaf = analysis[c][3]
+            if leaf is not None:
+                classes[c] = [leaf]
+                continue
+            nodes = {}
+            for node in classes[c]:
+                if node[0] not in _LEAVES:
+                    node = (node[0],) + tuple(map(find, node[1:]))
+                nodes[node] = None
+            classes[c] = list(nodes)
 
     # saturation ------------------------------------------------------------------
+    #
+    # Each directed rule is compiled once into a specialized match function
+    # (flat nested loops over the class lists) and a build function for its
+    # right-hand side.  Matching runs on a rebuilt graph, where node child
+    # ids are already canonical.
 
     def saturate(self) -> SaturationReport:
         """Apply ``RULES`` under the configured iteration cap and node
@@ -583,29 +642,31 @@ class EGraph:
             matches = []
             analysis = self.analysis
             classes = self.classes
-            for rid, root_op, matcher, rhs, nvars in _COMPILED:
+            for rid, root_op, matcher, build in _COMPILED:
                 rows = index.get(root_op)
                 if rows:
                     found: list = []
                     matcher(classes, analysis, rows, found)
                     if found:
-                        matches.append((rid, rhs, found))
+                        matches.append((rid, build, found))
             if not matches:
                 reason = "fixpoint"
                 break
             changed = False
             hit_budget = False
             find = self.find
-            for rid, rhs, found in matches:
+            for rid, build, found in matches:
                 for cid, binding in found:
                     key = (rid, find(cid)) + tuple(map(find, binding))
                     if key in applied:
                         continue
                     # growth is capped, but matches whose right side
                     # already exists still merge (congruence keeps going)
-                    grow = len(self.hashcons) <= budget
-                    hit_budget = hit_budget or not grow
-                    new = self._instantiate(rhs, binding, grow)
+                    if len(self.hashcons) <= budget:
+                        new = build(find, self._add_node, binding)
+                    else:
+                        hit_budget = True
+                        new = build(find, self._lookup, binding)
                     if new is None:
                         continue
                     applied.add(key)

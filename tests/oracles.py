@@ -125,3 +125,67 @@ def dual_walk(e, theta, pts, lanes: int, x_lane):
     if np.any(at_zero):
         d = np.where(at_zero & (bv > 1.0), 0.0, d)
     return v, d
+
+
+# -- e-graph rebuilding -----------------------------------------------------------
+#
+# EGraph.rebuild and EGraph._refresh_analyses as they were before deferred
+# rebuilding: every round rehashes the whole hashcons, rebuilds every class's
+# node list from it and re-derives every class's analysis until nothing
+# changes.  The bodies are kept as they were; a round repeats while a union
+# left work pending, where the engine then set a dirty flag.  Run on a graph
+# the engine has just rebuilt, they must change nothing.
+
+def full_rebuild(self) -> None:
+    from esrlab.egraph import _LEAVES
+    dirty = True
+    while dirty:
+        self._pending.clear()
+        find = self.find
+        # congruence closure over the hashcons
+        old = self.hashcons
+        self.hashcons = {}
+        new = self.hashcons
+        for node, cid in old.items():
+            if node[0] in _LEAVES:
+                cnode = node
+            else:
+                cnode = (node[0],) + tuple(find(ch) for ch in node[1:])
+            ccid = find(cid)
+            prev = new.get(cnode)
+            if prev is None:
+                new[cnode] = ccid
+            elif find(prev) != ccid:
+                self._union(prev, ccid)
+        # rebuild class node lists (respecting folded classes)
+        classes: dict[int, list] = {}
+        for node, cid in new.items():
+            r = find(cid)
+            lst = classes.get(r)
+            if lst is None:
+                classes[r] = [node]
+            elif node not in lst:
+                lst.append(node)
+        for c, a in self.analysis.items():
+            if self.find(c) == c and a[3] is not None and c in classes:
+                classes[c] = [a[3]]
+        self.classes = classes
+        # analysis fixpoint + folding
+        _refresh_analyses(self)
+        dirty = bool(self._pending)
+
+
+def _refresh_analyses(self) -> None:
+    changed = True
+    while changed:
+        changed = False
+        for c in list(self.classes.keys()):
+            if self.find(c) != c:
+                continue
+            for node in self.classes[c]:
+                if self._join_analysis(c, self._make_analysis(node)):
+                    changed = True
+            before = self.analysis[c][3]
+            self._fold(c)
+            if self.analysis[self.find(c)][3] != before:
+                changed = True

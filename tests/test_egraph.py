@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -6,10 +7,13 @@ import pytest
 
 from esrlab import expr as ex
 from esrlab.egraph import (EGraph, EqSatConfig, ExtractionError, RULES,
-                           dump_rules, POW)
+                           dump_rules, POW, _LEAVES)
+from esrlab.enumeration import enumerate_trees
 from esrlab.simplify import canonicalize
 
 from conftest import slow
+from oracles import full_rebuild
+from test_normalize import _random_tree
 
 CFG = EqSatConfig()
 
@@ -261,3 +265,59 @@ def test_dump_rules_format():
     assert "abs(a) -> a | a >= 0" in text
     assert "0 ^ a -> 0 | a > 0" in text
     assert any("is_integer(c)" in line for line in lines)
+
+
+# -- incremental rebuilding ----------------------------------------------------
+
+def _state(g):
+    find = g.find
+    return ({node: find(c) for node, c in g.hashcons.items()},
+            [find(c) for c in range(len(g._parent))],
+            {c: sorted(map(repr, nodes)) for c, nodes in g.classes.items()},
+            {c: list(a) for c, a in g.analysis.items()})
+
+
+@pytest.mark.parametrize("config", [CFG, EqSatConfig(max_iters=6,
+                                                     node_budget=40)],
+                         ids=["default", "small_budget"])
+def test_rebuild_matches_full_rebuild(monkeypatch, config):
+    """After every rebuild inside saturate, the whole-graph rehash and
+    analysis refresh the engine used before deferred rebuilding change
+    nothing: hashcons, class partition, node sets and analyses."""
+    rebuild = EGraph.rebuild
+    rebuilds = [0]
+
+    def checked(g):
+        rebuild(g)
+        rebuilds[0] += 1
+        find = g.find
+        for node in g.hashcons:
+            if node[0] not in _LEAVES:
+                assert all(find(ch) == ch for ch in node[1:]), node
+        for nodes in g.classes.values():
+            assert len(set(nodes)) == len(nodes), nodes
+        state = _state(g)
+        oracle = copy.deepcopy(g)
+        full_rebuild(oracle)
+        assert _state(oracle) == state
+
+    saturate = EGraph.saturate
+    stops = {}
+
+    def counted(g):
+        report = saturate(g)
+        stops[report.stop_reason] = stops.get(report.stop_reason, 0) + 1
+        return report
+
+    monkeypatch.setattr(EGraph, "rebuild", checked)
+    monkeypatch.setattr(EGraph, "saturate", counted)
+    trees = []
+    trees.extend(enumerate_trees(5, lambda t, key: trees.append(t) or True))
+    rng = np.random.default_rng(2024)
+    trees.extend(_random_tree(rng, 4) for _ in range(1500))
+    for t in trees:
+        canonicalize(t, config)
+    assert sum(stops.values()) == len(trees)
+    assert rebuilds[0] > len(trees)
+    if config.node_budget < CFG.node_budget:
+        assert stops.get("node_budget", 0) > 0, stops
