@@ -51,3 +51,18 @@ def test_mnr_fit_calls_through_patched_spans(monkeypatch, synth):
     child = t.summary()["child_incl"]
     assert child[("fitting.minimize", "autodiff.eval_with_grad")] > 0
     assert child[("fitting.minimize", "objectives.mnr_loglik")] > 0
+
+
+def test_canonicalize_records_rebuild_under_saturate(monkeypatch):
+    """``egraph.rebuild.self_s`` reads the spans of ``EGraph.rebuild`` made
+    inside ``EGraph.saturate``."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import tracing
+    from esrlab.simplify import canonicalize
+
+    with tracing.Tracer() as t:
+        canonicalize(ex.parse("x * (x + p1) + p2 * x"))
+    summary = t.summary()
+    assert summary["spans"]["egraph.saturate"]["calls"] == 1
+    assert summary["spans"]["egraph.rebuild"]["calls"] >= 2
+    assert summary["child_incl"][("egraph.saturate", "egraph.rebuild")] > 0
