@@ -566,16 +566,12 @@ class EGraph:
         root children and lose duplicates; a folded class stays its leaf.
         """
         pending = self._pending
-        if not pending:
-            return
         find = self.find
         hashcons = self.hashcons
         uses = self._uses
         touched = []
-        i = 0
-        while i < len(pending):
-            c = find(pending[i])
-            i += 1
+        while pending:
+            c = find(pending.pop())
             self._fold(c)
             c = find(c)
             # unions made while repairing append to the fresh list
@@ -605,7 +601,6 @@ class EGraph:
             c = find(c)
             uses[c].extend(kept)
             touched.append(c)
-        pending.clear()
         classes, analysis = self.classes, self.analysis
         for c in set(map(find, touched)):
             leaf = analysis[c][3]
