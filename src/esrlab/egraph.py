@@ -17,12 +17,16 @@ Rebuilding is deferred and incremental, as in egg (Willsey et al., "egg:
 Fast and Extensible Equality Saturation", POPL 2021).  Each class has a use
 list: the e-nodes that have it as a child.  A union concatenates the two use
 lists and puts the surviving root on a pending list, and ``rebuild`` works
-through that list.  For a pending root it re-keys only the nodes in the
-root's use list; a key that now collides with another node's merges the two
-classes.  It then re-makes those nodes' analyses and joins them into their
-classes, and a class whose analysis grew is pending in turn, so analyses are
-repaired upward from the merge.  Last, it re-canonicalizes the node lists of
-the classes it touched.
+through that list in rounds.  For a pending root it re-keys only the nodes
+in the root's use list; a key that now collides with another node's merges
+the two classes.  Once no root is pending, it folds the merged classes and
+re-makes their parents' analyses, joining each into its class; a class whose
+analysis grew is repaired in turn, so analyses are repaired upward from the
+merges.  A fold that merges with a literal's class starts the next round.
+Last, it re-canonicalizes the node lists of the classes it touched.
+Congruence comes before analyses, as in the whole-graph rebuild this
+replaced, because the order in which folds land decides which nodes a fold
+hides and how many fresh parameters exist.
 
 A node sits in the use list of each of its children as one shared record,
 [hashcons key, class, live].  Re-keying through one child updates the key
@@ -558,50 +562,59 @@ class EGraph:
     def rebuild(self) -> None:
         """Restore congruence and the analyses after unions.
 
-        Works only on what the unions touched: each pending root is folded,
-        then the nodes in its use list are re-keyed (a key that now
-        collides merges the two classes and retires the node) and their
-        classes re-join the nodes' analyses; a class whose analysis grew is
-        pending in turn.  Last, the node lists of the touched classes get
-        root children and lose duplicates; a folded class stays its leaf.
+        Works only on what the unions touched, in rounds.  First the nodes
+        in each pending root's use list are re-keyed; a key that now
+        collides merges the two classes and retires the node.  Then each
+        merged class is folded and its parents re-join their analyses; a
+        parent whose analysis grew is handled in turn, and a fold's union
+        waits for the next round.  A folded class lists only its leaf, so
+        its other nodes no longer feed its analysis.  Last, the node lists
+        of the touched classes get root children and lose duplicates.
         """
         pending = self._pending
         find = self.find
         hashcons = self.hashcons
         uses = self._uses
+        analysis = self.analysis
         touched = []
         while pending:
-            c = find(pending.pop())
-            self._fold(c)
-            c = find(c)
-            # unions made while repairing append to the fresh list
-            todo, uses[c] = uses[c], []
-            kept = []
-            for use in todo:
-                if not use[2]:
-                    continue
-                node = use[0]
-                key = ((node[0], find(node[1])) if len(node) == 2
-                       else (node[0], find(node[1]), find(node[2])))
-                if key != node:
-                    del hashcons[node]
-                    touched.append(use[1])
-                    other = hashcons.get(key)
-                    if other is not None:
-                        use[2] = False
-                        self._union(other, use[1])
+            grown = []
+            while pending:
+                c = find(pending.pop())
+                # unions made while repairing append to the fresh list
+                todo, uses[c] = uses[c], []
+                kept = []
+                for use in todo:
+                    if not use[2]:
                         continue
-                    hashcons[key] = use[1]
-                    use[0] = key
-                kept.append(use)
-            for use in kept:
-                p = find(use[1])
-                if self._join_analysis(p, self._make_analysis(use[0])):
-                    pending.append(p)
-            c = find(c)
-            uses[c].extend(kept)
-            touched.append(c)
-        classes, analysis = self.classes, self.analysis
+                    node = use[0]
+                    key = ((node[0], find(node[1])) if len(node) == 2
+                           else (node[0], find(node[1]), find(node[2])))
+                    if key != node:
+                        del hashcons[node]
+                        touched.append(use[1])
+                        other = hashcons.get(key)
+                        if other is not None:
+                            use[2] = False
+                            self._union(other, use[1])
+                            continue
+                        hashcons[key] = use[1]
+                        use[0] = key
+                    kept.append(use)
+                c = find(c)
+                uses[c].extend(kept)
+                touched.append(c)
+                grown.append(c)
+            while grown:
+                c = find(grown.pop())
+                self._fold(c)
+                for use in uses[find(c)]:
+                    p = find(use[1])
+                    if (use[2] and analysis[p][3] is None
+                            and self._join_analysis(
+                                p, self._make_analysis(use[0]))):
+                        grown.append(p)
+        classes = self.classes
         for c in set(map(find, touched)):
             leaf = analysis[c][3]
             if leaf is not None:
