@@ -3,6 +3,9 @@
 Run: python demos/03_enumeration.py   (about a minute)
 """
 
+import os
+import tempfile
+
 from esrlab.enumeration import build_catalog, enumerate_trees, write_catalog
 
 print("max length | raw trees | unique expressions")
@@ -16,5 +19,6 @@ print("\nfirst entries of the length-6 catalog:")
 for entry in cat.entries[:12]:
     print(f"  {entry.text:22} nodes={entry.n_nodes} params={entry.n_params}")
 
-write_catalog(cat, "/tmp/catalog6.tsv")
-print("\nwrote /tmp/catalog6.tsv (header, entries, checksum footer)")
+out = os.path.join(tempfile.gettempdir(), "catalog6.tsv")
+write_catalog(cat, out)
+print(f"\nwrote {out} (header, entries, checksum footer)")

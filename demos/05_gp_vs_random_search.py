@@ -7,6 +7,9 @@ success probabilities and duplicate rates.
 Run: python demos/05_gp_vs_random_search.py   (a few minutes)
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from esrlab.analysis import duplicate_stats, ecdf, write_ecdf_tsv
@@ -34,7 +37,7 @@ rs_logs = run_rs(catalog, data, "mse", fit_cfg, runs=runs, seed=7,
                  results=results)
 
 gp_cfg = GpConfig(pop_size=24, generations=20, max_len=max_len,
-                  fit_config=FitConfig(restarts=1, max_iters=10))
+                  optim_iterations=10)
 gp_logs = [run_gp(gp_cfg, data, seed=100 + r) for r in range(runs)]
 
 threshold = values[9]
@@ -52,6 +55,6 @@ print(f"  mean per-generation constant fraction:       "
       f"{float(np.mean(stats.per_gen['constant'])):.2f}")
 print(f"  catalog coverage: {stats.coverage:.2%}")
 
-write_ecdf_tsv(ecdf(rs_logs + gp_logs, [threshold, values[0]]),
-               "/tmp/ecdf_demo.tsv")
-print("\nwrote /tmp/ecdf_demo.tsv (plot-ready success curves)")
+out = os.path.join(tempfile.gettempdir(), "ecdf_demo.tsv")
+write_ecdf_tsv(ecdf(rs_logs + gp_logs, [threshold, values[0]]), out)
+print(f"\nwrote {out} (plot-ready success curves)")

@@ -122,6 +122,14 @@ def _theta_key(theta: tuple) -> tuple:
     return tuple(out)
 
 
+# each distinct-candidate series by the identity of a record it counts
+_SERIES = {
+    "expr": lambda r: (r.struct_hash, _theta_key(r.theta)),
+    "structures": lambda r: r.struct_hash,
+    "simplified": lambda r: r.sem_hash,
+}
+
+
 def duplicate_stats(log: RunLog, catalog: Optional[Catalog] = None,
                     eqsat: Optional[EqSatConfig] = None) -> DupStats:
     """Distinct-candidate fractions in the style of per-generation and
@@ -149,39 +157,26 @@ def duplicate_stats(log: RunLog, catalog: Optional[Catalog] = None,
         by_gen.setdefault(r.gen, []).append(r)
     gens = tuple(sorted(by_gen))
 
-    per_gen = {k: [] for k in ("expr", "structures", "simplified", "constant")}
-    cumulative = {k: [] for k in ("expr", "structures", "simplified")}
-    seen_expr: set = set()
-    seen_struct: set = set()
-    seen_sem: set = set()
+    per_gen = {k: [] for k in (*_SERIES, "constant")}
+    cumulative = {k: [] for k in _SERIES}
+    seen = {k: set() for k in _SERIES}
     total = 0
     for g in gens:
         recs = [r for r in by_gen[g] if r.sem_hash != 0]
         n = len(recs)
-        if n == 0:
-            for k in per_gen:
-                per_gen[k].append(0.0)
-        else:
-            per_gen["expr"].append(
-                len({(r.struct_hash, _theta_key(r.theta)) for r in recs}) / n)
-            per_gen["structures"].append(
-                len({r.struct_hash for r in recs}) / n)
-            per_gen["simplified"].append(
-                len({r.sem_hash for r in recs}) / n)
-            per_gen["constant"].append(
-                sum(1 for r in recs if is_const(r)) / n)
         total += n
-        seen_expr.update((r.struct_hash, _theta_key(r.theta)) for r in recs)
-        seen_struct.update(r.struct_hash for r in recs)
-        seen_sem.update(r.sem_hash for r in recs)
-        denom = max(total, 1)
-        cumulative["expr"].append(len(seen_expr) / denom)
-        cumulative["structures"].append(len(seen_struct) / denom)
-        cumulative["simplified"].append(len(seen_sem) / denom)
+        for k, identity in _SERIES.items():
+            ids = [identity(r) for r in recs]
+            per_gen[k].append(len(set(ids)) / n if n else 0.0)
+            seen[k].update(ids)
+            cumulative[k].append(len(seen[k]) / max(total, 1))
+        per_gen["constant"].append(
+            sum(1 for r in recs if is_const(r)) / n if n else 0.0)
 
     coverage = None
     if catalog is not None and len(catalog) > 0:
-        in_catalog = {h for h in seen_sem if catalog.lookup(h) is not None}
+        in_catalog = {h for h in seen["simplified"]
+                      if catalog.lookup(h) is not None}
         coverage = len(in_catalog) / len(catalog)
     return DupStats(gens, per_gen, cumulative, coverage)
 

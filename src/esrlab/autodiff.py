@@ -5,7 +5,7 @@ division by zero and powabs(0, negative) produce non-finite values that
 propagate to the caller instead of raising.
 
 ``eval_with_grad`` carries one derivative lane per requested direction
-(parameters, optionally the input x) through the whole tree, applying the
+(each parameter, or the input x alone) through the whole tree, applying the
 chain rule at each operator.  powabs(a, b) = |a|**b differentiates to
 |a|**b * (b'*log|a| + b*a'/a); at a == 0 the derivative is 0 when b > 1 and
 non-finite otherwise (the almost-everywhere value, which avoids poisoning
@@ -41,12 +41,8 @@ __all__ = ["eval_expr", "eval_with_grad"]
 
 
 def eval_expr(e: Expr, theta, x) -> np.ndarray | float:
-    """Evaluate ``e`` at parameter vector ``theta`` over points ``x``: the
-    value ``eval_with_grad`` returns, from the same kernel.
-
-    ``x`` may be a scalar, a 1-d array (variable x1), or a 2-d array with one
-    row per variable.  Returns a scalar for scalar input.
-    """
+    """Evaluate ``e`` at parameter vector ``theta`` over the 1-d points
+    ``x``: the value ``eval_with_grad`` returns, from the same kernel."""
     return eval_with_grad(e, theta, x)[0]
 
 
@@ -102,11 +98,10 @@ def _literal(bits: str, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
-            ndim: int, n: int, batched: bool):
+def _kernel(key: _Key, n_theta: int, wrt_x: bool, n: int, batched: bool):
     """Compile ``key.e`` into ``kernel(theta, pts) -> (value, lanes)``.
 
-    Each node becomes the numpy operations of the forward-mode chain rule
+    The lanes are d/dp1..d/dpk, or d/dx alone when ``wrt_x``.  Each node becomes the numpy operations of the forward-mode chain rule
     on full value and derivative arrays: ``(n,)`` and ``(lanes, n)`` for one
     theta, ``(B, n)`` and ``(lanes, B, n)`` for a ``(B, k)`` batch of them.
     Parameter leaves are built once per call, and so are a batch's other
@@ -116,6 +111,7 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
     lines = [""]          # the def line, once the shared arrays are known
     made: dict = {}       # leaf key -> name of its array in the kernel
     arrays: dict = {}     # id -> (name, shared array)
+    lanes = 1 if wrt_x else n_theta
 
     def shared(value) -> str:
         return arrays.setdefault(id(value), (f"s{len(arrays)}", value))[0]
@@ -140,13 +136,12 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
     def walk(e: Expr) -> tuple:
         k = e.kind
         if k == VAR:
-            if ndim == 1 and e.value != 1:
+            if e.value != 1:
                 raise ValueError(f"x{e.value} requested but x is "
                                  "one-dimensional")
-            row = x_lane if e.value == 1 else None
             v = once("x", "np.repeat(np.expand_dims(pts, -2), len(theta), "
                           "-2)") if batched else "pts"
-            return (v if ndim == 1 else f"{v}[{e.value - 1}]"), lane(row)
+            return v, lane(0 if wrt_x else None)
         if k == PARAM:
             if e.value > n_theta:
                 raise ValueError(f"p{e.value} requested but theta has "
@@ -158,8 +153,7 @@ def _kernel(key: _Key, n_theta: int, lanes: int, x_lane: int | None,
                 v = once(e.value, f"{rows}[{i}]")
             else:
                 v = once(e.value, f"np.full({n}, theta[{i}])")
-            has_lane = i < (lanes if x_lane is None else x_lane)
-            return v, lane(i if has_lane else None)
+            return v, lane(None if wrt_x else i)
         if k == CONST:
             bits = float(e.value).hex()
             if batched:
@@ -215,42 +209,29 @@ _RULES = {
 
 
 def eval_with_grad(e: Expr, theta, x, wrt: str = "params"):
-    """Evaluate ``e`` and its gradient.
+    """Evaluate ``e`` and its gradient over the 1-d points ``x``.
 
     wrt="params": lanes are d/dp1..d/dpk.
-    wrt="params_and_x": one extra final lane d/dx.
     wrt="x": a single d/dx lane.
 
-    Returns (value, grad) with value shaped like the points and grad with one
-    row per lane.  Gradient values match central finite differences wherever
-    the function is differentiable.  A ``(B, k)`` theta is a batch of B
-    parameter vectors over the same points: value gains a leading batch axis
-    and grad is ``(B, lanes, ...)``, and each row is bit for bit what that
-    row alone gives.
+    Returns (value, grad): value ``(n,)`` and grad ``(lanes, n)``.  Gradient
+    values match central finite differences wherever the function is
+    differentiable.  A ``(B, k)`` theta is a batch of B parameter vectors
+    over the same points: value is ``(B, n)`` and grad ``(B, lanes, n)``,
+    and each row is bit for bit what that row alone gives.
     """
     pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 0
-    if scalar:
-        pts = pts.reshape(1)
-    theta = np.asarray(theta, dtype=float)
-    n_params = theta.shape[-1]
-    if wrt == "params":
-        lanes, x_lane = n_params, None
-    elif wrt == "params_and_x":
-        lanes, x_lane = n_params + 1, n_params
-    elif wrt == "x":
-        lanes, x_lane = 1, 0
-    else:
+    if pts.ndim != 1:
+        raise ValueError(f"x must be one-dimensional, not of shape "
+                         f"{pts.shape}")
+    if wrt not in ("params", "x"):
         raise ValueError(f"unknown wrt {wrt!r}")
+    theta = np.asarray(theta, dtype=float)
     batched = theta.ndim == 2
-    kernel = _lookup(e, (n_params, lanes, x_lane, pts.ndim, pts.shape[-1],
-                         batched))
+    kernel = _lookup(e, (theta.shape[-1], wrt == "x", pts.shape[-1], batched))
     with np.errstate(all="ignore"):
         v, g = kernel(theta, pts)
-    if batched:
-        g = g.swapaxes(0, 1)
-        return (v[:, 0], g[..., 0]) if scalar else (v, g)
-    return (float(v[0]), g[:, 0]) if scalar else (v, g)
+    return (v, g.swapaxes(0, 1)) if batched else (v, g)
 
 
 # the kernels of the Expr object evaluated last, by signature: a fit

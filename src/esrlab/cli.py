@@ -119,20 +119,13 @@ def parse_gp_config(path: str) -> GpConfig:
                     values[key] = conv(raw)
                     # check the value's own bound; the depth pair is
                     # checked once both are read, in either order
-                    if field is None:
-                        FitConfig(max_iters=values[key])
-                    else:
-                        GpConfig(**{"min_depth": 1, "max_depth": sys.maxsize,
-                                    field: values[key]})
+                    GpConfig(**{"min_depth": 1, "max_depth": sys.maxsize,
+                                field: values[key]})
                 except ValueError as err:
                     raise DataError(f"{path}:{lineno}: {key}: {err}")
     except OSError as err:
         raise DataError(f"cannot read config {path}: {err}")
-    kwargs = {CONFIG_KEYS[key][0]: val for key, val in values.items()
-              if CONFIG_KEYS[key][0] is not None}
-    if "optim_iterations" in values:
-        kwargs["fit_config"] = FitConfig(
-            restarts=1, max_iters=values["optim_iterations"])
+    kwargs = {CONFIG_KEYS[key][0]: val for key, val in values.items()}
     try:
         return replace(gp_preset(values.get("max_length", 10)), **kwargs)
     except ValueError as err:

@@ -7,7 +7,6 @@ measurement-error marginal likelihood and ignored by plain least squares.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,39 +51,32 @@ class Dataset:
         return self.sigma_x ** 2, self.sigma_y ** 2
 
 
-def load_csv(path_or_file, name: str = "") -> Dataset:
-    if isinstance(path_or_file, (str, os.PathLike)):
-        name = name or os.path.basename(str(path_or_file))
-        with open(path_or_file, encoding="utf-8") as f:
-            return _load(f, name)
-    return _load(path_or_file, name)
-
-
-def _load(f, name: str) -> Dataset:
+def load_csv(path) -> Dataset:
     header = None
     rows = []
-    for lineno, line in enumerate(f, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = [c.strip().lower() for c in line.split(",")]
-            continue
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise ValueError(f"line {lineno}: {len(fields)} fields, "
-                             f"header has {len(header)}")
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from None
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                header = [c.strip().lower() for c in line.split(",")]
+                continue
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ValueError(f"line {lineno}: {len(fields)} fields, "
+                                 f"header has {len(header)}")
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError as err:
+                raise ValueError(f"line {lineno}: {err}") from None
     if header is None or not rows:
         raise ValueError("empty dataset file")
     cols = {h: np.array([r[i] for r in rows]) for i, h in enumerate(header)}
     if "x" not in cols or "y" not in cols:
         raise ValueError("dataset needs x and y columns")
     return Dataset(cols["x"], cols["y"], cols.get("sigma_x"),
-                   cols.get("sigma_y"), name)
+                   cols.get("sigma_y"), os.path.basename(str(path)))
 
 
 def save_csv(data: Dataset, path: str) -> None:
@@ -102,19 +94,23 @@ def save_csv(data: Dataset, path: str) -> None:
             f.write(",".join(repr(float(a[i])) for a in arrays) + "\n")
 
 
-def synthetic_dataset(n: int = 64, noise: float = 0.01,
-                      seed: int = 20240901) -> Dataset:
+# relative noise level and seed of the bundled synthetic benchmark
+_NOISE = 0.01
+_SEED = 20240901
+
+
+def synthetic_dataset(n: int = 64) -> Dataset:
     """Bundled synthetic benchmark: a smooth univariate saturation curve
     y = a/(1/(b+x) - c^x) over x in [0.1, 3.5], plus relative Gaussian noise
     and nominal uncertainty columns.  Deterministic."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     x = np.linspace(0.1, 3.5, n)
     a, b, c = 0.301, 0.673, 0.453
     f = a / (1.0 / (b + x) - c ** x)
     scale = float(np.std(f))
-    y = f + rng.normal(0.0, noise * scale, size=n)
+    y = f + rng.normal(0.0, _NOISE * scale, size=n)
     sigma_x = np.full(n, 0.02)
-    sigma_y = np.full(n, max(noise * scale, 1e-3))
+    sigma_y = np.full(n, max(_NOISE * scale, 1e-3))
     return Dataset(x, y, sigma_x, sigma_y, name="synthetic")
 
 

@@ -232,60 +232,49 @@ _GUARD_CODE = {
 
 
 def _emit_match(lhs: tuple, guard, nvars: int) -> str:
-    """Source of a specialized matcher appending (root class, bindings)."""
+    """Source of a specialized matcher appending (root class, bindings).
+
+    The source is one nested chain: each check nests everything after it,
+    so a variable, once bound, stays bound.  A depth-first worklist of
+    (source, pattern) pairs emits it: an unbound variable is bound, a bound
+    one or a literal is checked one level deeper, and an operator loops over
+    the class's nodes of that op and puts its children at the front."""
     lines = ["def _match(classes, analysis, rows, out):",
              "    for cid, node in rows:"]
-    tmp = [0]
+    indent = " " * 8
+    tmp = 0
     bound: set = set()
-
-    def child(src: str, pat: tuple, indent: str, rest) -> None:
-        tag = pat[0]
-        if tag == "v":
-            slot = pat[1]
-            if slot in bound:
-                lines.append(f"{indent}if {src} == v{slot}:")
-                rest(indent + "    ")
-            else:
-                lines.append(f"{indent}v{slot} = {src}")
-                bound.add(slot)
-                rest(indent)
-                bound.discard(slot)
-            return
-        if tag == "l":
-            a = f"a{tmp[0]}"
-            tmp[0] += 1
-            lines.append(f"{indent}{a} = analysis[{src}]")
-            lines.append(f"{indent}if {a}[0] == 2 and {a}[1] == {pat[1]!r}:")
-            rest(indent + "    ")
-            return
-        n = f"n{tmp[0]}"
-        tmp[0] += 1
-        lines.append(f"{indent}for {n} in classes.get({src}, ()):")
-        lines.append(f"{indent}    if {n}[0] == {pat[0]}:")
-        seq2(n, pat[1:], 1, indent + "        ", rest)
-
-    # positional walker: emit children left to right
-    def seq2(node_var: str, pats: tuple, pos: int, indent: str, rest) -> None:
-        if not pats:
-            rest(indent)
-            return
-        child(f"{node_var}[{pos}]", pats[0], indent,
-              lambda ind: seq2(node_var, pats[1:], pos + 1, ind, rest))
-
-    def finish(indent: str) -> None:
-        if guard is not None:
-            kind, slot = guard
-            a = f"g{tmp[0]}"
-            tmp[0] += 1
-            lines.append(f"{indent}{a} = analysis[v{slot}]")
-            lines.append(f"{indent}if {_GUARD_CODE[kind].format(a=a)}:")
+    work = [(f"node[{i}]", sub) for i, sub in enumerate(lhs[1:], 1)]
+    while work:
+        src, pat = work.pop(0)
+        if pat[0] == "v" and pat[1] not in bound:
+            lines.append(f"{indent}v{pat[1]} = {src}")
+            bound.add(pat[1])
+            continue
+        if pat[0] == "v":
+            lines.append(f"{indent}if {src} == v{pat[1]}:")
+        elif pat[0] == "l":
+            lines.append(f"{indent}a{tmp} = analysis[{src}]")
+            lines.append(f"{indent}if a{tmp}[0] == 2 and a{tmp}[1] == "
+                         f"{pat[1]!r}:")
+            tmp += 1
+        else:
+            n = f"n{tmp}"
+            tmp += 1
+            lines.append(f"{indent}for {n} in classes.get({src}, ()):")
             indent += "    "
-        binding = ", ".join(f"v{i}" for i in range(nvars))
-        if nvars == 1:
-            binding += ","
-        lines.append(f"{indent}out.append((cid, ({binding})))")
-
-    seq2("node", lhs[1:], 1, "        ", finish)
+            lines.append(f"{indent}if {n}[0] == {pat[0]}:")
+            work[:0] = [(f"{n}[{i}]", sub) for i, sub in enumerate(pat[1:], 1)]
+        indent += "    "
+    if guard is not None:
+        kind, slot = guard
+        lines.append(f"{indent}g{tmp} = analysis[v{slot}]")
+        lines.append(f"{indent}if {_GUARD_CODE[kind].format(a=f'g{tmp}')}:")
+        indent += "    "
+    binding = ", ".join(f"v{i}" for i in range(nvars))
+    if nvars == 1:
+        binding += ","
+    lines.append(f"{indent}out.append((cid, ({binding})))")
     return "\n".join(lines)
 
 

@@ -46,7 +46,7 @@ class GpConfig:
     p_mut: float = 0.25
     max_len: int = 10
     objective: str = "mse"
-    fit_config: FitConfig = GP_FIT
+    optim_iterations: int = GP_FIT.max_iters
     eqsat: EqSatConfig = EqSatConfig()
 
     def __post_init__(self):
@@ -58,6 +58,7 @@ class GpConfig:
                              ("min_depth", 1, math.inf),
                              ("max_depth", 1, math.inf),
                              ("tournament_size", 1, math.inf),
+                             ("optim_iterations", 1, math.inf),
                              ("p_cx", 0.0, 1.0), ("p_mut", 0.0, 1.0)):
             if not lo <= getattr(self, name) <= hi:
                 raise ValueError(f"{name} must be in [{lo}, {hi}], "
@@ -71,13 +72,11 @@ class GpConfig:
 
     def as_dict(self) -> dict:
         """The config under its file keys, in ``CONFIG_KEYS`` order."""
-        return {key: self.fit_config.max_iters if field is None
-                else getattr(self, field)
+        return {key: getattr(self, field)
                 for key, (field, _) in CONFIG_KEYS.items()}
 
 
-# config file key -> (GpConfig field, value type); optim_iterations sets
-# fit_config.max_iters
+# config file key -> (GpConfig field, value type)
 CONFIG_KEYS = {
     "pop_size": ("pop_size", int),
     "generations": ("generations", int),
@@ -88,7 +87,7 @@ CONFIG_KEYS = {
     "mut_prob": ("p_mut", float),
     "max_length": ("max_len", int),
     "objective": ("objective", str),
-    "optim_iterations": (None, int),
+    "optim_iterations": ("optim_iterations", int),
 }
 
 # samples drawn for one initial individual before giving up
@@ -205,6 +204,7 @@ class _Run:
 
     def __init__(self, cfg: GpConfig, data: Dataset, seed: int):
         self.cfg = cfg
+        self.fit_config = FitConfig(restarts=1, max_iters=cfg.optim_iterations)
         self.data = data
         self.rng = np.random.default_rng(seed)
         self.canon = Canonicalizer(cfg.eqsat)
@@ -223,8 +223,7 @@ class _Run:
                 ex.render(tree), self.fevals))
             return ind
         seed = int(self.rng.integers(0, 2**63 - 1))
-        res = fit(tree, self.data, self.cfg.objective, self.cfg.fit_config,
-                  seed)
+        res = fit(tree, self.data, self.cfg.objective, self.fit_config, seed)
         self.fevals += res.n_obj_evals
         fitness = res.objective if math.isfinite(res.objective) else math.inf
         cf = self.canon(tree)

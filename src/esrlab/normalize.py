@@ -348,8 +348,6 @@ class _Normalizer:
         if base.kind == CONST:
             if base.value == 1.0 or base.value == -1.0:
                 return ex.const(1.0)
-            if base.value == 0.0 and exp.kind == CONST and exp.value > 0:
-                return ex.const(0.0)
             if base.value < 0.0:
                 base = ex.const(-base.value)
         if base.kind == INV:

@@ -134,7 +134,8 @@ def test_c06_gradients_on_catalog8():
         e = ex.parse(entry.text)
         theta = rng.uniform(-2.5, 2.5, entry.n_params)
         xs = rng.uniform(-2.5, 2.5, 100)
-        v, g = eval_with_grad(e, theta, xs, wrt="params_and_x")
+        v, g = eval_with_grad(e, theta, xs, wrt="params")
+        _, gx = eval_with_grad(e, theta, xs, wrt="x")
         for i in range(entry.n_params):
             def probe(d, i=i):
                 t = theta.copy()
@@ -142,7 +143,7 @@ def test_c06_gradients_on_catalog8():
                 return eval_expr(e, t, xs)
             worst = max(worst, _rel_err(v, g[i], probe, h))
         worst = max(worst, _rel_err(
-            v, g[entry.n_params], lambda d: eval_expr(e, theta, xs + d), h))
+            v, gx[0], lambda d: eval_expr(e, theta, xs + d), h))
     ok = worst < 1e-5
     _report("C6 autodiff matches central differences on catalog(8)", ok,
             f"{len(cat)} structures, worst rel err {worst:.2e}")
@@ -270,7 +271,7 @@ def test_c10_analysis_invariants():
     data = synthetic_dataset(n=32)
     cat = build_catalog(4)
     gp_cfg = GpConfig(pop_size=16, generations=6, max_len=8,
-                      fit_config=FitConfig(restarts=1, max_iters=5))
+                      optim_iterations=5)
     logs = [run_gp(gp_cfg, data, seed=s) for s in (1, 2)]
     logs += run_rs(cat, data, "mse", FitConfig(restarts=2), runs=2, seed=9)
     ok = True

@@ -7,10 +7,26 @@ from esrlab import expr as ex
 from esrlab.autodiff import eval_expr, eval_with_grad
 
 
+def _at(x: float) -> np.ndarray:
+    return np.array([x])
+
+
+def _grad(e, theta, xs, wrt):
+    """Value and lanes of one layout.  "params_and_x" stacks the d/dx lane
+    of ``wrt="x"`` under the parameter lanes of ``wrt="params"``, as the
+    reference walk lays out both at once."""
+    if wrt != "params_and_x":
+        return eval_with_grad(e, theta, xs, wrt=wrt)
+    v, g = eval_with_grad(e, theta, xs, wrt="params")
+    vx, gx = eval_with_grad(e, theta, xs, wrt="x")
+    assert v.tobytes() == vx.tobytes()
+    return v, np.concatenate([g, gx], axis=-2)
+
+
 def test_eval_examples():
-    assert eval_expr(ex.parse("|x| ^ p1"), [2.0], -3.0) == 9.0
-    assert not math.isfinite(eval_expr(ex.parse("1.0 / x"), [], 0.0))
-    assert eval_expr(ex.parse("x + p2"), [1.0, 0.5], 2.0) == 2.5
+    assert eval_expr(ex.parse("|x| ^ p1"), [2.0], _at(-3.0))[0] == 9.0
+    assert not math.isfinite(eval_expr(ex.parse("1.0 / x"), [], _at(0.0))[0])
+    assert eval_expr(ex.parse("x + p2"), [1.0, 0.5], _at(2.0))[0] == 2.5
 
 
 def test_eval_vectorized_matches_scalar():
@@ -19,14 +35,14 @@ def test_eval_vectorized_matches_scalar():
     xs = np.linspace(0.5, 3.0, 11)
     vec = eval_expr(e, theta, xs)
     for i, x in enumerate(xs):
-        assert vec[i] == eval_expr(e, theta, float(x))
+        assert vec[i] == eval_expr(e, theta, _at(x))[0]
 
 
 def test_grad_simple_cases():
-    v, g = eval_with_grad(ex.parse("p1 * x"), [2.0], 3.0)
-    assert v == 6.0 and g[0] == 3.0
-    v, g = eval_with_grad(ex.parse("|x| ^ 2.0"), [], -3.0, wrt="x")
-    assert v == 9.0 and g[0] == -6.0
+    v, g = eval_with_grad(ex.parse("p1 * x"), [2.0], _at(3.0))
+    assert v[0] == 6.0 and g[0, 0] == 3.0
+    v, g = eval_with_grad(ex.parse("|x| ^ 2.0"), [], _at(-3.0), wrt="x")
+    assert v[0] == 9.0 and g[0, 0] == -6.0
 
 
 def test_grad_value_matches_eval_bitwise():
@@ -36,9 +52,9 @@ def test_grad_value_matches_eval_bitwise():
         theta = rng.uniform(-3, 3, 4)
         x = rng.uniform(-2, 2, 9)
         v0 = eval_expr(e, theta, x)
-        v1, _ = eval_with_grad(e, theta, x, wrt="params_and_x")
-        both_nan = np.isnan(v0) & np.isnan(v1)
-        assert np.all((v0 == v1) | both_nan)
+        for wrt in ("params", "x"):
+            v1, _ = eval_with_grad(e, theta, x, wrt=wrt)
+            assert v0.tobytes() == v1.tobytes()
 
 
 def _central(f, h):
@@ -47,7 +63,7 @@ def _central(f, h):
 
 
 def _check_grad_fd(e, theta, xs, rel=1e-5, h=1e-6):
-    v, g = eval_with_grad(e, theta, xs, wrt="params_and_x")
+    v, g = _grad(e, theta, xs, "params_and_x")
     k = len(theta)
     for i in range(k):
         def probe(d, i=i):
@@ -110,37 +126,43 @@ def test_grad_over_catalog_structures(catalog6):
 def test_powabs_derivative_at_zero():
     # smooth case b > 1: derivative 0; b <= 1: non-finite
     e = ex.parse("|x| ^ p1")
-    _, g = eval_with_grad(e, [2.0], 0.0, wrt="x")
-    assert g[0] == 0.0
-    _, g = eval_with_grad(e, [0.5], 0.0, wrt="x")
+    _, g = eval_with_grad(e, [2.0], _at(0.0), wrt="x")
+    assert g[0, 0] == 0.0
+    _, g = eval_with_grad(e, [0.5], _at(0.0), wrt="x")
     assert not np.all(np.isfinite(g))
 
 
 def test_multivariable_naming():
-    e = ex.parse("x1 + x2")
-    pts = np.array([[1.0, 2.0], [10.0, 20.0]])
-    out = eval_expr(e, [], pts)
-    assert np.allclose(out, [11.0, 22.0])
-    with pytest.raises(ValueError):
-        eval_expr(e, [], np.array([1.0, 2.0]))
+    """x is one variable, x1, given as a 1-d array of points: x2, a scalar
+    x, points as rows of a 2-d x, and other lane layouts are rejected."""
+    with pytest.raises(ValueError, match="x2 requested"):
+        eval_expr(ex.parse("x1 + x2"), [], np.array([1.0, 2.0]))
+    for x in (2.0, np.array([[1.0, 2.0], [10.0, 20.0]])):
+        with pytest.raises(ValueError, match="x must be one-dimensional"):
+            eval_expr(ex.parse("x1"), [], x)
+    with pytest.raises(ValueError, match="unknown wrt 'params_and_x'"):
+        eval_with_grad(ex.parse("p1 * x"), [1.0], np.ones(3),
+                       wrt="params_and_x")
+    assert np.array_equal(eval_expr(ex.parse("x1 + x"), [], _at(2.0)), [4.0])
 
 
 def test_missing_theta_rejected():
     with pytest.raises(ValueError):
-        eval_expr(ex.parse("p2 + x"), [1.0], 0.5)
+        eval_expr(ex.parse("p2 + x"), [1.0], _at(0.5))
 
 
 @pytest.mark.parametrize("text", ["x", "p1", "2.0"])
 def test_leaf_results_are_fresh_writable_arrays(text):
     e = ex.parse(text)
     xs = np.array([1.0, -2.0, 3.0])
-    v, g = eval_with_grad(e, [0.5], xs, wrt="params_and_x")
-    want_v, want_g = v.copy(), g.copy()
-    v[:] = 7.0
-    g[:] = 7.0
-    v2, g2 = eval_with_grad(e, [0.5], xs, wrt="params_and_x")
-    assert np.array_equal(v2, want_v) and np.array_equal(g2, want_g)
-    assert np.array_equal(xs, [1.0, -2.0, 3.0])
+    for wrt in ("params", "x"):
+        v, g = eval_with_grad(e, [0.5], xs, wrt=wrt)
+        want_v, want_g = v.copy(), g.copy()
+        v[:] = 7.0
+        g[:] = 7.0
+        v2, g2 = eval_with_grad(e, [0.5], xs, wrt=wrt)
+        assert np.array_equal(v2, want_v) and np.array_equal(g2, want_g)
+        assert np.array_equal(xs, [1.0, -2.0, 3.0])
 
 
 def test_out_of_range_leaves_raise_on_every_call():
@@ -172,20 +194,13 @@ def test_kernels_match_the_reference_walk_bitwise(catalog6):
         theta = rng.uniform(-3, 3, k)
         for wrt, lanes, x_lane in (("params", k, None),
                                    ("params_and_x", k + 1, k), ("x", 1, 0)):
-            v, g = eval_with_grad(e, theta, xs, wrt=wrt)
+            v, g = _grad(e, theta, xs, wrt)
             with np.errstate(all="ignore"):
                 rv, rg = dual_walk(e, theta, xs, lanes, x_lane)
             assert v.tobytes() == rv.tobytes(), (entry.text, wrt)
             assert g.tobytes() == rg.tobytes(), (entry.text, wrt)
             assert eval_expr(e, theta, xs).tobytes() == rv.tobytes(), \
                 (entry.text, wrt)
-    # two variables: points are rows
-    e = ex.parse("x1 * p1 + |x2| ^ p2")
-    pts = rng.uniform(-2, 2, (2, 9))
-    v, g = eval_with_grad(e, [0.5, 1.5], pts, wrt="params_and_x")
-    with np.errstate(all="ignore"):
-        rv, rg = dual_walk(e, [0.5, 1.5], pts, 3, 2)
-    assert v.tobytes() == rv.tobytes() and g.tobytes() == rg.tobytes()
 
 
 # every operator, powabs at a zero base among them; literal exponents and
@@ -228,12 +243,12 @@ def test_batched_rows_match_single_rows_bitwise(batch, n, wrt):
         theta[0, :] = 0.5
         if batch > 2:
             theta[1, :] = -0.0
-        v, g = eval_with_grad(e, theta, xs, wrt=wrt)
+        v, g = _grad(e, theta, xs, wrt)
         lanes, x_lane = {"params": (k, None), "x": (1, 0),
                          "params_and_x": (k + 1, k)}[wrt]
         assert v.shape == (batch, n) and g.shape == (batch, lanes, n)
         for b in range(batch):
-            v1, g1 = eval_with_grad(e, theta[b], xs, wrt=wrt)
+            v1, g1 = _grad(e, theta[b], xs, wrt)
             with np.errstate(all="ignore"):
                 rv, rg = dual_walk(e, theta[b], xs, lanes, x_lane)
             assert v[b].tobytes() == v1.tobytes() == rv.tobytes(), (text, b)
@@ -248,20 +263,19 @@ def test_batch_mixed_rank_regression():
     e = ex.parse("p1 / (1.0 / (p2 + x) - p3 ^ x)")
     theta = np.array([[0.301, 0.673, -0.453], [1.5, -0.25, 2.0],
                       [0.301, 0.673, -0.453]])
-    for x in (0.5, np.array([0.5]), np.linspace(0.5, 3.0, 11)):
+    for x in (np.array([0.5]), np.linspace(0.5, 3.0, 11)):
         v, g = eval_with_grad(e, theta, x)
         for b in range(len(theta)):
             v1, g1 = eval_with_grad(e, theta[b], x)
-            assert np.asarray(v[b]).tobytes() == np.asarray(v1).tobytes()
+            assert v[b].tobytes() == v1.tobytes()
             assert g[b].tobytes() == g1.tobytes()
 
 
 def test_batched_two_variables():
+    """A batch takes the same one-variable points as a single theta."""
     e = ex.parse("x1 * p1 + |x2| ^ p2")
-    pts = np.random.default_rng(1).uniform(-2, 2, (2, 9))
     theta = np.array([[0.5, 1.5], [-1.0, 0.25], [2.0, -0.0]])
-    v, g = eval_with_grad(e, theta, pts, wrt="params_and_x")
-    for b in range(3):
-        v1, g1 = eval_with_grad(e, theta[b], pts, wrt="params_and_x")
-        assert v[b].tobytes() == v1.tobytes()
-        assert g[b].tobytes() == g1.tobytes()
+    with pytest.raises(ValueError, match="x must be one-dimensional"):
+        eval_with_grad(e, theta, np.ones((2, 9)))
+    with pytest.raises(ValueError, match="x2 requested"):
+        eval_with_grad(e, theta, np.ones(9))

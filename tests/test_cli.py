@@ -156,7 +156,7 @@ def test_config_echo_roundtrip(tmp_path):
     back = parse_gp_config(str(path))
     assert back.pop_size == 50 and back.generations == 7
     assert back.max_len == 12 and back.p_mut == 0.3
-    assert back.fit_config.max_iters == cfg.fit_config.max_iters
+    assert back.optim_iterations == cfg.optim_iterations
     assert [line.split(" = ")[0] for line in path.read_text().splitlines()] \
         == ["pop_size", "generations", "min_depth", "max_depth",
             "tournament_size", "cx_prob", "mut_prob", "max_length",

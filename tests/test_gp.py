@@ -5,13 +5,11 @@ from dataclasses import replace
 import numpy as np
 
 from esrlab import expr as ex
-from esrlab.fitting import FitConfig
 from esrlab.gp import (GpConfig, Individual, _Run, crossover, gp_preset, grow,
                        init_population, mutate, run_gp, tournament_select)
 from esrlab.runlog import read_runlog, write_runlog
 
-SMALL = GpConfig(pop_size=20, generations=4, max_len=10,
-                 fit_config=FitConfig(restarts=1, max_iters=5))
+SMALL = GpConfig(pop_size=20, generations=4, max_len=10, optim_iterations=5)
 
 
 def _mk(fitness, eval_id=0):
@@ -25,7 +23,7 @@ def test_defaults_follow_documented_table():
     assert cfg.tournament_size == 2
     assert cfg.p_cx == 1.0
     assert cfg.p_mut == 0.25
-    assert cfg.fit_config.max_iters == 10
+    assert cfg.optim_iterations == 10
     big = gp_preset(20)
     assert big.pop_size == 500 and big.tournament_size == 4
 
