@@ -148,7 +148,11 @@ def duplicate_stats(log: RunLog, catalog: Optional[Catalog] = None,
     def is_const(rec) -> bool:
         got = const_cache.get(rec.struct_hash)
         if got is None:
-            got = canon(ex.parse(rec.text)).is_constant
+            try:
+                e = ex.parse(rec.text)
+            except ex.ParseError as err:
+                raise ValueError(f"eval_id {rec.eval_id}: {err}") from None
+            got = canon(e).is_constant
             const_cache[rec.struct_hash] = got
         return got
 

@@ -25,7 +25,7 @@ from .egraph import EGraphCapacityError, EqSatConfig, dump_rules
 from .enumeration import build_catalog, read_catalog, write_catalog
 from .fitting import (ESR_FIT, GP_FIT, FitConfig, ResultsFileError,
                       fit_catalog, read_results)
-from .gp import CONFIG_KEYS, GpConfig, gp_preset, run_gp
+from .gp import CONFIG_KEYS, GpConfig, GpInitError, gp_preset, run_gp
 from .objectives import MnrParams, mnr_loglik, mse
 from .random_search import run_rs
 from .runlog import read_runlog, write_runlog
@@ -83,9 +83,11 @@ def _check_objective(objective: str, data: Dataset) -> None:
         raise DataError("mnr objective requires sigma_x,sigma_y columns")
 
 
-def _check_runs(args) -> None:
+def _check_run_args(args) -> None:
     if args.runs < 1:
         raise DataError(f"--runs must be >= 1, got {args.runs}")
+    if args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _eqsat(args) -> EqSatConfig:
@@ -182,7 +184,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gp(args) -> int:
-    _check_runs(args)
+    _check_run_args(args)
     data = _load("dataset", args.data)
     cfg = parse_gp_config(args.config)
     _check_objective(cfg.objective, data)
@@ -190,11 +192,15 @@ def _cmd_gp(args) -> int:
     write_gp_config(cfg, os.path.join(args.log_dir, "config_echo.txt"))
     workers = _workers(args)
     seeds = [[args.seed, r] for r in range(args.runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(workers) as pool:
-            logs = list(pool.map(_gp_one, [(cfg, data, s) for s in seeds]))
-    else:
-        logs = [_gp_one((cfg, data, s)) for s in seeds]
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(workers) as pool:
+                logs = list(pool.map(_gp_one,
+                                     [(cfg, data, s) for s in seeds]))
+        else:
+            logs = [_gp_one((cfg, data, s)) for s in seeds]
+    except GpInitError as err:
+        raise DataError(f"config {args.config}: {err}")
     for r, log in enumerate(logs):
         write_runlog(log, os.path.join(args.log_dir, f"run_{r:03d}.log"))
     best = min(log.best_fitness() for log in logs)
@@ -210,7 +216,7 @@ def _gp_one(payload):
 
 
 def _cmd_rs(args) -> int:
-    _check_runs(args)
+    _check_run_args(args)
     catalog = _load("catalog", args.catalog)
     data = _load("dataset", args.data)
     _check_objective(args.objective, data)
@@ -265,7 +271,10 @@ def _cmd_analyze_ecdf(args) -> int:
 def _cmd_analyze_dups(args) -> int:
     log = _load("run log", args.log)
     catalog = _load("catalog", args.catalog) if args.catalog else None
-    stats = duplicate_stats(log, catalog)
+    try:
+        stats = duplicate_stats(log, catalog)
+    except ValueError as err:   # a record whose expression does not parse
+        raise DataError(f"run log {args.log}: {err}")
     write_dupstats_tsv(stats, args.out)
     print(f"dup stats over {len(log.records)} records -> {args.out}")
     return 0
@@ -288,19 +297,21 @@ def _baseline_values(path: str, data: Dataset, objective: str) -> list:
                 else:
                     raise DataError(f"{path}:{lineno}: expected "
                                     "name<TAB>expr[<TAB>theta]")
-                theta = [float(v) for v in theta_csv.split(",") if v]
-                expr = ex.parse(text)
-                if objective == "mse":
-                    value = mse(expr, theta, data)
-                else:
-                    k = ex.param_count(expr)
-                    if len(theta) != k + 3:
-                        raise DataError(
-                            f"{path}:{lineno}: mnr baseline needs theta plus "
-                            "sigma_int,mu,omega")
-                    p = MnrParams(tuple(theta[:k]), theta[k + 1],
-                                  theta[k + 2], theta[k])
-                    value = -mnr_loglik(expr, p, data)
+                try:
+                    theta = [float(v) for v in theta_csv.split(",") if v]
+                    expr = ex.parse(text)
+                    if objective == "mse":
+                        value = mse(expr, theta, data)
+                    else:
+                        k = ex.param_count(expr)
+                        if len(theta) != k + 3:
+                            raise ValueError("mnr baseline needs theta plus "
+                                             "sigma_int,mu,omega")
+                        p = MnrParams(tuple(theta[:k]), theta[k + 1],
+                                      theta[k + 2], theta[k])
+                        value = -mnr_loglik(expr, p, data)
+                except ValueError as err:
+                    raise DataError(f"{path}:{lineno}: {err}")
                 out.append((name, value))
     except OSError as err:
         raise DataError(f"cannot read baselines {path}: {err}")
@@ -317,6 +328,7 @@ def _cmd_analyze_dist(args) -> int:
         if not args.data:
             raise DataError("--baselines requires --data")
         data = _load("dataset", args.data)
+        _check_objective(args.objective, data)
         baselines = _baseline_values(args.baselines, data, args.objective)
     dist = fitness_distribution(results, catalog, baselines, args.top)
     write_distribution_tsv(dist, args.out)

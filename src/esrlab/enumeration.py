@@ -199,11 +199,26 @@ def write_catalog(catalog: Catalog, path: str) -> None:
         raise
 
 
+def _check_entry(entry: CatalogEntry) -> None:
+    """Raise ValueError unless the entry's text is a rendered expression
+    whose text hash, length and parameter-leaf count the entry carries."""
+    e = ex.parse(entry.text)
+    if ex.render(e) != entry.text:
+        raise ValueError(f"expression renders as {ex.render(e)!r}")
+    if ex.text_hash(entry.text) != entry.semantic_hash:
+        raise ValueError("hash is not the expression's text hash")
+    n_params = sum(1 for node in ex.subtrees(e) if node.kind == ex.PARAM)
+    if (ex.length(e), n_params) != (entry.n_nodes, entry.n_params):
+        raise ValueError(f"expression has length {ex.length(e)} and "
+                         f"{n_params} parameters")
+
+
 def read_catalog(path: str) -> Catalog:
     """Read a catalog written by ``write_catalog``.  A file without its
     ``#count/#crc`` footer (a truncated one), or whose entries do not match
     it, raises ValueError, as does a malformed entry line (naming
-    ``path:line``)."""
+    ``path:line``): one whose expression does not parse, is not in rendered
+    form, or disagrees with the line's hash, length or parameter count."""
     meta: dict = {}
     entries: list[CatalogEntry] = []
     crc = 0
@@ -221,10 +236,12 @@ def read_catalog(path: str) -> Catalog:
             crc = zlib.crc32(line.encode("utf-8"), crc)
             try:
                 h, n, p, text = line.rstrip("\n").split("\t")
-                entries.append(CatalogEntry(int(h), int(n), int(p), text))
-            except ValueError:
+                entry = CatalogEntry(int(h), int(n), int(p), text)
+                _check_entry(entry)
+            except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: malformed catalog entry "
-                                 f"{line.rstrip()!r}") from None
+                                 f"{line.rstrip()!r}: {err}") from None
+            entries.append(entry)
     if footer is None:
         raise ValueError(f"catalog {path}: no #count/#crc footer "
                          "(truncated?)")

@@ -5,7 +5,9 @@ import pytest
 
 from esrlab.cli import main, parse_gp_config, write_gp_config
 from esrlab.dataset import save_csv, synthetic_dataset
-from esrlab.enumeration import read_catalog, write_catalog
+from esrlab import expr as ex
+from esrlab.enumeration import (Catalog, CatalogEntry, read_catalog,
+                                write_catalog)
 from esrlab.gp import GpConfig
 from esrlab.runlog import read_runlog
 
@@ -210,6 +212,83 @@ def test_rs_completes_partial_results(tmp_path, data_csv, catalog3_file):
             (tmp_path / "partial" / log).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def results3_file(tmp_path_factory, data_csv, catalog3_file):
+    path = tmp_path_factory.mktemp("fit") / "results.tsv"
+    assert main(["fit", "--catalog", catalog3_file, "--data", data_csv,
+                 "--restarts", "1", "--out", str(path),
+                 "--workers", "1"]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("objective, line, names", [
+    ("mse", "bad\tx +\t", "end of input"),
+    ("mse", "bad\tp1\tabc", "could not convert"),
+    ("mse", "bad\tp1 + p2\t1.0", "p2 requested"),
+    ("mnr", "bad\tp1\t1.0,0.0,0.0,-1.0", "omega must be positive"),
+], ids=["parse", "theta", "too_few_theta", "omega"])
+def test_analyze_dist_bad_baseline_exits_2(tmp_path, data_csv, results3_file,
+                                           capsys, objective, line, names):
+    theta = {"mse": "1.7", "mnr": "1.7,0.1,0.0,1.0"}[objective]
+    baselines = tmp_path / "base.tsv"
+    baselines.write_text(f"# name, expr, theta\nok\tp1\t{theta}\n{line}\n")
+    out = tmp_path / "dist.tsv"
+    assert main(["analyze", "dist", "--results", results3_file,
+                 "--baselines", str(baselines), "--data", data_csv,
+                 "--objective", objective, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{baselines}:3: " in err and names in err
+    assert not out.exists()
+
+
+def test_analyze_dist_mnr_needs_uncertainty_columns(tmp_path, results3_file,
+                                                    capsys):
+    """The data check comes before any baseline line is read: the first
+    line here does not parse."""
+    data = tmp_path / "xy.csv"
+    data.write_text("x,y\n1.0,2.0\n2.0,3.0\n3.0,5.0\n")
+    baselines = tmp_path / "base.tsv"
+    baselines.write_text("bad\tx +\t\n")
+    assert main(["analyze", "dist", "--results", results3_file,
+                 "--baselines", str(baselines), "--data", str(data),
+                 "--objective", "mnr", "--out",
+                 str(tmp_path / "dist.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert "sigma_x" in err and "base.tsv" not in err
+
+
+def test_fit_accepts_negative_seed(tmp_path, data_csv, catalog3_file):
+    assert main(["fit", "--catalog", catalog3_file, "--data", data_csv,
+                 "--restarts", "1", "--seed", "-1", "--out",
+                 str(tmp_path / "r.tsv"), "--workers", "1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["fit", "rs"])
+def test_unparsable_catalog_entry_exits_2(tmp_path, data_csv, catalog3_file,
+                                          capsys, command):
+    """A catalog entry that does not parse is rejected on read, by line,
+    though its footer matches."""
+    good = read_catalog(catalog3_file)
+    bad = tmp_path / "bad.tsv"
+    entry = CatalogEntry(ex.text_hash("x + "), 2, 0, "x + ")
+    write_catalog(Catalog(3, good.entries[:2] + [entry], good.meta), str(bad))
+    argv = {"fit": ["fit", "--out", str(tmp_path / "r.tsv"), "--workers", "1"],
+            "rs": ["rs", "--log-dir", str(tmp_path / "rs")]}[command]
+    assert main(argv + ["--catalog", str(bad), "--data", data_csv]) == 2
+    assert f"{bad}:7: malformed catalog entry" in capsys.readouterr().err
+
+
+def test_analyze_dups_unparsable_record_exits_2(tmp_path, capsys):
+    log = tmp_path / "run_000.log"
+    log.write_text("#seed=1\n"
+                   "0\t1\t7\t8\t1.0\tx + p1\t3\t0.5\n"
+                   "0\t2\t9\t10\t1.0\tx +\t3\t\n")
+    assert main(["analyze", "dups", "--log", str(log), "--out",
+                 str(tmp_path / "d.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert f"run log {log}: eval_id 2: " in err
+
+
 def test_fit_mnr_needs_uncertainty_columns(tmp_path, catalog3_file, capsys):
     data = tmp_path / "xy.csv"
     data.write_text("x,y\n1.0,2.0\n2.0,3.0\n3.0,5.0\n")
@@ -363,12 +442,15 @@ def test_unwritable_ecdf_output_exits_2(tmp_path, capsys):
     (["analyze", "ecdf", "--thresholds", "abc"], None, "--thresholds"),
     (["gp", "--runs", "0"], None, "--runs"),
     (["rs", "--runs", "0"], None, "--runs"),
+    (["gp", "--seed", "-1"], None, "--seed"),
+    (["rs", "--seed", "-1"], None, "--seed"),
+    (["gp"], "max_length = 2\n", "gp.toml: no finite-fitness individual"),
     (["analyze", "dist", "--top", "-1"], None, "--top"),
 ], ids=["fit_restarts", "eqsat_iters", "node_budget", "max_length",
         "gp_not_a_number", "gp_out_of_range", "gp_optim_iterations_0",
         "gp_optim_iterations_negative", "gp_generations", "gp_min_depth",
         "gp_depth_pair", "workers_env", "thresholds", "gp_runs", "rs_runs",
-        "dist_top"])
+        "gp_seed", "rs_seed", "gp_init", "dist_top"])
 def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
                                      capsys, monkeypatch, argv, setting,
                                      names):

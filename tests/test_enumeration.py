@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 from esrlab import expr as ex
-from esrlab.enumeration import (build_catalog, enumerate_trees, read_catalog,
-                                write_catalog)
+from esrlab.enumeration import (Catalog, CatalogEntry, build_catalog,
+                                enumerate_trees, read_catalog, write_catalog)
 from esrlab.simplify import canonicalize
 
 from conftest import slow
@@ -160,6 +160,28 @@ def test_malformed_catalog_line_names_its_line(tmp_path, catalog4):
     lines[5] = "12\tx\n"
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=r"catalog\.tsv:6: malformed"):
+        read_catalog(str(path))
+
+
+def _entry(text, n_nodes=3, n_params=1, hashed=None):
+    return CatalogEntry(ex.text_hash(hashed or text), n_nodes, n_params, text)
+
+
+@pytest.mark.parametrize("entry, reason", [
+    (_entry("x + ", 2, 0), "end of input"),
+    (_entry("x+p1"), "renders as 'x \\+ p1'"),
+    (_entry("x + p1", hashed="x - p1"), "hash is not"),
+    (_entry("x + p1", n_nodes=4), "length 3 and 1 parameters"),
+    (_entry("x + p1", n_params=2), "length 3 and 1 parameters"),
+], ids=["unparsable", "unrendered", "hash", "length", "params"])
+def test_catalog_entry_text_is_checked(tmp_path, catalog4, entry, reason):
+    """An entry whose text, hash, length or parameter count disagree is
+    rejected by name, though the footer matches the lines."""
+    path = tmp_path / "catalog.tsv"
+    write_catalog(Catalog(4, [entry] + catalog4.entries[1:], catalog4.meta),
+                  str(path))
+    with pytest.raises(ValueError,
+                       match=rf"catalog\.tsv:5: malformed .*: .*{reason}"):
         read_catalog(str(path))
 
 
