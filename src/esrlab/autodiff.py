@@ -40,7 +40,7 @@ from .expr import (
 __all__ = ["eval_expr", "eval_with_grad"]
 
 
-def eval_expr(e: Expr, theta, x) -> np.ndarray | float:
+def eval_expr(e: Expr, theta, x) -> np.ndarray:
     """Evaluate ``e`` at parameter vector ``theta`` over the 1-d points
     ``x``: the value ``eval_with_grad`` returns, from the same kernel."""
     return eval_with_grad(e, theta, x)[0]
@@ -101,9 +101,10 @@ def _literal(bits: str, n: int) -> np.ndarray:
 def _kernel(key: _Key, n_theta: int, wrt_x: bool, n: int, batched: bool):
     """Compile ``key.e`` into ``kernel(theta, pts) -> (value, lanes)``.
 
-    The lanes are d/dp1..d/dpk, or d/dx alone when ``wrt_x``.  Each node becomes the numpy operations of the forward-mode chain rule
-    on full value and derivative arrays: ``(n,)`` and ``(lanes, n)`` for one
-    theta, ``(B, n)`` and ``(lanes, B, n)`` for a ``(B, k)`` batch of them.
+    The lanes are d/dp1..d/dpk, or d/dx alone when ``wrt_x``.  Each node
+    becomes the numpy operations of the forward-mode chain rule on full
+    value and derivative arrays: ``(n,)`` and ``(lanes, n)`` for one theta,
+    ``(B, n)`` and ``(lanes, B, n)`` for a ``(B, k)`` batch of them.
     Parameter leaves are built once per call, and so are a batch's other
     leaves.  Out-of-range leaves raise here, and since the cache keeps no
     exceptions, they raise on every call.
