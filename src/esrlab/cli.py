@@ -189,7 +189,6 @@ def _cmd_gp(args) -> int:
     cfg = parse_gp_config(args.config)
     _check_objective(cfg.objective, data)
     os.makedirs(args.log_dir, exist_ok=True)
-    write_gp_config(cfg, os.path.join(args.log_dir, "config_echo.txt"))
     workers = _workers(args)
     seeds = [[args.seed, r] for r in range(args.runs)]
     try:
@@ -201,6 +200,8 @@ def _cmd_gp(args) -> int:
             logs = [_gp_one((cfg, data, s)) for s in seeds]
     except GpInitError as err:
         raise DataError(f"config {args.config}: {err}")
+    # the echo goes in with the logs, so a failed run leaves none behind
+    write_gp_config(cfg, os.path.join(args.log_dir, "config_echo.txt"))
     for r, log in enumerate(logs):
         write_runlog(log, os.path.join(args.log_dir, f"run_{r:03d}.log"))
     best = min(log.best_fitness() for log in logs)

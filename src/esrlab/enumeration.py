@@ -21,7 +21,6 @@ The catalog file format is line-oriented UTF-8 text:
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import zlib
 from collections import deque
@@ -29,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from . import expr as ex
+from ._atomic import atomic_write
 from .expr import ARITY, Expr, GRAMMAR_ID, PRODUCTIONS
 from .egraph import EqSatConfig
 from .simplify import Canonicalizer
@@ -181,22 +181,15 @@ def build_catalog(max_len: int,
 
 def write_catalog(catalog: Catalog, path: str) -> None:
     """Write atomically; cleans up the partial file on failure."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            for k in ("grammar", "rules", "eqsat", "max_len"):
-                f.write(f"#{k}={catalog.meta.get(k, '')}\n")
-            crc = 0
-            for e in catalog.entries:
-                line = f"{e.semantic_hash}\t{e.n_nodes}\t{e.n_params}\t{e.text}\n"
-                crc = zlib.crc32(line.encode("utf-8"), crc)
-                f.write(line)
-            f.write(f"#count={len(catalog.entries)},#crc={crc:08x}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path) as f:
+        for k in ("grammar", "rules", "eqsat", "max_len"):
+            f.write(f"#{k}={catalog.meta.get(k, '')}\n")
+        crc = 0
+        for e in catalog.entries:
+            line = f"{e.semantic_hash}\t{e.n_nodes}\t{e.n_params}\t{e.text}\n"
+            crc = zlib.crc32(line.encode("utf-8"), crc)
+            f.write(line)
+        f.write(f"#count={len(catalog.entries)},#crc={crc:08x}\n")
 
 
 def _check_entry(entry: CatalogEntry) -> None:

@@ -29,7 +29,7 @@ __all__ = [
     "NEG", "ABS", "HOLE",
     "var", "param", "const", "add", "sub", "mul", "div", "inv", "powabs",
     "neg", "abs_", "hole",
-    "length", "render", "parse", "structural_hash",
+    "length", "render", "parse", "structural_hash", "structural_key",
     "param_count", "renumber_params", "renumber_leaves", "subtrees",
     "PRODUCTIONS", "GRAMMAR_ID",
 ]
@@ -226,22 +226,43 @@ def _renumber(e: Expr, kinds: tuple) -> Expr:
 
 # -- hashing ---------------------------------------------------------------
 
-def _serialize(e: Expr, out: list) -> None:
-    k = e.kind
-    out.append(bytes((k,)))
-    if k == CONST:
-        out.append(struct.pack("<d", e.value))
-    elif k in (VAR, PARAM, HOLE):
-        out.append(struct.pack("<I", e.value))
-    for c in e.children:
-        _serialize(c, out)
+_KIND_BYTE = tuple(bytes((k,)) for k in range(len(ARITY)))
+_pack_d = struct.Struct("<d").pack
+_pack_I = struct.Struct("<I").pack
+
+
+def structural_key(e: Expr) -> bytes:
+    """Exact byte serialization of the tree: one kind byte per node in
+    pre-order, then a payload fixed by the kind (``<d`` for CONST, ``<I``
+    for VAR/PARAM/HOLE, none for operators).
+
+    The kind fixes both the arity and the payload width, so the bytes decode
+    one way only: two trees with finite literals share a key exactly when
+    they are equal as ``Expr`` values.  ``-0.0`` is written as ``0.0``, as
+    ``Expr.__eq__`` treats them.
+    """
+    out = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        c = node.children
+        if c:
+            out.append(_KIND_BYTE[node.kind])
+            if len(c) == 2:
+                stack.append(c[1])
+            stack.append(c[0])
+        elif node.kind == CONST:
+            # adding 0.0 turns -0.0 into 0.0 and leaves every other value
+            out.append(_KIND_BYTE[CONST] + _pack_d(node.value + 0.0))
+        else:
+            out.append(_KIND_BYTE[node.kind] + _pack_I(node.value))
+    return b"".join(out)
 
 
 def structural_hash(e: Expr) -> int:
-    """Deterministic 64-bit hash of the tree shape and leaf labels."""
-    parts: list = []
-    _serialize(e, parts)
-    digest = hashlib.blake2b(b"".join(parts), digest_size=8).digest()
+    """Deterministic 64-bit hash of the tree shape and leaf labels: blake2b
+    over ``structural_key``, so ``0.0`` and ``-0.0`` give equal digests."""
+    digest = hashlib.blake2b(structural_key(e), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

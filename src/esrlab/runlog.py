@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._atomic import atomic_write
+
 __all__ = ["LogRecord", "RunLog", "write_runlog", "read_runlog"]
 
 
@@ -51,7 +53,8 @@ def _fmt_fitness(v: float) -> str:
 
 
 def write_runlog(log: RunLog, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    """Write atomically; cleans up the partial file on failure."""
+    with atomic_write(path) as f:
         f.write(f"#seed={log.seed}\n")
         for k in sorted(log.config):
             f.write(f"#{k}={log.config[k]}\n")

@@ -64,26 +64,34 @@ def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig(),
 
 
 class Canonicalizer:
-    """Caching front-end for canonicalize; safe because Expr is immutable.
+    """Caching front-end for canonicalize.
 
     Lookups happen twice: on the raw tree and on its normal form, so every
     tree in one commutative/sign orbit shares a single e-graph run.  GP runs
     revisit structures heavily and enumeration pours whole orbits through
     the same entries, so both workloads hit the cache hard.
+
+    Both lookups key on ``expr.structural_key``, not on the ``Expr``: the
+    cache then holds a few bytes per tree seen instead of the tree, and the
+    trees are freed once canonicalized.  The key is an exact serialization
+    (it decodes one way only), so two trees share an entry exactly when
+    they are equal as ``Expr`` values; unlike a digest, it cannot collide.
     """
 
     def __init__(self, config: EqSatConfig = EqSatConfig()):
         self.config = config
-        self._cache: dict[Expr, CanonicalForm] = {}
+        self._cache: dict[bytes, CanonicalForm] = {}
 
     def __call__(self, e: Expr) -> CanonicalForm:
-        got = self._cache.get(e)
+        key = ex.structural_key(e)
+        got = self._cache.get(key)
         if got is not None:
             return got
         n = normalize(e)
-        cf = self._cache.get(n)
+        normal_key = ex.structural_key(n)
+        cf = self._cache.get(normal_key)
         if cf is None:
             cf = canonicalize(e, self.config, n)
-            self._cache[n] = cf
-        self._cache[e] = cf
+            self._cache[normal_key] = cf
+        self._cache[key] = cf
         return cf

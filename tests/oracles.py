@@ -189,3 +189,33 @@ def _refresh_analyses(self) -> None:
             self._fold(c)
             if self.analysis[self.find(c)][3] != before:
                 changed = True
+
+
+# -- Expr-keyed canonicalizer cache ----------------------------------------------
+#
+# simplify.Canonicalizer as it was when its cache kept the trees themselves as
+# keys: the same two lookups, on the raw tree and then on its normal form, with
+# Expr equality deciding a hit.  Fed the same trees in the same order, the
+# real cache must give every tree the same canonical form.
+
+class ExprKeyedCanonicalizer:
+    def __init__(self, config):
+        self.config = config
+        self._cache = {}
+        self.calls = self.raw_hits = 0
+
+    def __call__(self, e):
+        from esrlab.normalize import normalize
+        from esrlab.simplify import canonicalize
+        self.calls += 1
+        got = self._cache.get(e)
+        if got is not None:
+            self.raw_hits += 1
+            return got
+        n = normalize(e)
+        cf = self._cache.get(n)
+        if cf is None:
+            cf = canonicalize(e, self.config, n)
+            self._cache[n] = cf
+        self._cache[e] = cf
+        return cf

@@ -131,6 +131,16 @@ def test_gp_rs_and_analyze_roundtrip(tmp_path, data_csv, catalog3_file):
     assert dups_out.read_text().startswith("gen")
 
 
+def test_failed_gp_run_leaves_no_config_echo(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "gp.toml"
+    cfg.write_text("max_length = 2\n")
+    log_dir = tmp_path / "gp_logs"
+    assert main(["gp", "--data", data_csv, "--config", str(cfg),
+                 "--log-dir", str(log_dir), "--workers", "1"]) == 2
+    assert "no finite-fitness individual" in capsys.readouterr().err
+    assert not (log_dir / "config_echo.txt").exists()
+
+
 def test_gp_determinism_across_invocations(tmp_path, data_csv):
     cfg = tmp_path / "gp.toml"
     cfg.write_text("max_length = 6\npop_size = 8\ngenerations = 2\n"

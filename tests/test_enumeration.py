@@ -196,7 +196,8 @@ def test_entry_texts_parse_back(catalog6):
 # de-duplication semantics, so a change to enumeration, normalization or
 # saturation that moves a catalog by one entry fails here.
 GOLDEN = {4: (27, "b2e9792d"), 5: (129, "5d42a7e2"), 6: (334, "5ff16590"),
-          7: (1713, "5a9e2dcc"), 8: (5275, "3991ba8c")}
+          7: (1713, "5a9e2dcc"), 8: (5275, "3991ba8c"),
+          9: (26650, "bddd5256")}
 
 
 def _digest(catalog):
@@ -214,6 +215,6 @@ def test_golden_catalogs(catalog4, catalog6):
 
 
 @slow
-@pytest.mark.parametrize("max_len", [7, 8])
+@pytest.mark.parametrize("max_len", [7, 8, 9])
 def test_golden_catalogs_slow(max_len):
     assert _digest(build_catalog(max_len)) == GOLDEN[max_len]

@@ -77,6 +77,35 @@ def test_structural_hash_distinct_across_small_trees():
     assert len(hashes) == len(set(hashes))
 
 
+def test_structural_key_injective_over_derivations():
+    partials = []
+
+    def keep(t, key):
+        partials.append(t)
+        return True
+
+    trees = partials + list(enumerate_trees(6, keep))
+    assert any(ex.length(t) == 6 for t in trees)
+    assert len(set(trees)) == len(trees)
+    assert len({ex.structural_key(t) for t in trees}) == len(trees)
+
+
+def test_structural_key_literals():
+    key, digest = ex.structural_key, ex.structural_hash
+    zero = ex.add(ex.var(1), ex.const(0.0))
+    minus_zero = ex.add(ex.var(1), ex.const(-0.0))
+    assert zero == minus_zero
+    assert key(zero) == key(minus_zero)
+    assert digest(zero) == digest(minus_zero)
+    for a, b in [(ex.const(1.0), ex.const(2.0)),
+                 (ex.param(1), ex.param(2)),
+                 (ex.var(1), ex.param(1)),
+                 (ex.mul(ex.var(1), ex.const(1.0)),
+                  ex.mul(ex.var(1), ex.const(2.0)))]:
+        assert a != b
+        assert key(a) != key(b)
+
+
 def test_roundtrip_exhaustive_small():
     for t in enumerate_trees(6):
         assert ex.parse(ex.render(t)) == t

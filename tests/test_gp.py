@@ -3,11 +3,12 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from esrlab import expr as ex
 from esrlab.gp import (GpConfig, Individual, _Run, crossover, gp_preset, grow,
                        init_population, mutate, run_gp, tournament_select)
-from esrlab.runlog import read_runlog, write_runlog
+from esrlab.runlog import LogRecord, RunLog, read_runlog, write_runlog
 
 SMALL = GpConfig(pop_size=20, generations=4, max_len=10, optim_iterations=5)
 
@@ -211,6 +212,25 @@ def test_run_gp_reproducible(synth, tmp_path):
                               y.text, y.fevals)
         assert x.fitness == y.fitness or (
             math.isinf(x.fitness) and math.isinf(y.fitness))
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_runlog_write_leaves_no_partial_file(tmp_path, existing):
+    """A write that raises part-way leaves no ``.tmp`` file, and the log
+    path as it was: absent, or holding the previous log."""
+    path = tmp_path / "run.log"
+    good = LogRecord(0, 1, 11, 22, 0.5, "x", 3, (1.0,))
+    if existing:
+        write_runlog(RunLog([good]), str(path))
+    before = path.read_bytes() if existing else None
+    bad = LogRecord(0, 2, 11, 22, 0.5, "x", 3, ("not a number",))
+    with pytest.raises(ValueError):
+        write_runlog(RunLog([good, good, bad]), str(path))
+    assert not (tmp_path / "run.log.tmp").exists()
+    if existing:
+        assert path.read_bytes() == before
+    else:
+        assert not path.exists()
 
 
 def test_population_size_constant(synth):
