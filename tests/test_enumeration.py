@@ -91,6 +91,27 @@ def test_partial_pruning_is_sound(max_len):
         {e.semantic_hash for e in full.entries}
 
 
+@pytest.mark.parametrize("max_len, offered, kept", [
+    (5, 412, 365), (6, 1630, 1344),
+    pytest.param(7, 10099, 7994, marks=slow)])
+def test_partial_pruning_counts(monkeypatch, max_len, offered, kept):
+    # how many partials build_catalog is offered and keeps, pinned so that a
+    # change to the pruning key shows up even where the catalog does not
+    counts = [0, 0]
+
+    def counting(n, keep):
+        def wrapped(tree, key):
+            counts[0] += 1
+            ok = keep(tree, key)
+            counts[1] += ok
+            return ok
+        return enumerate_trees(n, wrapped)
+
+    monkeypatch.setattr("esrlab.enumeration.enumerate_trees", counting)
+    build_catalog(max_len)
+    assert counts == [offered, kept]
+
+
 def test_rebuild_bit_identical(tmp_path, catalog4):
     again = build_catalog(4)
     assert again.entries == catalog4.entries
