@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from .egraph import EqSatConfig
 from .enumeration import Catalog
 from .runlog import RunLog
 from .simplify import Canonicalizer
@@ -130,19 +129,12 @@ _SERIES = {
 }
 
 
-def duplicate_stats(log: RunLog, catalog: Optional[Catalog] = None,
-                    eqsat: Optional[EqSatConfig] = None) -> DupStats:
+def duplicate_stats(log: RunLog,
+                    catalog: Optional[Catalog] = None) -> DupStats:
     """Distinct-candidate fractions in the style of per-generation and
-    whole-run views; needs the log's eq-sat config to classify constants
-    (falls back to the config echo, then to defaults)."""
-    if eqsat is None:
-        key = log.config.get("eqsat", "")
-        if key.startswith("iters="):
-            parts = dict(p.split("=") for p in key.split(","))
-            eqsat = EqSatConfig(int(parts["iters"]), int(parts["budget"]))
-        else:
-            eqsat = EqSatConfig()
-    canon = Canonicalizer(eqsat)
+    whole-run views.  Constants are classified by canonicalizing under the
+    ``EqSatConfig`` defaults, as GP and the catalog hash."""
+    canon = Canonicalizer()
     const_cache: dict[int, bool] = {}
 
     def is_const(rec) -> bool:

@@ -21,7 +21,7 @@ from .analysis import (duplicate_stats, ecdf, fitness_distribution,
                        write_distribution_tsv, write_dupstats_tsv,
                        write_ecdf_tsv)
 from .dataset import Dataset, load_csv
-from .egraph import EGraphCapacityError, EqSatConfig, dump_rules
+from .egraph import EGraphCapacityError, dump_rules
 from .enumeration import build_catalog, read_catalog, write_catalog
 from .fitting import (ESR_FIT, GP_FIT, FitConfig, ResultsFileError,
                       fit_catalog, read_results)
@@ -90,14 +90,6 @@ def _check_run_args(args) -> None:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
 
 
-def _eqsat(args) -> EqSatConfig:
-    try:
-        return EqSatConfig(max_iters=args.eqsat_iters,
-                           node_budget=args.node_budget)
-    except ValueError as err:
-        raise DataError(f"--eqsat-iters/--node-budget: {err}")
-
-
 # -- gp config files ------------------------------------------------------------
 
 def parse_gp_config(path: str) -> GpConfig:
@@ -145,8 +137,7 @@ def write_gp_config(cfg: GpConfig, path: str) -> None:
 def _cmd_enumerate(args) -> int:
     _check_out_dir(args.out)
     try:
-        cat = build_catalog(args.max_length, _eqsat(args),
-                            prune_partials=not args.no_prune,
+        cat = build_catalog(args.max_length,
                             progress=_progress("enumerate") if args.verbose
                             else None)
     except ValueError as err:
@@ -237,7 +228,7 @@ def _cmd_simplify(args) -> int:
         e = ex.parse(args.expr)
     except ex.ParseError as err:
         raise DataError(str(err))
-    cf = canonicalize(e, _eqsat(args))
+    cf = canonicalize(e)
     print(f"canonical: {cf.text}")
     print(f"hash: {cf.semantic_hash}")
     print(f"params: {cf.n_params}")
@@ -343,12 +334,6 @@ def _progress(tag):
     return report
 
 
-def _add_eqsat_flags(p):
-    p.add_argument("--eqsat-iters", type=int, default=EqSatConfig().max_iters)
-    p.add_argument("--node-budget", type=int,
-                   default=EqSatConfig().node_budget)
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="esrlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -356,9 +341,7 @@ def build_parser() -> _Parser:
     q = sub.add_parser("enumerate", help="build a unique-expression catalog")
     q.add_argument("--max-length", type=int, required=True)
     q.add_argument("--out", required=True)
-    q.add_argument("--no-prune", action="store_true")
     q.add_argument("--verbose", action="store_true")
-    _add_eqsat_flags(q)
     q.set_defaults(func=_cmd_enumerate)
 
     q = sub.add_parser("fit", help="fit every catalog entry to a dataset")
@@ -396,7 +379,6 @@ def build_parser() -> _Parser:
 
     q = sub.add_parser("simplify", help="canonicalize one expression")
     q.add_argument("--expr", required=True)
-    _add_eqsat_flags(q)
     q.set_defaults(func=_cmd_simplify)
 
     q = sub.add_parser("rules", help="dump the rewrite rule set")
@@ -443,8 +425,9 @@ def main(argv=None) -> int:
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except EGraphCapacityError as err:  # only --node-budget sets a budget
-        print(f"error: {err}; raise --node-budget", file=sys.stderr)
+    except EGraphCapacityError as err:
+        print(f"error: expression too large to canonicalize: {err}",
+              file=sys.stderr)
         return 2
     except OSError as err:  # an output file that cannot be written
         print(f"error: {err}", file=sys.stderr)

@@ -20,8 +20,6 @@ The catalog file format is line-oriented UTF-8 text:
 
 from __future__ import annotations
 
-import hashlib
-import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -127,33 +125,22 @@ def enumerate_trees(max_len: int, keep=None) -> Iterator[Expr]:
                 queue.append((new, n_term + 1, n_open, new_counts))
 
 
-def _partial_key(canon_hash: int, token_counts: tuple) -> int:
-    payload = struct.pack("<Q", canon_hash) + bytes(token_counts)
-    return int.from_bytes(
-        hashlib.blake2b(payload, digest_size=8).digest(), "little")
+def build_catalog(max_len: int, progress=None) -> Catalog:
+    """Enumerate and de-duplicate all expressions up to ``max_len`` under
+    the ``EqSatConfig`` defaults, which the catalog header records.
 
-
-def build_catalog(max_len: int,
-                  eqsat: EqSatConfig = EqSatConfig(),
-                  prune_partials: bool = True,
-                  progress=None) -> Catalog:
-    """Enumerate and de-duplicate all expressions up to ``max_len``.
-
-    Deterministic for a given configuration: the same call rebuilds a
-    bit-identical catalog.
+    A partial derivation is pruned when an earlier one has the same semantic
+    hash and production counts, compared as exact bytes, so no collision can
+    drop a partial.  The same call rebuilds a bit-identical catalog.
     """
+    eqsat = EqSatConfig()
     canon = Canonicalizer(eqsat)
     seen_exprs: set[int] = set()
-    seen_partials: set[int] = set()
+    seen_partials: set[bytes] = set()
     entries: list[CatalogEntry] = []
 
-    # partials are canonicalized even without pruning: the cache's answers
-    # depend on its history, so skipping them would change the catalog
     def keep(tree: Expr, key: tuple) -> bool:
-        h = canon(tree).semantic_hash
-        if not prune_partials:
-            return True
-        pk = _partial_key(h, key)
+        pk = canon(tree).semantic_hash.to_bytes(8, "little") + bytes(key)
         if pk in seen_partials:
             return False
         seen_partials.add(pk)

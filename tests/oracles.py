@@ -219,3 +219,22 @@ class ExprKeyedCanonicalizer:
             self._cache[n] = cf
         self._cache[e] = cf
         return cf
+
+
+# -- the catalog without partial pruning ------------------------------------------
+#
+# What build_catalog's pruning may not change: the semantic hashes of every
+# complete derivation.  Each partial is still canonicalized, in derivation
+# order, because a Canonicalizer's answers depend on what it saw before.
+
+def unpruned_catalog_hashes(max_len: int) -> set:
+    from esrlab.enumeration import enumerate_trees
+    from esrlab.simplify import Canonicalizer
+    canon = Canonicalizer()
+
+    def keep(tree, key) -> bool:
+        canon(tree)
+        return True
+
+    return {canon(tree).semantic_hash
+            for tree in enumerate_trees(max_len, keep)}

@@ -75,6 +75,34 @@ def test_simplify_overflowing_literals(capsys):
     assert "canonical: 1e+300 * (x * 1e+300)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--max-length", "3", "--no-prune"],
+    ["enumerate", "--max-length", "3", "--eqsat-iters", "5"],
+    ["simplify", "--expr", "x", "--node-budget", "2000"],
+], ids=["no_prune", "eqsat_iters", "node_budget"])
+def test_eqsat_limits_are_not_flags(tmp_path, capsys, argv):
+    """The e-graph limits are the EqSatConfig defaults, so that every
+    catalog and run log hashes under one definition of unique."""
+    out = tmp_path / "c.tsv"
+    if argv[0] == "enumerate":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simplify_over_node_budget_exits_2(capsys):
+    # 250 terms |x| ^ c with distinct literals, summed as a balanced tree
+    terms = [f"|x| ^ {c}.5" for c in range(250)]
+    while len(terms) > 1:
+        terms = [f"({a} + {b})" for a, b in zip(terms[::2], terms[1::2])] \
+            + terms[len(terms) // 2 * 2:]
+    assert main(["simplify", "--expr", terms[0]]) == 2
+    # names no flag: the budget is a constant
+    assert capsys.readouterr().err == "error: expression too large to " \
+        "canonicalize: node budget 600 exceeded\n"
+
+
 def test_rules_dump(capsys):
     assert main(["rules"]) == 0
     out = capsys.readouterr().out
@@ -435,10 +463,6 @@ def test_unwritable_ecdf_output_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, setting, names", [
     (["fit", "--restarts", "0"], None, "--restarts"),
-    (["simplify", "--expr", "x", "--eqsat-iters", "0"], None,
-     "--eqsat-iters"),
-    (["simplify", "--expr", "x*x*x*x", "--node-budget", "2"], None,
-     "--node-budget"),
     (["enumerate", "--max-length", "20"], None, "--max-length"),
     (["gp"], "max_length = 8\npop_size = abc\n", "gp.toml:2"),
     (["gp"], "pop_size = 0\n", "gp.toml:1"),
@@ -456,7 +480,7 @@ def test_unwritable_ecdf_output_exits_2(tmp_path, capsys):
     (["rs", "--seed", "-1"], None, "--seed"),
     (["gp"], "max_length = 2\n", "gp.toml: no finite-fitness individual"),
     (["analyze", "dist", "--top", "-1"], None, "--top"),
-], ids=["fit_restarts", "eqsat_iters", "node_budget", "max_length",
+], ids=["fit_restarts", "max_length",
         "gp_not_a_number", "gp_out_of_range", "gp_optim_iterations_0",
         "gp_optim_iterations_negative", "gp_generations", "gp_min_depth",
         "gp_depth_pair", "workers_env", "thresholds", "gp_runs", "rs_runs",
