@@ -511,13 +511,6 @@ class EGraph:
         got = self.hashcons.get(node)
         return None if got is None else self.find(got)
 
-    def add(self, op: int, *children: int) -> int:
-        node = (op,) + tuple(self.find(c) for c in children)
-        return self._add_node(node)
-
-    def add_leaf(self, op: int, payload) -> int:
-        return self._add_node((op, payload))
-
     def add_expr(self, e: Expr) -> int:
         """Insert an expression (desugaring inv and powabs); returns its class."""
         if len(self.hashcons) > self.config.node_budget:
@@ -525,18 +518,23 @@ class EGraph:
                 f"node budget {self.config.node_budget} exceeded")
         k = e.kind
         if k in (VAR, PARAM, HOLE):
-            return self.add_leaf(k, e.value)
+            return self._add_node((k, e.value))
         if k == CONST:
-            return self.add_leaf(CONST, float(e.value))
+            return self._add_node((CONST, float(e.value)))
+        # a child's class is found again after every insertion below it,
+        # since an insertion can fold and union classes
+        find = self.find
         if k == INV:
             a = self.add_expr(e.children[0])
-            return self.add(POW, a, self.add_leaf(CONST, -1.0))
+            minus_one = self._add_node((CONST, -1.0))
+            return self._add_node((POW, find(a), find(minus_one)))
         if k == POWABS:
             a = self.add_expr(e.children[0])
             b = self.add_expr(e.children[1])
-            return self.add(POW, self.add(ABS, a), b)
+            base = self._add_node((ABS, find(a)))
+            return self._add_node((POW, find(base), find(b)))
         kids = [self.add_expr(c) for c in e.children]
-        return self.add(k, *kids)
+        return self._add_node((k, *map(find, kids)))
 
     @property
     def n_nodes(self) -> int:

@@ -193,8 +193,7 @@ def test_saturation_report_reasons():
 
 def test_extraction_error_on_cycle_only_class():
     g = EGraph(CFG)
-    x = g.add_expr(ex.var())
-    c = g.add(ex.ADD, x, x)
+    c = g.add_expr(ex.add(ex.var(), ex.var()))
     # orphan the class: make it reference only itself
     g.classes[c] = [(ex.ADD, c, c)]
     with pytest.raises(ExtractionError):
