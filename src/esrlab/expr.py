@@ -29,8 +29,8 @@ __all__ = [
     "NEG", "ABS", "HOLE",
     "var", "param", "const", "add", "sub", "mul", "div", "inv", "powabs",
     "neg", "abs_", "hole",
-    "length", "render", "parse", "structural_hash", "structural_key",
-    "param_count", "renumber_params", "renumber_leaves", "subtrees",
+    "length", "render", "parse", "MAX_DEPTH", "structural_hash",
+    "structural_key", "param_count", "renumber_params", "renumber_leaves", "subtrees",
     "PRODUCTIONS", "GRAMMAR_ID",
 ]
 
@@ -368,13 +368,35 @@ class ParseError(ValueError):
         self.position = position
 
 
+# The deepest tree that ``parse`` accepts, far above the 16 nodes of a
+# catalog entry and the few more of GP's over-length candidates.  The syntax
+# may nest twice as deep (an operand inside a prefix operator, inside
+# parentheses), since ``render`` nests each level of a tree at most twice.
+# The parser and the recursive passes downstream (rendering,
+# canonicalization, fitting) take at most four frames per level, so at
+# these bounds they stay well inside Python's default recursion limit.
+MAX_DEPTH = 64
+_MAX_NESTING = 2 * MAX_DEPTH
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.nesting = 0
+        self.depth: dict = {}   # interior node -> its depth; leaves are 1
 
     def error(self, msg: str):
         raise ParseError(msg, self.pos + 1)
+
+    def node(self, make, *kids) -> Expr:
+        """``make(*kids)``, refused if it is deeper than MAX_DEPTH."""
+        depth = 1 + max(self.depth.get(k, 1) for k in kids)
+        if depth > MAX_DEPTH:
+            self.error(f"expression deeper than {MAX_DEPTH} levels")
+        e = make(*kids)
+        self.depth[e] = depth
+        return e
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -439,8 +461,8 @@ class _Parser:
             if self.peek() == "^":
                 self.eat("^")
                 exp = self.parse_unary()
-                return powabs(e, exp)
-            return abs_(e)
+                return self.node(powabs, e, exp)
+            return self.node(abs_, e)
         if ch == "-":
             self.eat("-")
             operand = self.parse_unary()
@@ -451,7 +473,7 @@ class _Parser:
             if v == 1.0 and self.peek() == "/":
                 self.eat("/")
                 rhs = self.parse_unary()
-                return self.maybe_pow(inv(rhs))
+                return self.maybe_pow(self.node(inv, rhs))
             return self.maybe_pow(const(v))
         if ch.isalpha():
             name = self.parse_name()
@@ -462,9 +484,10 @@ class _Parser:
                     self.eat(",")
                     b = self.parse_sum()
                     self.eat(")")
-                    return self.maybe_pow(powabs(a, b))
+                    return self.maybe_pow(self.node(powabs, a, b))
                 self.eat(")")
-                return self.maybe_pow(inv(a) if name == "inv" else abs_(a))
+                return self.maybe_pow(
+                    self.node(inv if name == "inv" else abs_, a))
             if name == "x":
                 return self.maybe_pow(var(1))
             if name.startswith("x") and name[1:].isdigit():
@@ -480,23 +503,30 @@ class _Parser:
         if operand.kind == CONST and operand.value == 1.0 and self.peek() == "/":
             self.eat("/")
             rhs = self.parse_unary()
-            return neg(inv(rhs))
+            return self.node(neg, self.node(inv, rhs))
         if operand.kind == CONST:
             return const(-operand.value)
-        return neg(operand)
+        return self.node(neg, operand)
 
     def maybe_pow(self, base: Expr) -> Expr:
         if self.peek() == "^":
             self.eat("^")
             exp = self.parse_unary()
-            return powabs(base, exp)
+            return self.node(powabs, base, exp)
         return base
 
     def parse_unary(self) -> Expr:
+        # every recursion of the parser passes through here
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            self.error(f"expression nested deeper than {_MAX_NESTING} levels")
         if self.peek() == "-":
             self.eat("-")
-            return self.fold_neg(self.parse_unary())
-        return self.parse_atom()
+            e = self.fold_neg(self.parse_unary())
+        else:
+            e = self.parse_atom()
+        self.nesting -= 1
+        return e
 
     def parse_product(self) -> Expr:
         e = self.parse_unary()
@@ -504,10 +534,10 @@ class _Parser:
             ch = self.peek()
             if ch == "*":
                 self.eat("*")
-                e = mul(e, self.parse_unary())
+                e = self.node(mul, e, self.parse_unary())
             elif ch == "/":
                 self.eat("/")
-                e = div(e, self.parse_unary())
+                e = self.node(div, e, self.parse_unary())
             else:
                 return e
 
@@ -517,10 +547,10 @@ class _Parser:
             ch = self.peek()
             if ch == "+":
                 self.eat("+")
-                e = add(e, self.parse_product())
+                e = self.node(add, e, self.parse_product())
             elif ch == "-":
                 self.eat("-")
-                e = sub(e, self.parse_product())
+                e = self.node(sub, e, self.parse_product())
             else:
                 return e
 
@@ -533,5 +563,7 @@ class _Parser:
 
 
 def parse(s: str) -> Expr:
-    """Parse the text expression syntax; raises ParseError with a column."""
+    """Parse the text expression syntax; raises ParseError with a column,
+    also for a tree deeper than MAX_DEPTH or a syntax nested more than twice
+    as deep."""
     return _Parser(s).parse()

@@ -295,6 +295,42 @@ def test_analyze_dist_mnr_needs_uncertainty_columns(tmp_path, results3_file,
     assert "sigma_x" in err and "base.tsv" not in err
 
 
+@pytest.mark.parametrize("reader", ["simplify", "catalog", "baselines"])
+@pytest.mark.parametrize("factors", [ex.MAX_DEPTH, ex.MAX_DEPTH + 1],
+                         ids=["at_bound", "past_bound"])
+def test_deep_expression_text(tmp_path, data_csv, results3_file, capsys,
+                              reader, factors):
+    """A product one factor deeper than the parser's bound is a data error
+    naming where it is, never a RecursionError; at the bound it is read."""
+    text = " * ".join(["x"] * factors)
+    ok = factors == ex.MAX_DEPTH
+    if reader == "simplify":
+        assert main(["simplify", "--expr", text]) == (0 if ok else 2)
+        where = "error: "
+    elif reader == "catalog":
+        path = tmp_path / "deep.tsv"
+        entry = CatalogEntry(ex.text_hash(text), 2 * factors - 1, 0, text)
+        write_catalog(Catalog(3, [entry], {"max_len": "3"}), str(path))
+        if ok:
+            assert read_catalog(str(path)).entries == [entry]
+            return
+        with pytest.raises(ValueError, match=r"deep\.tsv:5: malformed .* "
+                           r"deeper than 64 levels \(column \d+\)"):
+            read_catalog(str(path))
+        return
+    else:
+        baselines = tmp_path / "base.tsv"
+        baselines.write_text(f"deep\t{text}\t\n")
+        assert main(["analyze", "dist", "--results", results3_file,
+                     "--baselines", str(baselines), "--data", data_csv,
+                     "--out", str(tmp_path / "dist.tsv")]) == (0 if ok else 2)
+        where = f"error: {baselines}:1: "
+    err = capsys.readouterr().err
+    assert ok == (err == "")
+    if not ok:
+        assert err.startswith(where) and "deeper than 64 levels" in err
+
+
 def test_fit_accepts_negative_seed(tmp_path, data_csv, catalog3_file):
     assert main(["fit", "--catalog", catalog3_file, "--data", data_csv,
                  "--restarts", "1", "--seed", "-1", "--out",

@@ -57,6 +57,49 @@ def test_parse_error_position():
         ex.parse("x + (x")
 
 
+def deep_text(shape: str, n: int) -> str:
+    """Text whose tree (``product``) or syntax (``parens``) is n levels
+    deep."""
+    if shape == "product":
+        return " * ".join(["x"] * n)
+    return "(" * (n - 1) + "x" + ")" * (n - 1)
+
+
+@pytest.mark.parametrize("shape, bound, message", [
+    ("product", 64, "expression deeper than 64 levels"),
+    ("parens", 128, "expression nested deeper than 128 levels")])
+def test_parse_bounds_depth_and_nesting(shape, bound, message):
+    assert ex.MAX_DEPTH == 64
+    ex.parse(deep_text(shape, bound))
+    text = deep_text(shape, bound + 1)
+    with pytest.raises(ex.ParseError, match=message) as err:
+        ex.parse(text)
+    # the operand that went one level too deep: the last factor, or the x
+    # inside the parentheses
+    assert err.value.position == \
+        {"product": len(text) + 1, "parens": text.index("x") + 1}[shape]
+
+
+@pytest.mark.parametrize("text", [
+    deep_text("product", 64),
+    "x * (" * 63 + "x" + ")" * 63,
+    "|" * 63 + "x" + "|" * 63,
+    "inv(" * 63 + "x" + ")" * 63,
+    "x ^ " * 63 + "x",
+    " - ".join(["p1 * x"] * 63),
+], ids=["left_product", "right_product", "abs", "inv", "pow", "params"])
+def test_deepest_trees_go_through_the_pipeline(text):
+    """A tree at the depth bound renders into text that parses back, and
+    nothing downstream of ``parse`` recurses too deep for it."""
+    from esrlab.dataset import synthetic_dataset
+    from esrlab.fitting import GP_FIT, fit
+    from esrlab.simplify import canonicalize
+    e = ex.parse(text)
+    assert ex.parse(ex.render(e)) == e
+    canonicalize(e)
+    fit(e, synthetic_dataset(32), "mse", GP_FIT)
+
+
 @pytest.mark.parametrize("text", ["1e400", "x * 1e400", "x + 1e999 - 1e999"])
 def test_non_finite_literal_rejected(text):
     with pytest.raises(ex.ParseError) as err:
