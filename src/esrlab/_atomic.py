@@ -1,4 +1,5 @@
-"""Atomic text-file writes shared by the catalog and run-log writers."""
+"""Atomic text-file writes shared by every writer of a whole file: catalogs,
+run logs, analysis tables and GP config echoes."""
 
 from __future__ import annotations
 

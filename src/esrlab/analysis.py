@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
+from ._atomic import atomic_write
 from .enumeration import Catalog
 from .runlog import RunLog
 from .simplify import Canonicalizer
@@ -85,7 +86,7 @@ def ecdf(logs: list, thresholds, axis: str = "visited") -> list:
 
 
 def write_ecdf_tsv(curves: list, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write("threshold\taxis\tx\tsuccess_probability\n")
         for c in curves:
             for x, y in zip(c.xs, c.ys):
@@ -178,7 +179,7 @@ def duplicate_stats(log: RunLog,
 
 
 def write_dupstats_tsv(stats: DupStats, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         cols = ["gen", "expr", "structures", "simplified", "constant",
                 "cum_expr", "cum_structures", "cum_simplified"]
         f.write("\t".join(cols) + "\n")
@@ -236,7 +237,7 @@ def fitness_distribution(results: dict, catalog: Optional[Catalog] = None,
 
 
 def write_distribution_tsv(dist: FitnessDistribution, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(f"#finite={dist.n_finite}\t#total={dist.n_total}\n")
         f.write("quantile\tobjective\n")
         for q, v in dist.quantiles.items():

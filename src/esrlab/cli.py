@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import expr as ex
+from ._atomic import atomic_write
 from .analysis import (duplicate_stats, ecdf, fitness_distribution,
                        write_distribution_tsv, write_dupstats_tsv,
                        write_ecdf_tsv)
@@ -127,7 +128,7 @@ def parse_gp_config(path: str) -> GpConfig:
 
 
 def write_gp_config(cfg: GpConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for key, value in cfg.as_dict().items():
             f.write(f"{key} = {value}\n")
 

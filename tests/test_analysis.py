@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from esrlab.analysis import (duplicate_stats, ecdf,
-                             fitness_distribution, write_distribution_tsv,
-                             write_dupstats_tsv, write_ecdf_tsv)
+from esrlab.analysis import (DupStats, Ecdf, FitnessDistribution,
+                             duplicate_stats, ecdf, fitness_distribution,
+                             write_distribution_tsv, write_dupstats_tsv,
+                             write_ecdf_tsv)
 from esrlab.fitting import FitResult
 from esrlab.runlog import LogRecord, RunLog
 from esrlab.simplify import canonicalize
@@ -198,3 +199,42 @@ def test_distribution_texts_from_catalog(catalog4, tmp_path):
     dist = fitness_distribution(results, catalog=catalog4, top_k=3)
     assert dist.top[0][0] == catalog4.entries[0].text
     write_distribution_tsv(dist, str(tmp_path / "d.tsv"))
+
+
+class _Boom:
+    """A table value that cannot be formatted: the write fails part-way."""
+
+    def __format__(self, spec):
+        raise RuntimeError("boom")
+
+    __repr__ = __str__ = lambda self: format(self)
+
+
+def _write_gp_config(path):
+    from types import SimpleNamespace
+    from esrlab.cli import write_gp_config
+    cfg = SimpleNamespace(as_dict=lambda: {"pop_size": 8, "objective": _Boom()})
+    write_gp_config(cfg, path)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_ecdf_tsv(
+        [Ecdf(0.1, "visited", (1, 2), (1, 2), (0.5, _Boom()))], path),
+    lambda path: write_dupstats_tsv(DupStats(
+        (0, 1), {k: [0.5, _Boom()] for k in
+                 ("expr", "structures", "simplified", "constant")},
+        {k: [0.5, 0.5] for k in ("expr", "structures", "simplified")}), path),
+    lambda path: write_distribution_tsv(FitnessDistribution(
+        {0.0: 1.0, 0.5: _Boom()}, (), (), 2, 2), path),
+    _write_gp_config,
+], ids=["ecdf", "dupstats", "distribution", "gp_config"])
+def test_failed_table_write_leaves_no_torn_file(tmp_path, write):
+    path = tmp_path / "out.tsv"
+    with pytest.raises(RuntimeError, match="boom"):
+        write(str(path))
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="boom"):
+        write(str(path))
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "old\n"
