@@ -22,8 +22,9 @@ from .analysis import (duplicate_stats, ecdf, fitness_distribution,
                        write_distribution_tsv, write_dupstats_tsv,
                        write_ecdf_tsv)
 from .dataset import Dataset, load_csv
-from .egraph import EGraphCapacityError, dump_rules
-from .enumeration import build_catalog, read_catalog, write_catalog
+from .egraph import EGraphCapacityError, EqSatConfig, dump_rules
+from .enumeration import (RULESET_ID, build_catalog, read_catalog,
+                          write_catalog)
 from .fitting import (ESR_FIT, GP_FIT, FitConfig, ResultsFileError,
                       fit_catalog, read_results)
 from .gp import CONFIG_KEYS, GpConfig, GpInitError, gp_preset, run_gp
@@ -263,7 +264,17 @@ def _cmd_analyze_ecdf(args) -> int:
 
 def _cmd_analyze_dups(args) -> int:
     log = _load("run log", args.log)
-    catalog = _load("catalog", args.catalog) if args.catalog else None
+    catalog = None
+    if args.catalog:
+        catalog = _load("catalog", args.catalog)
+        # run logs are hashed under this definition of unique
+        for key, want in (("grammar", ex.GRAMMAR_ID), ("rules", RULESET_ID),
+                          ("eqsat", EqSatConfig().key())):
+            got = catalog.meta.get(key)
+            if got != want:
+                raise DataError(f"catalog {args.catalog}: header "
+                                f"#{key}={got} differs from {want}, the "
+                                "definition run logs are hashed under")
     try:
         stats = duplicate_stats(log, catalog)
     except ValueError as err:   # a record whose expression does not parse

@@ -449,6 +449,32 @@ def test_analyze_malformed_runlog_exits_2(tmp_path, capsys, command, record):
     assert f"{log}:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [None, "#eqsat=iters=1,budget=600"])
+def test_analyze_dups_checks_catalog_definition(tmp_path, catalog3_file,
+                                                capsys, header):
+    """A catalog built under other e-graph limits (an older file) hashes
+    under another definition of unique than the run log: exit 2."""
+    lines = open(catalog3_file).read().splitlines(keepends=True)
+    if header is not None:
+        lines = [header + "\n" if l.startswith("#eqsat=") else l
+                 for l in lines]
+    catalog = tmp_path / "c3.tsv"
+    catalog.write_text("".join(lines))
+    log = tmp_path / "run_000.log"
+    log.write_text("#seed=1\n0\t1\t7\t8\t1.0\tx + p1\t3\t0.5\n")
+    out = tmp_path / "d.tsv"
+    code = main(["analyze", "dups", "--log", str(log), "--catalog",
+                 str(catalog), "--out", str(out)])
+    if header is None:
+        assert code == 0
+        return
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: catalog {catalog}: header #eqsat=iters=1,budget=600 "
+        "differs from iters=3,budget=600, the definition run logs are "
+        "hashed under\n")
+
+
 def test_analyze_dups_huge_parameter(tmp_path):
     log = tmp_path / "huge.log"
     log.write_text("#seed=1\n"
