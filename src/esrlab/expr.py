@@ -30,8 +30,8 @@ __all__ = [
     "var", "param", "const", "add", "sub", "mul", "div", "inv", "powabs",
     "neg", "abs_", "hole",
     "length", "render", "parse", "MAX_DEPTH", "structural_hash",
-    "structural_key", "param_count", "renumber_params", "renumber_leaves", "subtrees",
-    "PRODUCTIONS", "GRAMMAR_ID",
+    "structural_key", "param_count", "renumber_params", "renumber_leaves",
+    "subtrees", "PRODUCTIONS", "GRAMMAR_ID",
 ]
 
 # Node kinds.  The numeric order doubles as the fixed tie-break order used by

@@ -213,8 +213,8 @@ class _Boom:
 def _write_gp_config(path):
     from types import SimpleNamespace
     from esrlab.cli import write_gp_config
-    cfg = SimpleNamespace(as_dict=lambda: {"pop_size": 8, "objective": _Boom()})
-    write_gp_config(cfg, path)
+    write_gp_config(SimpleNamespace(
+        as_dict=lambda: {"pop_size": 8, "objective": _Boom()}), path)
 
 
 @pytest.mark.parametrize("write", [

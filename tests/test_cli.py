@@ -1,9 +1,11 @@
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
-from esrlab.cli import main, parse_gp_config, write_gp_config
+from esrlab.cli import build_parser, main, parse_gp_config, write_gp_config
 from esrlab.dataset import save_csv, synthetic_dataset
 from esrlab import expr as ex
 from esrlab.enumeration import (Catalog, CatalogEntry, read_catalog,
@@ -43,6 +45,28 @@ def test_usage_errors_exit_1(capsys):
     assert main(["bogus"]) == 1
     assert main(["enumerate"]) == 1
     assert main(["fit", "--catalog", "x"]) == 1
+
+
+def _readme_commands() -> list:
+    """The ``esrlab`` lines of README's "Command line" block, with ``\\``
+    continuations joined, optional groups' brackets dropped and one-letter
+    placeholders given a value."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [[re.sub(r"^[A-Z]$", "1", tok.strip("[]"))
+             for tok in shlex.split(line)[1:]]
+            for line in block.splitlines() if line.startswith("esrlab ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)   # a usage error raises
 
 
 def test_data_errors_exit_2(tmp_path, catalog3_file):
