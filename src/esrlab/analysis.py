@@ -133,8 +133,8 @@ _SERIES = {
 def duplicate_stats(log: RunLog,
                     catalog: Optional[Catalog] = None) -> DupStats:
     """Distinct-candidate fractions in the style of per-generation and
-    whole-run views.  Constants are classified by canonicalizing under the
-    ``EqSatConfig`` defaults, as GP and the catalog hash."""
+    whole-run views.  Constants are classified under the ``EqSatConfig``
+    defaults, the definition GP and the catalog hash under."""
     canon = Canonicalizer()
     const_cache: dict[int, bool] = {}
 

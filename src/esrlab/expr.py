@@ -384,18 +384,23 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.nesting = 0
-        self.depth: dict = {}   # interior node -> its depth; leaves are 1
+        # id of each interior node built -> its depth (a leaf's is 1); every
+        # such node stays in the tree until parse returns, so ids stay
+        # unique.  A tree has no more nodes than its text has characters, so
+        # a text no longer than MAX_DEPTH cannot be too deep and tracks none.
+        self.depth = {} if len(text) > MAX_DEPTH else None
 
     def error(self, msg: str):
         raise ParseError(msg, self.pos + 1)
 
     def node(self, make, *kids) -> Expr:
         """``make(*kids)``, refused if it is deeper than MAX_DEPTH."""
-        depth = 1 + max(self.depth.get(k, 1) for k in kids)
-        if depth > MAX_DEPTH:
-            self.error(f"expression deeper than {MAX_DEPTH} levels")
         e = make(*kids)
-        self.depth[e] = depth
+        if self.depth is not None:
+            depth = 1 + max(self.depth.get(id(k), 1) for k in kids)
+            if depth > MAX_DEPTH:
+                self.error(f"expression deeper than {MAX_DEPTH} levels")
+            self.depth[id(e)] = depth
         return e
 
     def skip_ws(self):

@@ -207,7 +207,8 @@ class _Boom:
     def __format__(self, spec):
         raise RuntimeError("boom")
 
-    __repr__ = __str__ = lambda self: format(self)
+    def __repr__(self):
+        raise RuntimeError("boom")
 
 
 def _write_gp_config(path):
