@@ -172,8 +172,8 @@ def duplicate_stats(log: RunLog,
 
     coverage = None
     if catalog is not None and len(catalog) > 0:
-        in_catalog = {h for h in seen["simplified"]
-                      if catalog.lookup(h) is not None}
+        in_catalog = seen["simplified"] & {e.semantic_hash
+                                           for e in catalog.entries}
         coverage = len(in_catalog) / len(catalog)
     return DupStats(gens, per_gen, cumulative, coverage)
 

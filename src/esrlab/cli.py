@@ -22,11 +22,9 @@ from .analysis import (duplicate_stats, ecdf, fitness_distribution,
                        write_distribution_tsv, write_dupstats_tsv,
                        write_ecdf_tsv)
 from .dataset import Dataset, load_csv
-from .egraph import EGraphCapacityError, EqSatConfig, dump_rules
-from .enumeration import (RULESET_ID, build_catalog, read_catalog,
-                          write_catalog)
-from .fitting import (ESR_FIT, GP_FIT, FitConfig, ResultsFileError,
-                      fit_catalog, read_results)
+from .egraph import EGraphCapacityError, dump_rules
+from .enumeration import build_catalog, read_catalog, write_catalog
+from .fitting import ESR_FIT, ResultsFileError, fit_catalog, read_results
 from .gp import CONFIG_KEYS, GpConfig, GpInitError, gp_preset, run_gp
 from .objectives import MnrParams, mnr_loglik, mse
 from .random_search import run_rs
@@ -154,11 +152,9 @@ def _cmd_fit(args) -> int:
     catalog = _load("catalog", args.catalog)
     data = _load("dataset", args.data)
     _check_objective(args.objective, data)
-    preset = ESR_FIT if args.preset == "esr" else GP_FIT
     try:
-        config = preset if args.restarts is None else \
-            FitConfig(restarts=args.restarts, max_iters=preset.max_iters,
-                      restart_patience=preset.restart_patience)
+        config = ESR_FIT if args.restarts is None else \
+            replace(ESR_FIT, restarts=args.restarts)
     except ValueError as err:
         raise DataError(f"--restarts {args.restarts}: {err}")
     try:
@@ -182,7 +178,7 @@ def _cmd_gp(args) -> int:
     cfg = parse_gp_config(args.config)
     _check_objective(cfg.objective, data)
     os.makedirs(args.log_dir, exist_ok=True)
-    workers = _workers(args)
+    workers = min(_workers(args), args.runs)
     seeds = [[args.seed, r] for r in range(args.runs)]
     try:
         if workers > 1:
@@ -264,17 +260,7 @@ def _cmd_analyze_ecdf(args) -> int:
 
 def _cmd_analyze_dups(args) -> int:
     log = _load("run log", args.log)
-    catalog = None
-    if args.catalog:
-        catalog = _load("catalog", args.catalog)
-        # run logs are hashed under this definition of unique
-        for key, want in (("grammar", ex.GRAMMAR_ID), ("rules", RULESET_ID),
-                          ("eqsat", EqSatConfig().key())):
-            got = catalog.meta.get(key)
-            if got != want:
-                raise DataError(f"catalog {args.catalog}: header "
-                                f"#{key}={got} differs from {want}, the "
-                                "definition run logs are hashed under")
+    catalog = _load("catalog", args.catalog) if args.catalog else None
     try:
         stats = duplicate_stats(log, catalog)
     except ValueError as err:   # a record whose expression does not parse
@@ -361,7 +347,6 @@ def build_parser() -> _Parser:
     q.add_argument("--data", required=True)
     q.add_argument("--objective", choices=("mse", "mnr"), default="mse")
     q.add_argument("--restarts", type=int, default=None)
-    q.add_argument("--preset", choices=("esr", "gp"), default="esr")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True)
     q.add_argument("--workers", type=int, default=None)

@@ -16,14 +16,17 @@ The catalog file format is line-oriented UTF-8 text:
     #max_len=<L>
     <hash>\t<len>\t<nparams>\t<expression>     (one line per entry)
     #count=<N>,#crc=<crc32 of entry lines>
+
+The first three headers name the definition of unique the entries are
+hashed under; ``read_catalog`` refuses a file without them or with another.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 from . import expr as ex
 from ._atomic import atomic_write
@@ -53,18 +56,16 @@ class CatalogEntry:
 class Catalog:
     max_len: int
     entries: list
-    meta: dict = field(default_factory=dict)
-    # lookup cache; not a field, so dataclasses.replace builds a fresh one
-    _index: Optional[dict] = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def lookup(self, semantic_hash: int) -> Optional[CatalogEntry]:
-        if self._index is None:
-            self._index = {e.semantic_hash: e for e in self.entries}
-        return self._index.get(semantic_hash)
+
+def _definition() -> dict:
+    """The definition headers every catalog carries: the grammar, the rule
+    set and the e-graph limits its entries are hashed under."""
+    return {"grammar": GRAMMAR_ID, "rules": RULESET_ID,
+            "eqsat": EqSatConfig().key()}
 
 
 def _build_tree(tokens) -> Expr:
@@ -133,8 +134,7 @@ def build_catalog(max_len: int, progress=None) -> Catalog:
     hash and production counts, compared as exact bytes, so no collision can
     drop a partial.  The same call rebuilds a bit-identical catalog.
     """
-    eqsat = EqSatConfig()
-    canon = Canonicalizer(eqsat)
+    canon = Canonicalizer(EqSatConfig())
     seen_exprs: set[int] = set()
     seen_partials: set[bytes] = set()
     entries: list[CatalogEntry] = []
@@ -154,14 +154,7 @@ def build_catalog(max_len: int, progress=None) -> Catalog:
                 cf.semantic_hash, cf.n_nodes, cf.n_params, cf.text))
         if progress is not None and n_visited % 10000 == 0:
             progress(n_visited, len(entries))
-
-    meta = {
-        "grammar": GRAMMAR_ID,
-        "rules": RULESET_ID,
-        "eqsat": eqsat.key(),
-        "max_len": str(max_len),
-    }
-    return Catalog(max_len, entries, meta)
+    return Catalog(max_len, entries)
 
 
 # -- catalog files -----------------------------------------------------------
@@ -169,8 +162,9 @@ def build_catalog(max_len: int, progress=None) -> Catalog:
 def write_catalog(catalog: Catalog, path: str) -> None:
     """Write atomically; cleans up the partial file on failure."""
     with atomic_write(path) as f:
-        for k in ("grammar", "rules", "eqsat", "max_len"):
-            f.write(f"#{k}={catalog.meta.get(k, '')}\n")
+        for k, v in _definition().items():
+            f.write(f"#{k}={v}\n")
+        f.write(f"#max_len={catalog.max_len}\n")
         crc = 0
         for e in catalog.entries:
             line = f"{e.semantic_hash}\t{e.n_nodes}\t{e.n_params}\t{e.text}\n"
@@ -198,8 +192,10 @@ def read_catalog(path: str) -> Catalog:
     ``#count/#crc`` footer (a truncated one), or whose entries do not match
     it, raises ValueError, as does a malformed entry line (naming
     ``path:line``): one whose expression does not parse, is not in rendered
-    form, or disagrees with the line's hash, length or parameter count."""
-    meta: dict = {}
+    form, or disagrees with the line's hash, length or parameter count.  So
+    does a file whose definition headers are missing or not this code's, or
+    whose ``#max_len`` is missing or not an integer."""
+    headers: dict = {}
     entries: list[CatalogEntry] = []
     crc = 0
     footer = None
@@ -211,7 +207,7 @@ def read_catalog(path: str) -> Catalog:
                     footer = body
                 else:
                     k, _, v = body.partition("=")
-                    meta[k] = v
+                    headers[k] = v
                 continue
             crc = zlib.crc32(line.encode("utf-8"), crc)
             try:
@@ -236,4 +232,15 @@ def read_catalog(path: str) -> Catalog:
         raise ValueError(f"catalog {path}: entry count mismatch")
     if want_crc != f"{crc:08x}":
         raise ValueError(f"catalog {path}: checksum mismatch")
-    return Catalog(int(meta.get("max_len", 0)), entries, meta)
+    for key, want in _definition().items():
+        if key not in headers:
+            raise ValueError(f"catalog {path}: no #{key} header")
+        if headers[key] != want:
+            raise ValueError(f"catalog {path}: header #{key}={headers[key]} "
+                             f"differs from {want}, the definition of unique "
+                             "this code hashes under")
+    max_len = headers.get("max_len", "")
+    if not max_len.isdecimal():
+        raise ValueError(f"catalog {path}: no integer #max_len header "
+                         f"(got {max_len!r})")
+    return Catalog(int(max_len), entries)

@@ -39,8 +39,7 @@ def run_rs(catalog: Catalog, data: Dataset, objective: str = "mse",
     results = dict(results or {})
     missing = [e for e in catalog.entries if e.semantic_hash not in results]
     if missing:
-        results.update(fit_catalog(Catalog(catalog.max_len, missing,
-                                           catalog.meta),
+        results.update(fit_catalog(Catalog(catalog.max_len, missing),
                                    data, objective, config, seed,
                                    progress=progress))
     struct_hashes = {e.semantic_hash: ex.structural_hash(ex.parse(e.text))

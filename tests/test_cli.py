@@ -8,8 +8,9 @@ import pytest
 from esrlab.cli import build_parser, main, parse_gp_config, write_gp_config
 from esrlab.dataset import save_csv, synthetic_dataset
 from esrlab import expr as ex
-from esrlab.enumeration import (Catalog, CatalogEntry, read_catalog,
-                                write_catalog)
+from esrlab.egraph import EqSatConfig
+from esrlab.enumeration import (RULESET_ID, Catalog, CatalogEntry,
+                                read_catalog, write_catalog)
 from esrlab.gp import GpConfig
 from esrlab.runlog import read_runlog
 
@@ -82,7 +83,6 @@ def test_enumerate_writes_catalog(catalog3_file):
     cat = read_catalog(catalog3_file)
     assert cat.max_len == 3
     assert len(cat) == 14
-    assert cat.meta["rules"]
 
 
 def test_simplify_prints_canonical(capsys):
@@ -204,6 +204,38 @@ def test_gp_determinism_across_invocations(tmp_path, data_csv):
                      "--workers", "1"]) == 0
     assert (d1 / "run_000.log").read_bytes() == \
         (d2 / "run_000.log").read_bytes()
+
+
+@pytest.mark.parametrize("runs, workers, pool", [(1, 4, None), (2, 4, 2),
+                                                  (3, 2, 2)])
+def test_gp_pool_has_one_process_per_run_at_most(tmp_path, data_csv,
+                                                 monkeypatch, runs, workers,
+                                                 pool):
+    """``esrlab gp`` starts min(workers, runs) processes, and no pool when
+    that is one."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("esrlab.cli.ProcessPoolExecutor", InProcessPool)
+    cfg = tmp_path / "gp.toml"
+    cfg.write_text("max_length = 6\npop_size = 8\ngenerations = 2\n"
+                   "optim_iterations = 3\n")
+    assert main(["gp", "--data", data_csv, "--config", str(cfg),
+                 "--runs", str(runs), "--log-dir", str(tmp_path / "logs"),
+                 "--workers", str(workers)]) == 0
+    assert sizes == ([] if pool is None else [pool])
 
 
 def test_gp_config_depths_in_either_order(tmp_path):
@@ -334,7 +366,7 @@ def test_deep_expression_text(tmp_path, data_csv, results3_file, capsys,
     elif reader == "catalog":
         path = tmp_path / "deep.tsv"
         entry = CatalogEntry(ex.text_hash(text), 2 * factors - 1, 0, text)
-        write_catalog(Catalog(3, [entry], {"max_len": "3"}), str(path))
+        write_catalog(Catalog(3, [entry]), str(path))
         if ok:
             assert read_catalog(str(path)).entries == [entry]
             return
@@ -369,7 +401,7 @@ def test_unparsable_catalog_entry_exits_2(tmp_path, data_csv, catalog3_file,
     good = read_catalog(catalog3_file)
     bad = tmp_path / "bad.tsv"
     entry = CatalogEntry(ex.text_hash("x + "), 2, 0, "x + ")
-    write_catalog(Catalog(3, good.entries[:2] + [entry], good.meta), str(bad))
+    write_catalog(Catalog(3, good.entries[:2] + [entry]), str(bad))
     argv = {"fit": ["fit", "--out", str(tmp_path / "r.tsv"), "--workers", "1"],
             "rs": ["rs", "--log-dir", str(tmp_path / "rs")]}[command]
     assert main(argv + ["--catalog", str(bad), "--data", data_csv]) == 2
@@ -473,30 +505,47 @@ def test_analyze_malformed_runlog_exits_2(tmp_path, capsys, command, record):
     assert f"{log}:2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("header", [None, "#eqsat=iters=1,budget=600"])
-def test_analyze_dups_checks_catalog_definition(tmp_path, catalog3_file,
+@pytest.mark.parametrize("header", [None, "#eqsat=iters=1,budget=600",
+                                    "#rules=table-eqsat-v0", "no_headers"])
+def test_analyze_dups_checks_catalog_definition(tmp_path, data_csv,
+                                                catalog3_file, results3_file,
                                                 capsys, header):
-    """A catalog built under other e-graph limits (an older file) hashes
-    under another definition of unique than the run log: exit 2."""
+    """Every command that reads a catalog refuses one built under another
+    definition of unique (an older file) or one without definition
+    headers: exit 2, naming the header, with nothing written."""
     lines = open(catalog3_file).read().splitlines(keepends=True)
-    if header is not None:
-        lines = [header + "\n" if l.startswith("#eqsat=") else l
-                 for l in lines]
+    if header == "no_headers":
+        lines = [l for l in lines if not l.startswith("#") or "count=" in l]
+    elif header is not None:
+        key = header.split("=", 1)[0] + "="
+        lines = [header + "\n" if l.startswith(key) else l for l in lines]
     catalog = tmp_path / "c3.tsv"
     catalog.write_text("".join(lines))
     log = tmp_path / "run_000.log"
     log.write_text("#seed=1\n0\t1\t7\t8\t1.0\tx + p1\t3\t0.5\n")
-    out = tmp_path / "d.tsv"
-    code = main(["analyze", "dups", "--log", str(log), "--catalog",
-                 str(catalog), "--out", str(out)])
-    if header is None:
-        assert code == 0
-        return
-    assert code == 2 and not out.exists()
-    assert capsys.readouterr().err == (
-        f"error: catalog {catalog}: header #eqsat=iters=1,budget=600 "
-        "differs from iters=3,budget=600, the definition run logs are "
-        "hashed under\n")
+    named = {None: None, "no_headers": "no #grammar header",
+             "#eqsat=iters=1,budget=600": "header #eqsat=iters=1,budget=600 "
+             f"differs from {EqSatConfig().key()}",
+             "#rules=table-eqsat-v0": "header #rules=table-eqsat-v0 "
+             f"differs from {RULESET_ID}"}[header]
+    commands = {
+        "fit": ["fit", "--data", data_csv, "--restarts", "1",
+                "--workers", "1", "--out"],
+        "rs": ["rs", "--data", data_csv, "--results", results3_file,
+               "--log-dir"],
+        "analyze dist": ["analyze", "dist", "--results", results3_file,
+                         "--out"],
+        "analyze dups": ["analyze", "dups", "--log", str(log), "--out"],
+    }
+    for name, argv in commands.items():
+        out = tmp_path / name.replace(" ", "_")
+        code = main(argv + [str(out), "--catalog", str(catalog)])
+        err = capsys.readouterr().err
+        assert code == (0 if named is None else 2), (name, err)
+        assert out.exists() == (named is None), name
+        if named is not None:
+            assert err.startswith(f"error: cannot load catalog {catalog}: "
+                                  f"catalog {catalog}: {named}"), (name, err)
 
 
 def test_analyze_dups_huge_parameter(tmp_path):

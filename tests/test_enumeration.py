@@ -1,13 +1,15 @@
 import math
+import re
 import time
 import zlib
-from dataclasses import replace
 
 import pytest
 
 from esrlab import expr as ex
-from esrlab.enumeration import (Catalog, CatalogEntry, build_catalog,
-                                enumerate_trees, read_catalog, write_catalog)
+from esrlab.egraph import EqSatConfig
+from esrlab.enumeration import (RULESET_ID, Catalog, CatalogEntry,
+                                build_catalog, enumerate_trees, read_catalog,
+                                write_catalog)
 from esrlab.simplify import canonicalize
 
 from conftest import slow
@@ -121,22 +123,17 @@ def test_rebuild_bit_identical(tmp_path, catalog4):
 
 
 def test_catalog_lookup(catalog4):
+    by_hash = {e.semantic_hash: e for e in catalog4.entries}
     h = canonicalize(ex.parse("x")).semantic_hash
-    entry = catalog4.lookup(h)
-    assert entry is not None and entry.text == "x"
+    assert by_hash[h].text == "x"
     h = canonicalize(ex.parse("p1 + p2")).semantic_hash
-    entry = catalog4.lookup(h)
-    assert entry is not None and entry.text == "p1"
-    assert catalog4.lookup(12345) is None
+    assert by_hash[h].text == "p1"
+    assert 12345 not in by_hash
 
 
-def test_replaced_catalog_builds_fresh_index():
-    cat = build_catalog(3)
-    last = cat.entries[-1]
-    assert cat.lookup(last.semantic_hash) is last
-    subset = replace(cat, entries=cat.entries[:3])
-    assert subset.lookup(last.semantic_hash) is None
-    assert subset.lookup(cat.entries[0].semantic_hash) is cat.entries[0]
+def _headers(max_len):
+    return [f"#grammar={ex.GRAMMAR_ID}\n", f"#rules={RULESET_ID}\n",
+            f"#eqsat={EqSatConfig().key()}\n", f"#max_len={max_len}\n"]
 
 
 def test_catalog_file_roundtrip(tmp_path, catalog6):
@@ -145,7 +142,39 @@ def test_catalog_file_roundtrip(tmp_path, catalog6):
     back = read_catalog(str(path))
     assert back.entries == catalog6.entries
     assert back.max_len == catalog6.max_len
-    assert back.meta["grammar"] == catalog6.meta["grammar"]
+    assert path.read_text().splitlines(keepends=True)[:4] == _headers(6)
+
+
+def test_catalog_headers_come_from_the_definition_and_max_len(tmp_path):
+    """A Catalog built by hand writes the same headers as a built one."""
+    path = tmp_path / "catalog.tsv"
+    write_catalog(Catalog(2, build_catalog(2).entries), str(path))
+    assert path.read_text().splitlines(keepends=True)[:4] == _headers(2)
+    assert read_catalog(str(path)).max_len == 2
+
+
+@pytest.mark.parametrize("old, new, names", [
+    ("#grammar=", "#grammar=other\n", "header #grammar=other differs"),
+    ("#eqsat=", "", "no #eqsat header"),
+    ("#max_len=", "", "no integer #max_len header"),
+    ("#max_len=", "#max_len=\n", r"no integer #max_len header \(got ''\)"),
+    ("#max_len=", "#max_len=3.5\n",
+     r"no integer #max_len header \(got '3.5'\)"),
+], ids=["grammar", "no_eqsat", "no_max_len", "empty_max_len",
+        "float_max_len"])
+def test_catalog_headers_are_checked(tmp_path, catalog4, old, new, names):
+    """A catalog hashed under another definition of unique, or without the
+    headers that say which, is refused by path and header (the CLI test
+    ``test_analyze_dups_checks_catalog_definition`` covers #rules and
+    #eqsat values)."""
+    path = tmp_path / "catalog.tsv"
+    write_catalog(catalog4, str(path))
+    lines = [new if line.startswith(old) else line
+             for line in path.read_text().splitlines(keepends=True)]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError,
+                       match=f"catalog {re.escape(str(path))}: {names}"):
+        read_catalog(str(path))
 
 
 def test_catalog_checksum_detects_corruption(tmp_path, catalog6):
@@ -198,8 +227,7 @@ def test_catalog_entry_text_is_checked(tmp_path, catalog4, entry, reason):
     """An entry whose text, hash, length or parameter count disagree is
     rejected by name, though the footer matches the lines."""
     path = tmp_path / "catalog.tsv"
-    write_catalog(Catalog(4, [entry] + catalog4.entries[1:], catalog4.meta),
-                  str(path))
+    write_catalog(Catalog(4, [entry] + catalog4.entries[1:]), str(path))
     with pytest.raises(ValueError,
                        match=rf"catalog\.tsv:5: malformed .*: .*{reason}"):
         read_catalog(str(path))

@@ -231,8 +231,7 @@ def test_rerun_on_complete_file_changes_nothing(tmp_path, linear_data,
 def test_fit_catalog_order_independent_seeds(linear_data, catalog4):
     # per-entry results depend only on (seed, hash), not processing order
     reversed_catalog = type(catalog4)(catalog4.max_len,
-                                      list(reversed(catalog4.entries)),
-                                      catalog4.meta)
+                                      list(reversed(catalog4.entries)))
     a = fit_catalog(catalog4, linear_data, "mse", FitConfig(restarts=2),
                     seed=5)
     b = fit_catalog(reversed_catalog, linear_data, "mse",

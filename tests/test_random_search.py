@@ -78,8 +78,7 @@ def test_runs_differ_but_reproduce(catalog4, linear_data):
 def test_permutation_uniform_first_element(catalog4, linear_data):
     # first-visited entry over many seeded runs is uniform within 4 sigma
     results = fit_catalog(catalog4, linear_data, "mse", FAST_FIT, seed=3)
-    small = type(catalog4)(catalog4.max_len, catalog4.entries[:10],
-                           catalog4.meta)
+    small = type(catalog4)(catalog4.max_len, catalog4.entries[:10])
     logs = run_rs(small, linear_data, "mse", FAST_FIT, runs=10000, seed=11,
                   results=results)
     counts = Counter(log.records[0].sem_hash for log in logs)
