@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import expr as ex
-from ._atomic import atomic_write
+from ._files import atomic_write
 from .enumeration import Catalog
 from .runlog import RunLog
 from .simplify import Canonicalizer

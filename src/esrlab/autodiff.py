@@ -137,9 +137,6 @@ def _kernel(key: _Key, n_theta: int, wrt_x: bool, n: int, batched: bool):
     def walk(e: Expr) -> tuple:
         k = e.kind
         if k == VAR:
-            if e.value != 1:
-                raise ValueError(f"x{e.value} requested but x is "
-                                 "one-dimensional")
             v = once("x", "np.repeat(np.expand_dims(pts, -2), len(theta), "
                           "-2)") if batched else "pts"
             return v, lane(0 if wrt_x else None)

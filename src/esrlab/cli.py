@@ -17,14 +17,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import expr as ex
-from ._atomic import atomic_write
+from ._files import InputError, atomic_write, read_lines
 from .analysis import (duplicate_stats, ecdf, fitness_distribution,
                        write_distribution_tsv, write_dupstats_tsv,
                        write_ecdf_tsv)
 from .dataset import Dataset, load_csv
 from .egraph import EGraphCapacityError, dump_rules
 from .enumeration import build_catalog, read_catalog, write_catalog
-from .fitting import ESR_FIT, ResultsFileError, fit_catalog, read_results
+from .fitting import ESR_FIT, fit_catalog, read_results
 from .gp import CONFIG_KEYS, GpConfig, GpInitError, gp_preset, run_gp
 from .objectives import MnrParams, mnr_loglik, mse
 from .random_search import run_rs
@@ -38,10 +38,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -49,45 +45,37 @@ class _Parser(argparse.ArgumentParser):
 
 def _workers(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("ESRLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DataError(f"ESRLAB_WORKERS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
-_READERS = {"dataset": load_csv, "catalog": read_catalog,
-            "results": read_results, "run log": read_runlog}
-
-
-def _load(what: str, path: str):
-    """Read a ``what`` file; a file it rejects is a DataError."""
+        name, value = "--workers", str(args.workers)
+    else:
+        name, value = "ESRLAB_WORKERS", os.environ.get("ESRLAB_WORKERS")
+        if not value:
+            return os.cpu_count() or 1
     try:
-        return _READERS[what](path)
-    except (OSError, ValueError) as err:
-        raise DataError(f"cannot load {what} {path}: {err}")
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InputError(f"{name} must be an integer >= 1, got {value!r}")
+    return workers
 
 
 def _check_out_dir(path: str) -> None:
     """Refuse an output file whose directory is missing before any work."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
-        raise DataError(f"--out {path}: directory {folder} does not exist")
+        raise InputError(f"--out {path}: directory {folder} does not exist")
 
 
 def _check_objective(objective: str, data: Dataset) -> None:
     if objective == "mnr" and not data.has_uncertainties:
-        raise DataError("mnr objective requires sigma_x,sigma_y columns")
+        raise InputError("mnr objective requires sigma_x,sigma_y columns")
 
 
 def _check_run_args(args) -> None:
     if args.runs < 1:
-        raise DataError(f"--runs must be >= 1, got {args.runs}")
+        raise InputError(f"--runs must be >= 1, got {args.runs}")
     if args.seed < 0:
-        raise DataError(f"--seed must be >= 0, got {args.seed}")
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
 
 
 # -- gp config files ------------------------------------------------------------
@@ -95,35 +83,31 @@ def _check_run_args(args) -> None:
 def parse_gp_config(path: str) -> GpConfig:
     """Simple key=value / TOML-style config with Table-style names."""
     values = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line or line.startswith("["):
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected key = value")
-                key, _, raw = line.partition("=")
-                key = key.strip().lower()
-                raw = raw.strip().strip('"').strip("'")
-                if key not in CONFIG_KEYS:
-                    raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-                field, conv = CONFIG_KEYS[key]
-                try:
-                    values[key] = conv(raw)
-                    # check the value's own bound; the depth pair is
-                    # checked once both are read, in either order
-                    GpConfig(**{"min_depth": 1, "max_depth": sys.maxsize,
-                                field: values[key]})
-                except ValueError as err:
-                    raise DataError(f"{path}:{lineno}: {key}: {err}")
-    except OSError as err:
-        raise DataError(f"cannot read config {path}: {err}")
+    for lineno, line in read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line or line.startswith("["):
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key = value")
+        key, _, raw = line.partition("=")
+        key = key.strip().lower()
+        raw = raw.strip().strip('"').strip("'")
+        if key not in CONFIG_KEYS:
+            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        field, conv = CONFIG_KEYS[key]
+        try:
+            values[key] = conv(raw)
+            # check the value's own bound; the depth pair is checked once
+            # both are read, in either order
+            GpConfig(**{"min_depth": 1, "max_depth": sys.maxsize,
+                        field: values[key]})
+        except ValueError as err:
+            raise InputError(f"{path}:{lineno}: {key}: {err}") from None
     kwargs = {CONFIG_KEYS[key][0]: val for key, val in values.items()}
     try:
         return replace(gp_preset(values.get("max_length", 10)), **kwargs)
     except ValueError as err:
-        raise DataError(f"{path}: {err}")
+        raise InputError(f"{path}: {err}") from None
 
 
 def write_gp_config(cfg: GpConfig, path: str) -> None:
@@ -141,7 +125,7 @@ def _cmd_enumerate(args) -> int:
                             progress=_progress("enumerate") if args.verbose
                             else None)
     except ValueError as err:
-        raise DataError(f"--max-length {args.max_length}: {err}")
+        raise InputError(f"--max-length {args.max_length}: {err}")
     write_catalog(cat, args.out)
     print(f"{len(cat)} unique expressions -> {args.out}")
     return 0
@@ -149,22 +133,18 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_fit(args) -> int:
     _check_out_dir(args.out)
-    catalog = _load("catalog", args.catalog)
-    data = _load("dataset", args.data)
+    catalog = read_catalog(args.catalog)
+    data = load_csv(args.data)
     _check_objective(args.objective, data)
     try:
         config = ESR_FIT if args.restarts is None else \
             replace(ESR_FIT, restarts=args.restarts)
     except ValueError as err:
-        raise DataError(f"--restarts {args.restarts}: {err}")
-    try:
-        results = fit_catalog(catalog, data, args.objective, config,
-                              args.seed, args.out,
-                              progress=_progress("fit") if args.verbose
-                              else None,
-                              workers=_workers(args))
-    except ResultsFileError as err:
-        raise DataError(f"cannot resume results: {err}")
+        raise InputError(f"--restarts {args.restarts}: {err}")
+    results = fit_catalog(catalog, data, args.objective, config, args.seed,
+                          args.out,
+                          progress=_progress("fit") if args.verbose else None,
+                          workers=_workers(args))
     best = min((r.objective for r in results.values()
                 if math.isfinite(r.objective)), default=math.inf)
     print(f"fitted {len(results)} entries, best objective {best!r} "
@@ -174,11 +154,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_gp(args) -> int:
     _check_run_args(args)
-    data = _load("dataset", args.data)
+    workers = min(_workers(args), args.runs)
+    data = load_csv(args.data)
     cfg = parse_gp_config(args.config)
     _check_objective(cfg.objective, data)
     os.makedirs(args.log_dir, exist_ok=True)
-    workers = min(_workers(args), args.runs)
     seeds = [[args.seed, r] for r in range(args.runs)]
     try:
         if workers > 1:
@@ -188,7 +168,7 @@ def _cmd_gp(args) -> int:
         else:
             logs = [_gp_one((cfg, data, s)) for s in seeds]
     except GpInitError as err:
-        raise DataError(f"config {args.config}: {err}")
+        raise InputError(f"{args.config}: {err}") from None
     # the echo goes in with the logs, so a failed run leaves none behind
     write_gp_config(cfg, os.path.join(args.log_dir, "config_echo.txt"))
     for r, log in enumerate(logs):
@@ -207,10 +187,10 @@ def _gp_one(payload):
 
 def _cmd_rs(args) -> int:
     _check_run_args(args)
-    catalog = _load("catalog", args.catalog)
-    data = _load("dataset", args.data)
+    catalog = read_catalog(args.catalog)
+    data = load_csv(args.data)
     _check_objective(args.objective, data)
-    results = _load("results", args.results) if args.results else None
+    results = read_results(args.results) if args.results else None
     os.makedirs(args.log_dir, exist_ok=True)
     logs = run_rs(catalog, data, args.objective, ESR_FIT, args.runs,
                   args.seed, results,
@@ -222,11 +202,7 @@ def _cmd_rs(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
-    try:
-        e = ex.parse(args.expr)
-    except ex.ParseError as err:
-        raise DataError(str(err))
-    cf = canonicalize(e)
+    cf = canonicalize(ex.parse(args.expr))
     print(f"canonical: {cf.text}")
     print(f"hash: {cf.semantic_hash}")
     print(f"params: {cf.n_params}")
@@ -243,28 +219,28 @@ def _cmd_analyze_ecdf(args) -> int:
     try:
         thresholds = [float(t) for t in args.thresholds.split(",")]
     except ValueError:
-        raise DataError(f"--thresholds must be comma-separated numbers, "
-                        f"got {args.thresholds!r}")
+        raise InputError(f"--thresholds must be comma-separated numbers, "
+                         f"got {args.thresholds!r}")
     paths = sorted(glob.glob(args.logs))
     if not paths:
-        raise DataError(f"no logs match {args.logs!r}")
-    logs = [_load("run log", p) for p in paths]
+        raise InputError(f"no logs match {args.logs!r}")
+    logs = [read_runlog(p) for p in paths]
     try:
         curves = ecdf(logs, thresholds, args.axis)
     except ValueError as err:   # logs without function-evaluation counts
-        raise DataError(f"--axis {args.axis}: {err}")
+        raise InputError(f"--axis {args.axis}: {err}")
     write_ecdf_tsv(curves, args.out)
     print(f"{len(curves)} curves over {len(logs)} runs -> {args.out}")
     return 0
 
 
 def _cmd_analyze_dups(args) -> int:
-    log = _load("run log", args.log)
-    catalog = _load("catalog", args.catalog) if args.catalog else None
+    log = read_runlog(args.log)
+    catalog = read_catalog(args.catalog) if args.catalog else None
     try:
         stats = duplicate_stats(log, catalog)
     except ValueError as err:   # a record whose expression does not parse
-        raise DataError(f"run log {args.log}: {err}")
+        raise InputError(f"run log {args.log}: {err}")
     write_dupstats_tsv(stats, args.out)
     print(f"dup stats over {len(log.records)} records -> {args.out}")
     return 0
@@ -272,52 +248,48 @@ def _cmd_analyze_dups(args) -> int:
 
 def _baseline_values(path: str, data: Dataset, objective: str) -> list:
     out = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) == 3:
-                    name, text, theta_csv = parts
-                elif len(parts) == 2:
-                    name, text = parts
-                    theta_csv = ""
-                else:
-                    raise DataError(f"{path}:{lineno}: expected "
-                                    "name<TAB>expr[<TAB>theta]")
-                try:
-                    theta = [float(v) for v in theta_csv.split(",") if v]
-                    expr = ex.parse(text)
-                    if objective == "mse":
-                        value = mse(expr, theta, data)
-                    else:
-                        k = ex.param_count(expr)
-                        if len(theta) != k + 3:
-                            raise ValueError("mnr baseline needs theta plus "
-                                             "sigma_int,mu,omega")
-                        p = MnrParams(tuple(theta[:k]), theta[k + 1],
-                                      theta[k + 2], theta[k])
-                        value = -mnr_loglik(expr, p, data)
-                except ValueError as err:
-                    raise DataError(f"{path}:{lineno}: {err}")
-                out.append((name, value))
-    except OSError as err:
-        raise DataError(f"cannot read baselines {path}: {err}")
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) == 3:
+            name, text, theta_csv = parts
+        elif len(parts) == 2:
+            name, text = parts
+            theta_csv = ""
+        else:
+            raise InputError(f"{path}:{lineno}: expected "
+                             "name<TAB>expr[<TAB>theta]")
+        try:
+            theta = [float(v) for v in theta_csv.split(",") if v]
+            expr = ex.parse(text)
+            if objective == "mse":
+                value = mse(expr, theta, data)
+            else:
+                k = ex.param_count(expr)
+                if len(theta) != k + 3:
+                    raise ValueError("mnr baseline needs theta plus "
+                                     "sigma_int,mu,omega")
+                p = MnrParams(tuple(theta[:k]), theta[k + 1], theta[k + 2],
+                              theta[k])
+                value = -mnr_loglik(expr, p, data)
+        except ValueError as err:
+            raise InputError(f"{path}:{lineno}: {err}") from None
+        out.append((name, value))
     return out
 
 
 def _cmd_analyze_dist(args) -> int:
     if args.top < 0:
-        raise DataError(f"--top must be >= 0, got {args.top}")
-    results = _load("results", args.results)
-    catalog = _load("catalog", args.catalog) if args.catalog else None
+        raise InputError(f"--top must be >= 0, got {args.top}")
+    results = read_results(args.results)
+    catalog = read_catalog(args.catalog) if args.catalog else None
     baselines = None
     if args.baselines:
         if not args.data:
-            raise DataError("--baselines requires --data")
-        data = _load("dataset", args.data)
+            raise InputError("--baselines requires --data")
+        data = load_csv(args.data)
         _check_objective(args.objective, data)
         baselines = _baseline_values(args.baselines, data, args.objective)
     dist = fitness_distribution(results, catalog, baselines, args.top)
@@ -419,7 +391,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except DataError as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except EGraphCapacityError as err:

@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._files import InputError, read_lines
+
 __all__ = ["Dataset", "load_csv", "save_csv", "synthetic_dataset",
            "bundled_synthetic_path"]
 
@@ -52,31 +54,35 @@ class Dataset:
 
 
 def load_csv(path) -> Dataset:
+    """Read a dataset CSV; an InputError naming ``path:line`` or ``path``
+    for a file that is not one."""
     header = None
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip().lower() for c in line.split(",")]
-                continue
-            fields = line.split(",")
-            if len(fields) != len(header):
-                raise ValueError(f"line {lineno}: {len(fields)} fields, "
-                                 f"header has {len(header)}")
-            try:
-                rows.append([float(v) for v in fields])
-            except ValueError as err:
-                raise ValueError(f"line {lineno}: {err}") from None
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = [c.strip().lower() for c in line.split(",")]
+            continue
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise InputError(f"{path}:{lineno}: {len(fields)} fields, "
+                             f"header has {len(header)}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as err:
+            raise InputError(f"{path}:{lineno}: {err}") from None
     if header is None or not rows:
-        raise ValueError("empty dataset file")
+        raise InputError(f"{path}: empty dataset file")
     cols = {h: np.array([r[i] for r in rows]) for i, h in enumerate(header)}
     if "x" not in cols or "y" not in cols:
-        raise ValueError("dataset needs x and y columns")
-    return Dataset(cols["x"], cols["y"], cols.get("sigma_x"),
-                   cols.get("sigma_y"), os.path.basename(str(path)))
+        raise InputError(f"{path}: dataset needs x and y columns")
+    try:
+        return Dataset(cols["x"], cols["y"], cols.get("sigma_x"),
+                       cols.get("sigma_y"), os.path.basename(str(path)))
+    except ValueError as err:
+        raise InputError(f"{path}: {err}") from None
 
 
 def save_csv(data: Dataset, path: str) -> None:

@@ -93,7 +93,7 @@ def _unwrap(a: Expr) -> Expr:
 # costs (see the module docstring)
 _PLAIN = {ADD: ex.add, SUB: ex.sub, MUL: ex.mul, DIV: ex.div, NEG: ex.neg,
           ABS: ex.abs_}
-_LEAF_FORMS = {VAR: (((0, 1), ex.var, ()),),
+_LEAF_FORMS = {VAR: (((0, 1), lambda _: ex.var(), ()),),
                PARAM: (((1, 1), ex.param, ()),),
                CONST: (((0, 1), ex.const, ()),),
                HOLE: (((0, 1), ex.hole, ()),)}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from . import expr as ex
-from ._atomic import atomic_write
+from ._files import InputError, atomic_write, read_lines
 from .expr import ARITY, Expr, GRAMMAR_ID, PRODUCTIONS
 from .egraph import EqSatConfig
 from .simplify import Canonicalizer
@@ -83,7 +83,7 @@ def _build_tree(tokens) -> Expr:
             return ex.hole(n_holes)
         kind = PRODUCTIONS[tok]
         if kind == ex.VAR:
-            return ex.var(1)
+            return ex.var()
         if kind == ex.PARAM:
             n_params += 1
             return ex.param(n_params)
@@ -190,57 +190,58 @@ def _check_entry(entry: CatalogEntry) -> None:
 def read_catalog(path: str) -> Catalog:
     """Read a catalog written by ``write_catalog``.  A file without its
     ``#count/#crc`` footer (a truncated one), or whose entries do not match
-    it, raises ValueError, as does a malformed entry line (naming
+    it, raises InputError, as does a malformed entry line (naming
     ``path:line``): one whose expression does not parse, is not in rendered
     form, or disagrees with the line's hash, length or parameter count.  So
     does a file whose definition headers are missing or not this code's, or
     whose ``#max_len`` is missing or not an integer."""
-    headers: dict = {}
+    headers: dict = {}   # key -> ("path:line", value)
     entries: list[CatalogEntry] = []
     crc = 0
     footer = None
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if line.startswith("#"):
-                body = line[1:].rstrip("\n")
-                if body.startswith("count="):
-                    footer = body
-                else:
-                    k, _, v = body.partition("=")
-                    headers[k] = v
-                continue
-            crc = zlib.crc32(line.encode("utf-8"), crc)
-            try:
-                h, n, p, text = line.rstrip("\n").split("\t")
-                entry = CatalogEntry(int(h), int(n), int(p), text)
-                _check_entry(entry)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: malformed catalog entry "
-                                 f"{line.rstrip()!r}: {err}") from None
-            entries.append(entry)
+    for lineno, line in read_lines(path):
+        if line.startswith("#"):
+            body = line[1:].rstrip("\n")
+            if body.startswith("count="):
+                footer = f"{path}:{lineno}", body
+            else:
+                k, _, v = body.partition("=")
+                headers[k] = f"{path}:{lineno}", v
+            continue
+        crc = zlib.crc32(line.encode("utf-8"), crc)
+        try:
+            h, n, p, text = line.rstrip("\n").split("\t")
+            entry = CatalogEntry(int(h), int(n), int(p), text)
+            _check_entry(entry)
+        except ValueError as err:
+            raise InputError(f"{path}:{lineno}: malformed catalog entry "
+                             f"{line.rstrip()!r}: {err}") from None
+        entries.append(entry)
     if footer is None:
-        raise ValueError(f"catalog {path}: no #count/#crc footer "
-                         "(truncated?)")
+        raise InputError(f"{path}: no #count/#crc footer (truncated?)")
+    where, body = footer
     try:
         fields = dict(part.split("=")
-                      for part in footer.replace("#", "").split(","))
+                      for part in body.replace("#", "").split(","))
         count, want_crc = int(fields["count"]), fields["crc"]
     except (KeyError, ValueError):
-        raise ValueError(f"catalog {path}: malformed footer "
-                         f"{footer!r}") from None
+        raise InputError(f"{where}: malformed footer {body!r}") from None
     if count != len(entries):
-        raise ValueError(f"catalog {path}: entry count mismatch")
+        raise InputError(f"{where}: entry count mismatch")
     if want_crc != f"{crc:08x}":
-        raise ValueError(f"catalog {path}: checksum mismatch")
+        raise InputError(f"{where}: checksum mismatch")
     for key, want in _definition().items():
         if key not in headers:
-            raise ValueError(f"catalog {path}: no #{key} header")
-        if headers[key] != want:
-            raise ValueError(f"catalog {path}: header #{key}={headers[key]} "
-                             f"differs from {want}, the definition of unique "
-                             "this code hashes under")
-    max_len = headers.get("max_len", "")
-    if not max_len.isdecimal():
-        raise ValueError(f"catalog {path}: no integer #max_len header "
-                         f"(got {max_len!r})")
-    return Catalog(int(max_len), entries)
+            raise InputError(f"{path}: no #{key} header")
+        where, got = headers[key]
+        if got != want:
+            raise InputError(f"{where}: header #{key}={got} differs from "
+                             f"{want}, the definition of unique this code "
+                             "hashes under")
+    where, max_len = headers.get("max_len", (path, ""))
+    if max_len.isdecimal():
+        try:
+            return Catalog(int(max_len), entries)
+        except ValueError:   # more digits than int() converts
+            pass
+    raise InputError(f"{where}: no integer #max_len header (got {max_len!r})")

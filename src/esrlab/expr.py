@@ -12,7 +12,7 @@ Text syntax (the interchange format for catalogs and run logs):
     display     inv(a)      ->  "1.0 / a"
                 powabs(a,b) ->  "|a| ^ b"   (bars dropped for parameter and
                                              nonnegative-constant bases)
-    leaves      x or x1..xk, p1..pk, numeric literals
+    leaves      x, p1..pk, numeric literals
 
 ``parse(render(e))`` reproduces ``e`` node for node.
 """
@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+
+from ._files import InputError
 
 __all__ = [
     "Expr", "ParseError",
@@ -65,8 +67,9 @@ KIND_NAME = {
 class Expr:
     """Immutable expression tree node.
 
-    ``value`` holds the variable index (VAR), parameter index (PARAM),
-    literal (CONST) or hole index (HOLE); it is None for operators.
+    ``value`` holds the parameter index (PARAM), literal (CONST) or hole
+    index (HOLE); it is 1 for the one variable (VAR) and None for
+    operators.
     """
 
     __slots__ = ("kind", "value", "children", "_hash")
@@ -103,10 +106,8 @@ class Expr:
         return f"Expr({render(self)!r})"
 
 
-def var(index: int = 1) -> Expr:
-    if index < 1:
-        raise ValueError("variable index starts at 1")
-    return Expr(VAR, index)
+def var() -> Expr:
+    return Expr(VAR, 1)
 
 
 def param(index: int) -> Expr:
@@ -292,7 +293,7 @@ def _render(e: Expr):
     """Return (text, precedence) for e."""
     k = e.kind
     if k == VAR:
-        return ("x" if e.value == 1 else f"x{e.value}"), _PREC_ATOM
+        return "x", _PREC_ATOM
     if k == PARAM:
         return f"p{e.value}", _PREC_ATOM
     if k == CONST:
@@ -360,7 +361,7 @@ def render(e: Expr) -> str:
 
 # -- parsing ---------------------------------------------------------------
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed expression text; ``position`` is the 1-based column."""
 
     def __init__(self, message: str, position: int):
@@ -494,9 +495,7 @@ class _Parser:
                 return self.maybe_pow(
                     self.node(inv if name == "inv" else abs_, a))
             if name == "x":
-                return self.maybe_pow(var(1))
-            if name.startswith("x") and name[1:].isdigit():
-                return self.maybe_pow(var(int(name[1:])))
+                return self.maybe_pow(var())
             if name.startswith("p") and name[1:].isdigit():
                 return self.maybe_pow(param(int(name[1:])))
             self.pos -= len(name)

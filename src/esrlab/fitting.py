@@ -49,6 +49,7 @@ import numpy as np
 from scipy.optimize._lbfgsb import setulb
 
 from . import expr as ex
+from ._files import InputError, read_lines
 from .expr import Expr
 from .autodiff import eval_with_grad
 from .dataset import Dataset
@@ -56,7 +57,7 @@ from .objectives import MnrBatch, MnrParams, mse, mnr_loglik, mnr_terms
 
 __all__ = [
     "FitConfig", "FitResult", "fit", "fit_catalog",
-    "ESR_FIT", "GP_FIT", "read_results", "ResultsFileError", "entry_seed",
+    "ESR_FIT", "GP_FIT", "read_results", "entry_seed",
 ]
 
 
@@ -512,10 +513,6 @@ def _result_line(h: int, res: FitResult) -> str:
     return f"{h}\t{res.objective!r}\t{res.n_obj_evals}\t{params}\n"
 
 
-class ResultsFileError(ValueError):
-    """A results file holds a line that is not one whole result."""
-
-
 def _drop_torn_tail(path: str) -> None:
     """Cut off a last line that lacks its newline: the line an interrupted
     write left behind."""
@@ -531,27 +528,28 @@ def read_results(path: str) -> dict:
 
 
 def _read_results(path: str) -> tuple:
-    """({hash: FitResult}, whether the file carries the ``#done`` footer)."""
+    """({hash: FitResult}, whether the file carries the ``#done`` footer);
+    an InputError naming ``path:line`` for a line that is not one whole
+    result."""
     out: dict = {}
     complete = False
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if line.startswith("#done"):
-                complete = True
-            if line.startswith("#") or not line.strip():
+    for lineno, line in read_lines(path):
+        if line.startswith("#done"):
+            complete = True
+        if line.startswith("#") or not line.strip():
+            continue
+        # lines are written whole, newline included: a line without one
+        # was cut short, perhaps inside a number that still parses
+        if line.endswith("\n"):
+            try:
+                h, obj, n_evals, params = line[:-1].split("\t")
+                vals = tuple(float(v) for v in params.split(",")) \
+                    if params else ()
+                out[int(h)] = FitResult(vals, float(obj), 0, int(n_evals),
+                                        0, ("loaded",))
                 continue
-            # lines are written whole, newline included: a line without
-            # one was cut short, perhaps inside a number that still parses
-            if line.endswith("\n"):
-                try:
-                    h, obj, n_evals, params = line[:-1].split("\t")
-                    vals = tuple(float(v) for v in params.split(",")) \
-                        if params else ()
-                    out[int(h)] = FitResult(vals, float(obj), 0, int(n_evals),
-                                            0, ("loaded",))
-                    continue
-                except ValueError:
-                    pass
-            raise ResultsFileError(f"{path}:{lineno}: malformed results "
-                                   f"line {line.rstrip()!r}")
+            except ValueError:
+                pass
+        raise InputError(f"{path}:{lineno}: malformed results line "
+                         f"{line.rstrip()!r}")
     return out, complete

@@ -111,7 +111,7 @@ class Individual:
 
 
 def _terminal(rng) -> Expr:
-    return ex.var(1) if rng.random() < 0.5 else ex.param(1)
+    return ex.var() if rng.random() < 0.5 else ex.param(1)
 
 
 def _function_node(rng, gen_child) -> Expr:

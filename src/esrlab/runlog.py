@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._atomic import atomic_write
+from ._files import InputError, atomic_write, read_lines
 
 __all__ = ["LogRecord", "RunLog", "write_runlog", "read_runlog"]
 
@@ -67,32 +67,29 @@ def write_runlog(log: RunLog, path: str) -> None:
 
 
 def read_runlog(path: str) -> RunLog:
-    """Read a run log; ValueError naming ``path:line`` for a record with the
+    """Read a run log; InputError naming ``path:line`` for a record with the
     wrong field count or a non-numeric field."""
     records = []
     config: dict = {}
     seed = 0
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            if line.startswith("#"):
+                k, _, v = line[1:].partition("=")
+                if k == "seed":
+                    seed = int(v)
+                elif k != "columns":
+                    config[k] = v
                 continue
-            try:
-                if line.startswith("#"):
-                    k, _, v = line[1:].partition("=")
-                    if k == "seed":
-                        seed = int(v)
-                    elif k != "columns":
-                        config[k] = v
-                    continue
-                gen, eval_id, sh, zh, fit, text, fevals, theta = \
-                    line.split("\t")
-                tvals = tuple(float(v) for v in theta.split(",")) \
-                    if theta else ()
-                records.append(LogRecord(
-                    int(gen), int(eval_id), int(sh), int(zh), float(fit),
-                    text, int(fevals), tvals))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed run log line "
-                                 f"{line!r}") from None
+            gen, eval_id, sh, zh, fit, text, fevals, theta = line.split("\t")
+            tvals = tuple(float(v) for v in theta.split(",")) if theta else ()
+            records.append(LogRecord(
+                int(gen), int(eval_id), int(sh), int(zh), float(fit),
+                text, int(fevals), tvals))
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: malformed run log line "
+                             f"{line!r}") from None
     return RunLog(records, config, seed)

@@ -436,7 +436,7 @@ def test_fit_ragged_csv_exits_2(tmp_path, catalog3_file, capsys):
     out = tmp_path / "r.tsv"
     assert main(["fit", "--catalog", catalog3_file, "--data", str(data),
                  "--out", str(out), "--workers", "1"]) == 2
-    assert "line 3" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {data}:3: ")
     assert not out.exists()
 
 
@@ -523,10 +523,10 @@ def test_analyze_dups_checks_catalog_definition(tmp_path, data_csv,
     catalog.write_text("".join(lines))
     log = tmp_path / "run_000.log"
     log.write_text("#seed=1\n0\t1\t7\t8\t1.0\tx + p1\t3\t0.5\n")
-    named = {None: None, "no_headers": "no #grammar header",
-             "#eqsat=iters=1,budget=600": "header #eqsat=iters=1,budget=600 "
-             f"differs from {EqSatConfig().key()}",
-             "#rules=table-eqsat-v0": "header #rules=table-eqsat-v0 "
+    named = {None: None, "no_headers": ": no #grammar header",
+             "#eqsat=iters=1,budget=600": ":3: header "
+             f"#eqsat=iters=1,budget=600 differs from {EqSatConfig().key()}",
+             "#rules=table-eqsat-v0": ":2: header #rules=table-eqsat-v0 "
              f"differs from {RULESET_ID}"}[header]
     commands = {
         "fit": ["fit", "--data", data_csv, "--restarts", "1",
@@ -544,8 +544,86 @@ def test_analyze_dups_checks_catalog_definition(tmp_path, data_csv,
         assert code == (0 if named is None else 2), (name, err)
         assert out.exists() == (named is None), name
         if named is not None:
-            assert err.startswith(f"error: cannot load catalog {catalog}: "
-                                  f"catalog {catalog}: {named}"), (name, err)
+            assert err.startswith(f"error: {catalog}{named}"), (name, err)
+            assert err.count(str(catalog)) == 1, (name, err)
+
+
+@pytest.mark.parametrize("command", ["fit", "rs", "simplify"])
+def test_second_variable_exits_2(tmp_path, data_csv, catalog3_file, capsys,
+                                 command):
+    """The text syntax has one variable, x: a catalog entry x2 (with its
+    own hash, length and parameter count) is refused on read, by line, and
+    so is x2 in an expression given on the command line."""
+    if command == "simplify":
+        assert main(["simplify", "--expr", "x2 - x2 + x7"]) == 2
+        assert "unknown symbol 'x2'" in capsys.readouterr().err
+        return
+    good = read_catalog(catalog3_file)
+    bad = tmp_path / "x2.tsv"
+    entry = CatalogEntry(ex.text_hash("x2"), 1, 0, "x2")
+    write_catalog(Catalog(3, good.entries[:2] + [entry]), str(bad))
+    out = tmp_path / "out"
+    argv = {"fit": ["fit", "--out", str(out), "--workers", "1"],
+            "rs": ["rs", "--log-dir", str(out)]}[command]
+    assert main(argv + ["--catalog", str(bad), "--data", data_csv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:7: malformed catalog entry ")
+    assert "unknown symbol 'x2'" in err
+    assert not out.exists()
+
+
+# (reader, command): the command's arguments, with BAD for the rejected file
+_READER_COMMANDS = {
+    ("catalog", "fit"): ["fit", "--catalog", "BAD", "--data", "DATA",
+                         "--out", "OUT", "--workers", "1"],
+    ("catalog", "rs"): ["rs", "--catalog", "BAD", "--data", "DATA",
+                        "--log-dir", "OUT"],
+    ("catalog", "analyze dups"): ["analyze", "dups", "--log", "LOG",
+                                  "--catalog", "BAD", "--out", "OUT"],
+    ("catalog", "analyze dist"): ["analyze", "dist", "--results", "RESULTS",
+                                  "--catalog", "BAD", "--out", "OUT"],
+    ("dataset", "fit"): ["fit", "--catalog", "CATALOG", "--data", "BAD",
+                         "--out", "OUT", "--workers", "1"],
+    ("results", "analyze dist"): ["analyze", "dist", "--results", "BAD",
+                                  "--out", "OUT"],
+    ("run log", "analyze dups"): ["analyze", "dups", "--log", "BAD",
+                                  "--out", "OUT"],
+    ("gp config", "gp"): ["gp", "--data", "DATA", "--config", "BAD",
+                          "--log-dir", "OUT", "--workers", "1"],
+    ("baselines", "analyze dist"): ["analyze", "dist", "--results", "RESULTS",
+                                    "--baselines", "BAD", "--data", "DATA",
+                                    "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("fault", ["malformed", "not_utf8"])
+@pytest.mark.parametrize("reader, command", list(_READER_COMMANDS),
+                         ids=[f"{r}-{c}".replace(" ", "_")
+                              for r, c in _READER_COMMANDS])
+def test_rejected_input_file_is_named_once(tmp_path, data_csv, catalog3_file,
+                                           results3_file, capsys, reader,
+                                           command, fault):
+    """Every reader a command reaches rejects a malformed file, or one
+    that is not UTF-8, by exit 2, writing nothing, with a message that
+    starts with the file's path and line and names the file only there."""
+    bad = tmp_path / "bad.txt"
+    if fault == "malformed":
+        bad.write_text("# a comment\nx,y\ngarbage\n")
+        where = rf"error: {re.escape(str(bad))}:\d+: "
+    else:
+        bad.write_bytes(b"# a comment\ngarbage \xff\n")
+        where = rf"error: {re.escape(str(bad))}:2: not UTF-8 text"
+    log = tmp_path / "run_000.log"
+    log.write_text("#seed=1\n0\t1\t7\t8\t1.0\tx + p1\t3\t0.5\n")
+    out = tmp_path / "out"
+    names = {"BAD": bad, "DATA": data_csv, "CATALOG": catalog3_file,
+             "RESULTS": results3_file, "LOG": log, "OUT": out}
+    argv = [str(names.get(a, a)) for a in _READER_COMMANDS[reader, command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.match(where, err), err
+    assert err.count(str(bad)) == 1, err
+    assert not out.exists()
 
 
 def test_analyze_dups_huge_parameter(tmp_path):
@@ -615,11 +693,15 @@ def test_unwritable_ecdf_output_exits_2(tmp_path, capsys):
     (["rs", "--seed", "-1"], None, "--seed"),
     (["gp"], "max_length = 2\n", "gp.toml: no finite-fitness individual"),
     (["analyze", "dist", "--top", "-1"], None, "--top"),
+    (["fit", "--workers", "0"], None, "--workers must be an integer >= 1"),
+    (["gp", "--workers", "-3"], None, "--workers must be an integer >= 1"),
+    (["fit"], "ESRLAB_WORKERS=0", "ESRLAB_WORKERS must be an integer >= 1"),
 ], ids=["fit_restarts", "max_length",
         "gp_not_a_number", "gp_out_of_range", "gp_optim_iterations_0",
         "gp_optim_iterations_negative", "gp_generations", "gp_min_depth",
         "gp_depth_pair", "workers_env", "thresholds", "gp_runs", "rs_runs",
-        "gp_seed", "rs_seed", "gp_init", "dist_top"])
+        "gp_seed", "rs_seed", "gp_init", "dist_top", "fit_workers_0",
+        "gp_workers_negative", "workers_env_0"])
 def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
                                      capsys, monkeypatch, argv, setting,
                                      names):
@@ -639,6 +721,8 @@ def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
              "analyze dist": ["--results", str(tmp_path / "results.tsv"),
                               "--out", out]}[
         " ".join(argv[:2]) if argv[0] == "analyze" else argv[0]]
+    if "--workers" in argv:
+        extra = extra[:-2]   # the case's own --workers
     if setting is not None and setting.startswith("ESRLAB_"):
         monkeypatch.setenv(*setting.split("=", 1))
         extra = extra[:-2]   # no --workers, so the variable is read

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from esrlab._files import InputError
 from esrlab.dataset import load_csv
 
 
@@ -21,10 +24,12 @@ def test_load_skips_comments_and_blank_lines(tmp_path):
 
 @pytest.mark.parametrize("row", ["2.0", "2.0,3.0,4.0"])
 def test_ragged_row_names_its_line(tmp_path, row):
-    with pytest.raises(ValueError, match="line 4: "):
-        load_csv(_csv(tmp_path, f"x,y\n1.0,2.0\n\n{row}\n"))
+    path = _csv(tmp_path, f"x,y\n1.0,2.0\n\n{row}\n")
+    with pytest.raises(InputError, match=f"^{re.escape(path)}:4: "):
+        load_csv(path)
 
 
 def test_non_numeric_field_names_its_line(tmp_path):
-    with pytest.raises(ValueError, match="line 3: "):
-        load_csv(_csv(tmp_path, "x,y\n1.0,2.0\n2.0,abc\n"))
+    path = _csv(tmp_path, "x,y\n1.0,2.0\n2.0,abc\n")
+    with pytest.raises(InputError, match=f"^{re.escape(path)}:3: "):
+        load_csv(path)

@@ -6,6 +6,7 @@ import zlib
 import pytest
 
 from esrlab import expr as ex
+from esrlab._files import InputError
 from esrlab.egraph import EqSatConfig
 from esrlab.enumeration import (RULESET_ID, Catalog, CatalogEntry,
                                 build_catalog, enumerate_trees, read_catalog,
@@ -154,26 +155,28 @@ def test_catalog_headers_come_from_the_definition_and_max_len(tmp_path):
 
 
 @pytest.mark.parametrize("old, new, names", [
-    ("#grammar=", "#grammar=other\n", "header #grammar=other differs"),
-    ("#eqsat=", "", "no #eqsat header"),
-    ("#max_len=", "", "no integer #max_len header"),
-    ("#max_len=", "#max_len=\n", r"no integer #max_len header \(got ''\)"),
+    ("#grammar=", "#grammar=other\n", ":1: header #grammar=other differs"),
+    ("#eqsat=", "", ": no #eqsat header"),
+    ("#max_len=", "", r": no integer #max_len header \(got ''\)"),
+    ("#max_len=", "#max_len=\n",
+     r":4: no integer #max_len header \(got ''\)"),
     ("#max_len=", "#max_len=3.5\n",
-     r"no integer #max_len header \(got '3.5'\)"),
+     r":4: no integer #max_len header \(got '3.5'\)"),
+    ("#max_len=", f"#max_len={'9' * 5000}\n",
+     r":4: no integer #max_len header \(got '9999"),
 ], ids=["grammar", "no_eqsat", "no_max_len", "empty_max_len",
-        "float_max_len"])
+        "float_max_len", "huge_max_len"])
 def test_catalog_headers_are_checked(tmp_path, catalog4, old, new, names):
     """A catalog hashed under another definition of unique, or without the
-    headers that say which, is refused by path and header (the CLI test
-    ``test_analyze_dups_checks_catalog_definition`` covers #rules and
+    headers that say which, is refused by path, line and header (the CLI
+    test ``test_analyze_dups_checks_catalog_definition`` covers #rules and
     #eqsat values)."""
     path = tmp_path / "catalog.tsv"
     write_catalog(catalog4, str(path))
     lines = [new if line.startswith(old) else line
              for line in path.read_text().splitlines(keepends=True)]
     path.write_text("".join(lines))
-    with pytest.raises(ValueError,
-                       match=f"catalog {re.escape(str(path))}: {names}"):
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}{names}"):
         read_catalog(str(path))
 
 

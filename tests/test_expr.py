@@ -135,16 +135,16 @@ def test_structural_key_injective_over_derivations():
 
 def test_structural_key_literals():
     key, digest = ex.structural_key, ex.structural_hash
-    zero = ex.add(ex.var(1), ex.const(0.0))
-    minus_zero = ex.add(ex.var(1), ex.const(-0.0))
+    zero = ex.add(ex.var(), ex.const(0.0))
+    minus_zero = ex.add(ex.var(), ex.const(-0.0))
     assert zero == minus_zero
     assert key(zero) == key(minus_zero)
     assert digest(zero) == digest(minus_zero)
     for a, b in [(ex.const(1.0), ex.const(2.0)),
                  (ex.param(1), ex.param(2)),
-                 (ex.var(1), ex.param(1)),
-                 (ex.mul(ex.var(1), ex.const(1.0)),
-                  ex.mul(ex.var(1), ex.const(2.0)))]:
+                 (ex.var(), ex.param(1)),
+                 (ex.mul(ex.var(), ex.const(1.0)),
+                  ex.mul(ex.var(), ex.const(2.0)))]:
         assert a != b
         assert key(a) != key(b)
 
@@ -177,7 +177,7 @@ def _tree_strategy():
     # constant leaves are exercised by the example tests; the parser
     # normalizes "-<literal>" to a negative constant, so neg(const) trees
     # are intentionally outside the round-trip contract
-    leaf = st.sampled_from([ex.var(1), ex.param(1), ex.param(2)])
+    leaf = st.sampled_from([ex.var(), ex.param(1), ex.param(2)])
     unary = [ex.inv, ex.abs_, ex.neg]
     binary = [ex.add, ex.sub, ex.mul, ex.div, ex.powabs]
 
