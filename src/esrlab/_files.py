@@ -15,10 +15,14 @@ class InputError(ValueError):
 
 def read_lines(path: str):
     """``(line number, line)`` pairs of a UTF-8 text file, from 1, with the
-    newlines a text-mode file gives; an InputError naming the line of a
-    file that is not UTF-8, an OSError for one that cannot be opened."""
-    with open(path, "rb") as f:
-        data = f.read()
+    newlines a text-mode file gives.  A file that cannot be opened or read
+    raises an InputError naming it and the reason (``path: No such file or
+    directory``), and one that is not UTF-8 an InputError naming the line."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as err:
+        raise InputError(f"{path}: {err.strerror}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -12,6 +12,12 @@ forward-difference points, in one batched call of the objective.  Only the
 evaluations are pooled, and ``minimize`` keeps each run's bookkeeping that
 of ``scipy.optimize.minimize(method="L-BFGS-B")``, so every run takes the
 same steps and makes the same evaluations as it would alone.
+``setulb`` is loaded from the file of its compiled extension,
+``scipy/optimize/_lbfgsb``, not through ``import scipy.optimize``: the
+package's ``__init__`` loads linalg, sparse, linprog and more, which took
+0.6 s and 40 MB (2-vCPU Xeon, Python 3.11, scipy 1.17) in every process
+that imports this module, CLI commands and spawned fit workers alike,
+against a few milliseconds for the extension.
 For the marginal likelihood the optimization vector is
 [theta, mu, log omega, log sigma_int], maximized jointly; a point where
 omega underflows to zero counts as a bad point.  Restarts stop early once
@@ -40,13 +46,16 @@ marks a complete file; without it the file is a resumable partial result.
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
 
 from . import expr as ex
 from ._files import InputError, read_lines
@@ -59,6 +68,35 @@ __all__ = [
     "FitConfig", "FitResult", "fit", "fit_catalog",
     "ESR_FIT", "GP_FIT", "read_results", "entry_seed",
 ]
+
+
+def _load_setulb():
+    """``setulb`` from scipy's ``optimize/_lbfgsb`` extension file, loaded
+    without running the ``scipy`` or ``scipy.optimize`` package code.  The
+    module is registered under its own name, so a later ``import
+    scipy.optimize`` reuses it through ``sys.modules`` (though the package
+    does not get it as an attribute), and one already loaded is reused
+    here."""
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name].setulb
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    folder = os.path.join(scipy_spec.submodule_search_locations[0], "optimize")
+    paths = [os.path.join(folder, "_lbfgsb" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no compiled _lbfgsb extension in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module.setulb
+
+
+setulb = _load_setulb()
 
 
 @dataclass(frozen=True)

@@ -586,6 +586,8 @@ _READER_COMMANDS = {
                          "--out", "OUT", "--workers", "1"],
     ("results", "analyze dist"): ["analyze", "dist", "--results", "BAD",
                                   "--out", "OUT"],
+    ("results", "rs"): ["rs", "--catalog", "CATALOG", "--data", "DATA",
+                        "--results", "BAD", "--log-dir", "OUT"],
     ("run log", "analyze dups"): ["analyze", "dups", "--log", "BAD",
                                   "--out", "OUT"],
     ("gp config", "gp"): ["gp", "--data", "DATA", "--config", "BAD",
@@ -596,23 +598,30 @@ _READER_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("fault", ["malformed", "not_utf8"])
+@pytest.mark.parametrize("fault", ["malformed", "not_utf8", "missing",
+                                   "directory"])
 @pytest.mark.parametrize("reader, command", list(_READER_COMMANDS),
                          ids=[f"{r}-{c}".replace(" ", "_")
                               for r, c in _READER_COMMANDS])
 def test_rejected_input_file_is_named_once(tmp_path, data_csv, catalog3_file,
                                            results3_file, capsys, reader,
                                            command, fault):
-    """Every reader a command reaches rejects a malformed file, or one
-    that is not UTF-8, by exit 2, writing nothing, with a message that
-    starts with the file's path and line and names the file only there."""
+    """Every reader a command reaches rejects a malformed file, one that
+    is not UTF-8, a missing path and a directory by exit 2, writing
+    nothing, with a message that starts with the file's path (and line)
+    and names the file only there."""
     bad = tmp_path / "bad.txt"
     if fault == "malformed":
         bad.write_text("# a comment\nx,y\ngarbage\n")
         where = rf"error: {re.escape(str(bad))}:\d+: "
-    else:
+    elif fault == "not_utf8":
         bad.write_bytes(b"# a comment\ngarbage \xff\n")
         where = rf"error: {re.escape(str(bad))}:2: not UTF-8 text"
+    elif fault == "missing":
+        where = rf"error: {re.escape(str(bad))}: No such file or directory$"
+    else:
+        bad.mkdir()
+        where = rf"error: {re.escape(str(bad))}: Is a directory$"
     log = tmp_path / "run_000.log"
     log.write_text("#seed=1\n0\t1\t7\t8\t1.0\tx + p1\t3\t0.5\n")
     out = tmp_path / "out"

@@ -199,6 +199,35 @@ def test_fit_workers_inherit_the_blas_pin(tmp_path):
               "MKL_NUM_THREADS": "1"} for r in reports)
 
 
+@pytest.mark.parametrize("probe", [
+    "import esrlab.cli\n"
+    "assert 'scipy.optimize._lbfgsb' in sys.modules\n"
+    "assert 'scipy.optimize' not in sys.modules\n"
+    "assert 'scipy.linalg' not in sys.modules\n",
+    "from esrlab import fitting\n"
+    "from scipy.optimize import _lbfgsb\n"
+    "assert fitting.setulb is _lbfgsb.setulb\n",
+    "from scipy.optimize import _lbfgsb\n"
+    "from esrlab import fitting\n"
+    "assert fitting.setulb is _lbfgsb.setulb\n",
+], ids=["cli_loads_lbfgsb_alone", "fitting_first", "scipy_first"])
+def test_import_loads_only_the_lbfgsb_extension(probe):
+    """Importing esrlab loads scipy's compiled L-BFGS-B module, not the
+    ``scipy.optimize`` package around it, and the routine is the one
+    object whichever of the two a fresh interpreter imports first."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + probe],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
 def test_fit_catalog_resumes_partial(tmp_path, linear_data, catalog4):
     out = tmp_path / "results.tsv"
     full = fit_catalog(catalog4, linear_data, "mse", FitConfig(restarts=2),
