@@ -60,7 +60,9 @@ def _workers(args) -> int:
 
 
 def _check_out_dir(path: str) -> None:
-    """Refuse an output file whose directory is missing before any work."""
+    """Refuse a directory as --out, or a missing parent, before any work."""
+    if os.path.isdir(path):
+        raise InputError(f"--out {path}: is a directory")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise InputError(f"--out {path}: directory {folder} does not exist")
@@ -216,6 +218,7 @@ def _cmd_rules(args) -> int:
 
 
 def _cmd_analyze_ecdf(args) -> int:
+    _check_out_dir(args.out)
     try:
         thresholds = [float(t) for t in args.thresholds.split(",")]
     except ValueError:
@@ -235,6 +238,7 @@ def _cmd_analyze_ecdf(args) -> int:
 
 
 def _cmd_analyze_dups(args) -> int:
+    _check_out_dir(args.out)
     log = read_runlog(args.log)
     catalog = read_catalog(args.catalog) if args.catalog else None
     try:
@@ -281,6 +285,7 @@ def _baseline_values(path: str, data: Dataset, objective: str) -> list:
 
 
 def _cmd_analyze_dist(args) -> int:
+    _check_out_dir(args.out)
     if args.top < 0:
         raise InputError(f"--top must be >= 0, got {args.top}")
     results = read_results(args.results)

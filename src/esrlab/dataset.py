@@ -26,7 +26,6 @@ class Dataset:
     y: np.ndarray
     sigma_x: Optional[np.ndarray] = None
     sigma_y: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         for arr in (self.x, self.y, self.sigma_x, self.sigma_y):
@@ -80,7 +79,7 @@ def load_csv(path) -> Dataset:
         raise InputError(f"{path}: dataset needs x and y columns")
     try:
         return Dataset(cols["x"], cols["y"], cols.get("sigma_x"),
-                       cols.get("sigma_y"), os.path.basename(str(path)))
+                       cols.get("sigma_y"))
     except ValueError as err:
         raise InputError(f"{path}: {err}") from None
 
@@ -117,7 +116,7 @@ def synthetic_dataset(n: int = 64) -> Dataset:
     y = f + rng.normal(0.0, _NOISE * scale, size=n)
     sigma_x = np.full(n, 0.02)
     sigma_y = np.full(n, max(_NOISE * scale, 1e-3))
-    return Dataset(x, y, sigma_x, sigma_y, name="synthetic")
+    return Dataset(x, y, sigma_x, sigma_y)
 
 
 def bundled_synthetic_path() -> str:

@@ -17,6 +17,8 @@ The catalog file format is line-oriented UTF-8 text:
     <hash>\t<len>\t<nparams>\t<expression>     (one line per entry)
     #count=<N>,#crc=<crc32 of entry lines>
 
+An entry is a ``simplify.CanonicalForm``, whose fields are these columns.
+
 The first three headers name the definition of unique the entries are
 hashed under; ``read_catalog`` refuses a file without them or with another.
 """
@@ -32,24 +34,16 @@ from . import expr as ex
 from ._files import InputError, atomic_write, read_lines
 from .expr import ARITY, Expr, GRAMMAR_ID, PRODUCTIONS
 from .egraph import EqSatConfig
-from .simplify import Canonicalizer
+from .simplify import CanonicalForm, Canonicalizer
 
 __all__ = [
-    "enumerate_trees", "build_catalog", "Catalog", "CatalogEntry",
-    "write_catalog", "read_catalog", "RULESET_ID",
+    "enumerate_trees", "build_catalog", "Catalog", "write_catalog",
+    "read_catalog", "RULESET_ID",
 ]
 
 RULESET_ID = "table-eqsat-v1"
 
 _NT = -1  # nonterminal marker in derivation token sequences
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    semantic_hash: int
-    n_nodes: int
-    n_params: int
-    text: str
 
 
 @dataclass
@@ -137,7 +131,7 @@ def build_catalog(max_len: int, progress=None) -> Catalog:
     canon = Canonicalizer(EqSatConfig())
     seen_exprs: set[int] = set()
     seen_partials: set[bytes] = set()
-    entries: list[CatalogEntry] = []
+    entries: list[CanonicalForm] = []
 
     def keep(tree: Expr, key: tuple) -> bool:
         pk = canon(tree).semantic_hash.to_bytes(8, "little") + bytes(key)
@@ -150,8 +144,7 @@ def build_catalog(max_len: int, progress=None) -> Catalog:
         cf = canon(tree)
         if cf.semantic_hash not in seen_exprs:
             seen_exprs.add(cf.semantic_hash)
-            entries.append(CatalogEntry(
-                cf.semantic_hash, cf.n_nodes, cf.n_params, cf.text))
+            entries.append(cf)
         if progress is not None and n_visited % 10000 == 0:
             progress(n_visited, len(entries))
     return Catalog(max_len, entries)
@@ -173,7 +166,7 @@ def write_catalog(catalog: Catalog, path: str) -> None:
         f.write(f"#count={len(catalog.entries)},#crc={crc:08x}\n")
 
 
-def _check_entry(entry: CatalogEntry) -> None:
+def _check_entry(entry: CanonicalForm) -> None:
     """Raise ValueError unless the entry's text is a rendered expression
     whose text hash, length and parameter-leaf count the entry carries."""
     e = ex.parse(entry.text)
@@ -196,7 +189,7 @@ def read_catalog(path: str) -> Catalog:
     does a file whose definition headers are missing or not this code's, or
     whose ``#max_len`` is missing or not an integer."""
     headers: dict = {}   # key -> ("path:line", value)
-    entries: list[CatalogEntry] = []
+    entries: list[CanonicalForm] = []
     crc = 0
     footer = None
     for lineno, line in read_lines(path):
@@ -211,7 +204,7 @@ def read_catalog(path: str) -> Catalog:
         crc = zlib.crc32(line.encode("utf-8"), crc)
         try:
             h, n, p, text = line.rstrip("\n").split("\t")
-            entry = CatalogEntry(int(h), int(n), int(p), text)
+            entry = CanonicalForm(int(h), int(n), int(p), text)
             _check_entry(entry)
         except ValueError as err:
             raise InputError(f"{path}:{lineno}: malformed catalog entry "

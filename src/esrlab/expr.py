@@ -14,7 +14,10 @@ Text syntax (the interchange format for catalogs and run logs):
                                              nonnegative-constant bases)
     leaves      x, p1..pk, numeric literals
 
-``parse(render(e))`` reproduces ``e`` node for node.
+``render(parse(s)) == s`` for every rendered text (``read_catalog`` checks
+it), and ``parse(render(e)) == e`` for trees without literal leaves, grammar
+trees among them; ``div(-1.0, e)`` and ``div(1.0, e)`` print as the display
+forms of ``neg(inv(e))`` and ``inv(e)``.
 """
 
 from __future__ import annotations
@@ -355,7 +358,7 @@ def _render(e: Expr):
 
 
 def render(e: Expr) -> str:
-    """Deterministic text form of ``e``; ``parse`` inverts it exactly."""
+    """Deterministic text form of ``e``, which ``parse`` reads back."""
     return _render(e)[0]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .expr import Expr, PARAM, CONST
+from .expr import Expr, PARAM
 from .egraph import EGraph, EqSatConfig
 from .normalize import normalize
 
@@ -22,19 +22,18 @@ __all__ = ["CanonicalForm", "canonicalize", "Canonicalizer", "EqSatConfig"]
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    expression: Expr
+    """A canonical form as a catalog line lists it, in column order; it
+    keeps no tree (``expr.parse(text)`` rebuilds one)."""
     semantic_hash: int
-    n_params: int
     n_nodes: int
-
-    @property
-    def text(self) -> str:
-        return ex.render(self.expression)
+    n_params: int
+    text: str
 
     @property
     def is_constant(self) -> bool:
-        """True when the form is a lone parameter or literal."""
-        return self.expression.kind in (PARAM, CONST)
+        """True when the form is a lone parameter or literal: one leaf that
+        is neither the variable ``x`` nor a hole (rendered ``?k``)."""
+        return self.n_nodes == 1 and self.text[0] not in "x?"
 
 
 def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig(),
@@ -55,12 +54,11 @@ def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig(),
         # more than the input even when one-way rules cannot rebuild it
         g._union(root, g.add_expr(e))
     g.saturate()
-    extracted = g.extract(g.find(root))
-    canon = ex.renumber_leaves(extracted)
+    canon = ex.renumber_leaves(g.extract(g.find(root)))
     text = ex.render(canon)
     n_params = sum(1 for n2 in ex.subtrees(canon) if n2.kind == PARAM)
-    return CanonicalForm(canon, ex.text_hash(text), n_params,
-                         ex.length(canon))
+    return CanonicalForm(ex.text_hash(text), ex.length(canon), n_params,
+                         text)
 
 
 class Canonicalizer:

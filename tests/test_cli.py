@@ -9,10 +9,11 @@ from esrlab.cli import build_parser, main, parse_gp_config, write_gp_config
 from esrlab.dataset import save_csv, synthetic_dataset
 from esrlab import expr as ex
 from esrlab.egraph import EqSatConfig
-from esrlab.enumeration import (RULESET_ID, Catalog, CatalogEntry,
-                                read_catalog, write_catalog)
+from esrlab.enumeration import (RULESET_ID, Catalog, read_catalog,
+                                write_catalog)
 from esrlab.gp import GpConfig
 from esrlab.runlog import read_runlog
+from esrlab.simplify import CanonicalForm
 
 
 @pytest.fixture(scope="module")
@@ -365,7 +366,7 @@ def test_deep_expression_text(tmp_path, data_csv, results3_file, capsys,
         where = "error: "
     elif reader == "catalog":
         path = tmp_path / "deep.tsv"
-        entry = CatalogEntry(ex.text_hash(text), 2 * factors - 1, 0, text)
+        entry = CanonicalForm(ex.text_hash(text), 2 * factors - 1, 0, text)
         write_catalog(Catalog(3, [entry]), str(path))
         if ok:
             assert read_catalog(str(path)).entries == [entry]
@@ -400,7 +401,7 @@ def test_unparsable_catalog_entry_exits_2(tmp_path, data_csv, catalog3_file,
     though its footer matches."""
     good = read_catalog(catalog3_file)
     bad = tmp_path / "bad.tsv"
-    entry = CatalogEntry(ex.text_hash("x + "), 2, 0, "x + ")
+    entry = CanonicalForm(ex.text_hash("x + "), 2, 0, "x + ")
     write_catalog(Catalog(3, good.entries[:2] + [entry]), str(bad))
     argv = {"fit": ["fit", "--out", str(tmp_path / "r.tsv"), "--workers", "1"],
             "rs": ["rs", "--log-dir", str(tmp_path / "rs")]}[command]
@@ -560,7 +561,7 @@ def test_second_variable_exits_2(tmp_path, data_csv, catalog3_file, capsys,
         return
     good = read_catalog(catalog3_file)
     bad = tmp_path / "x2.tsv"
-    entry = CatalogEntry(ex.text_hash("x2"), 1, 0, "x2")
+    entry = CanonicalForm(ex.text_hash("x2"), 1, 0, "x2")
     write_catalog(Catalog(3, good.entries[:2] + [entry]), str(bad))
     out = tmp_path / "out"
     argv = {"fit": ["fit", "--out", str(out), "--workers", "1"],
@@ -671,6 +672,38 @@ def test_missing_output_directory_exits_2_before_work(
                     "--out", out, "--workers", "1"]}[command]
     assert main(argv) == 2
     assert "does not exist" in capsys.readouterr().err
+
+
+_OUT_COMMANDS = {
+    "enumerate": ["enumerate", "--max-length", "3"],
+    "fit": ["fit", "--catalog", "CATALOG", "--data", "DATA", "--workers",
+            "1"],
+    "analyze ecdf": ["analyze", "ecdf", "--logs", "LOG", "--thresholds",
+                     "0.1"],
+    "analyze dups": ["analyze", "dups", "--log", "LOG", "--catalog",
+                     "CATALOG"],
+    "analyze dist": ["analyze", "dist", "--results", "RESULTS", "--catalog",
+                     "CATALOG"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_out_directory_exits_2_before_work(tmp_path, data_csv, catalog3_file,
+                                           results3_file, capsys, command):
+    """An --out that is an existing directory is refused by the flag's own
+    message, not by the first write into it, and no DIR.tmp is left."""
+    log = tmp_path / "run_000.log"
+    log.write_text("#seed=1\n0\t1\t7\t8\t1.0\tx + p1\t3\t0.5\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    names = {"DATA": data_csv, "CATALOG": catalog3_file,
+             "RESULTS": results3_file, "LOG": log}
+    argv = [str(names.get(a, a)) for a in _OUT_COMMANDS[command]]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: is a directory\n"
+    assert list(out.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out",
+                                                          "run_000.log"]
 
 
 def test_unwritable_ecdf_output_exits_2(tmp_path, capsys):

@@ -19,7 +19,6 @@ def test_load_skips_comments_and_blank_lines(tmp_path):
     assert np.array_equal(data.x, [1.0, 3.0])
     assert np.array_equal(data.y, [2.0, 4.0])
     assert not data.has_uncertainties
-    assert data.name == "data.csv"
 
 
 @pytest.mark.parametrize("row", ["2.0", "2.0,3.0,4.0"])

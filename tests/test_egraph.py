@@ -9,7 +9,7 @@ from esrlab import expr as ex
 from esrlab.egraph import (EGraph, EqSatConfig, ExtractionError, RULES,
                            dump_rules, POW, _LEAVES)
 from esrlab.enumeration import enumerate_trees
-from esrlab.simplify import canonicalize
+from esrlab.simplify import CanonicalForm, Canonicalizer, canonicalize
 
 from conftest import slow
 from oracles import full_rebuild
@@ -179,6 +179,28 @@ def test_simplifies_to_constant():
     assert not canonicalize(ex.parse("x + p1"), CFG).is_constant
 
 
+def test_is_constant_reads_the_fields():
+    """Over every form up to length 7, complete and partial, a form is
+    constant exactly when its text parses to a lone parameter or literal;
+    a form with a hole (rendered ``?k``) never is."""
+    canon = Canonicalizer(CFG)
+    forms = set()
+
+    def keep(tree, key):
+        forms.add(canon(tree))
+        return True
+
+    forms.update(canon(tree) for tree in enumerate_trees(7, keep))
+    for cf in forms:
+        if "?" in cf.text:
+            assert not cf.is_constant, cf.text
+        else:
+            kind = ex.parse(cf.text).kind
+            assert cf.is_constant == (kind in (ex.PARAM, ex.CONST)), cf.text
+    assert CanonicalForm(ex.text_hash("?1"), 1, 0, "?1") in forms
+    assert {cf.text for cf in forms if cf.is_constant} >= {"p1", "0.0"}
+
+
 def test_saturation_report_reasons():
     g = EGraph(EqSatConfig(max_iters=50))
     g.add_expr(ex.parse("x + p1"))
@@ -211,7 +233,7 @@ def test_idempotence_on_small_trees():
     from esrlab.enumeration import enumerate_trees
     for i, t in enumerate(enumerate_trees(5)):
         cf = canonicalize(t, CFG)
-        again = canonicalize(cf.expression, CFG)
+        again = canonicalize(ex.parse(cf.text), CFG)
         assert again.semantic_hash == cf.semantic_hash, ex.render(t)
         assert again.text == cf.text
 
@@ -221,7 +243,7 @@ def test_idempotence_exhaustive_length8():
     from esrlab.enumeration import enumerate_trees
     for t in enumerate_trees(8):
         cf = canonicalize(t, CFG)
-        again = canonicalize(cf.expression, CFG)
+        again = canonicalize(ex.parse(cf.text), CFG)
         assert again.text == cf.text
 
 
@@ -251,7 +273,7 @@ def test_semantic_preservation_under_folding():
         y = rng.uniform(-2, 2, 32)
         data = Dataset(x, y)
         orig = fit(e, data, "mse", cfg, seed=3).objective
-        canon = fit(cf.expression, data, "mse", cfg, seed=4).objective
+        canon = fit(ex.parse(cf.text), data, "mse", cfg, seed=4).objective
         assert canon <= orig + 1e-6, (text, cf.text, orig, canon)
 
 

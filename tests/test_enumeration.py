@@ -8,10 +8,9 @@ import pytest
 from esrlab import expr as ex
 from esrlab._files import InputError
 from esrlab.egraph import EqSatConfig
-from esrlab.enumeration import (RULESET_ID, Catalog, CatalogEntry,
-                                build_catalog, enumerate_trees, read_catalog,
-                                write_catalog)
-from esrlab.simplify import canonicalize
+from esrlab.enumeration import (RULESET_ID, Catalog, build_catalog,
+                                enumerate_trees, read_catalog, write_catalog)
+from esrlab.simplify import CanonicalForm, canonicalize
 
 from conftest import slow
 from oracles import trees_cumulative, unpruned_catalog_hashes
@@ -216,7 +215,7 @@ def test_malformed_catalog_line_names_its_line(tmp_path, catalog4):
 
 
 def _entry(text, n_nodes=3, n_params=1, hashed=None):
-    return CatalogEntry(ex.text_hash(hashed or text), n_nodes, n_params, text)
+    return CanonicalForm(ex.text_hash(hashed or text), n_nodes, n_params, text)
 
 
 @pytest.mark.parametrize("entry, reason", [
@@ -269,3 +268,4 @@ def test_golden_catalogs(catalog4, catalog6):
 @pytest.mark.parametrize("max_len", [7, 8, 9])
 def test_golden_catalogs_slow(max_len):
     assert _digest(build_catalog(max_len)) == GOLDEN[max_len]
+

@@ -174,9 +174,11 @@ def test_arity_enforced():
 
 
 def _tree_strategy():
-    # constant leaves are exercised by the example tests; the parser
-    # normalizes "-<literal>" to a negative constant, so neg(const) trees
-    # are intentionally outside the round-trip contract
+    # constant leaves are exercised by the example tests; a tree with
+    # literal leaves can print as another tree's text, so such trees are
+    # outside the tree round-trip contract: the parser reads "-<literal>" as
+    # a negative constant, not neg(const), and div(-1.0, e) and div(1.0, e)
+    # print as the display forms of neg(inv(e)) and inv(e)
     leaf = st.sampled_from([ex.var(), ex.param(1), ex.param(2)])
     unary = [ex.inv, ex.abs_, ex.neg]
     binary = [ex.add, ex.sub, ex.mul, ex.div, ex.powabs]
@@ -196,6 +198,15 @@ def _tree_strategy():
 @settings(max_examples=200, deadline=None)
 def test_roundtrip_random_trees(tree):
     assert ex.parse(ex.render(tree)) == tree
+
+
+def test_div_by_literal_reads_back_as_its_display_form():
+    """The text round-trips and the tree does not: div(-1.0, x) prints as
+    the display form of neg(inv(x))."""
+    e = ex.div(ex.const(-1.0), ex.var())
+    assert ex.render(e) == "-1.0 / x"
+    assert ex.parse("-1.0 / x") == ex.neg(ex.inv(ex.var())) != e
+    assert ex.render(ex.parse("-1.0 / x")) == "-1.0 / x"
 
 
 @given(_tree_strategy())

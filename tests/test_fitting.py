@@ -147,8 +147,9 @@ import sys
 import esrlab
 import numpy as np
 from esrlab.dataset import Dataset
-from esrlab.enumeration import Catalog, CatalogEntry
+from esrlab.enumeration import Catalog
 from esrlab.fitting import GP_FIT, fit_catalog
+from esrlab.simplify import CanonicalForm
 
 VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -166,7 +167,7 @@ class Probe(Dataset):
 
 
 if __name__ == "__main__":
-    catalog = Catalog(1, [CatalogEntry(h, 1, 0, "x") for h in (1, 2)])
+    catalog = Catalog(1, [CanonicalForm(h, 1, 0, "x") for h in (1, 2)])
     fit_catalog(catalog, Probe(np.zeros(1), np.zeros(1)), "mse", GP_FIT,
                 workers=2)
 """

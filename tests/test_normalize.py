@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +141,21 @@ def test_family_preserved_under_folding():
         assert after <= orig + 1e-6, (text, ex.render(n))
 
 
+# normalize decides once per tree whether to fold parameters, by whether any
+# index repeats; a normal form can repeat an index fewer times than its
+# input, so a second pass folds what the first kept.  The Canonicalizer looks
+# raw trees up under the same keys as normal forms, which equals normalizing
+# them only where normalize is idempotent.  Enumerated trees repeat no index;
+# GP's trees can.
+@pytest.mark.xfail(strict=True, reason="normalize is not idempotent on "
+                   "trees that repeat a parameter index")
+@pytest.mark.parametrize("text", ["|p1 * (x - x)| ^ p1",
+                                  "(x / p1 + x * x) * |x / x| ^ (p1 * p1)"])
+def test_normalize_is_idempotent_with_repeated_params(text):
+    n = normalize(ex.parse(text))
+    assert normalize(n) == n, ex.render(n)
+
+
 @pytest.mark.parametrize("order", [("p1 / x * (x - x)", "1.0 / (x * p1)"),
                                    ("1.0 / (x * p1)", "p1 / x * (x - x)")])
 def test_cache_keeps_zero_product_apart(order):
@@ -183,6 +199,29 @@ def test_cache_matches_expr_keyed_reference_over_catalog(monkeypatch):
     assert made[0].ref.calls == GOLDEN_CALLS[6][0] + made[0].ref.raw_hits
 
 
+def _reachable(*roots) -> list:
+    """Every object reachable from ``roots``, classes and modules aside."""
+    seen, stack = {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and \
+                not isinstance(obj, (type, types.ModuleType)):
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_no_tree_is_kept(monkeypatch):
+    """A canonical form is its text, hash, length and parameter count:
+    neither the cache nor the catalog holds an expression tree."""
+    made = _paired(monkeypatch, enumeration)
+    catalog = enumeration.build_catalog(5)
+    held = _reachable(made[0].real._cache, catalog.entries)
+    assert sum(isinstance(o, simplify.CanonicalForm) for o in held) >= \
+        len(catalog)
+    assert not [o for o in held if isinstance(o, ex.Expr)]
+
+
 def test_cache_matches_expr_keyed_reference_over_gp_run(monkeypatch, synth):
     made = _paired(monkeypatch, gp)
     gp.run_gp(replace(gp.gp_preset(10), generations=25), synth, seed=100)
@@ -203,8 +242,9 @@ def test_cache_matches_expr_keyed_reference_on_signed_zeros():
 
 # Bytes the cache holds after every partial and complete derivation up to
 # length 6 went through it (5,605 keys, by tracemalloc on Python 3.11):
-# 5.00 MB with the trees as keys, 1.27 MB with structural_key bytes.
-_CACHE_BYTES_BOUND = 2_000_000
+# 5.00 MB with the trees as keys, 1.27 MB with structural_key bytes and a
+# tree in each form, 0.82 MB with forms that hold their text alone.
+_CACHE_BYTES_BOUND = 1_000_000
 
 
 def test_cache_memory_is_bounded():
