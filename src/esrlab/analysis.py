@@ -142,10 +142,9 @@ def duplicate_stats(log: RunLog,
         got = const_cache.get(rec.struct_hash)
         if got is None:
             try:
-                e = ex.parse(rec.text)
-            except ex.ParseError as err:
+                got = canon(ex.parse(rec.text)).is_constant
+            except ValueError as err:   # ParseError, or a repeated index
                 raise ValueError(f"eval_id {rec.eval_id}: {err}") from None
-            got = canon(e).is_constant
             const_cache[rec.struct_hash] = got
         return got
 

@@ -204,7 +204,10 @@ def _cmd_rs(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
-    cf = canonicalize(ex.parse(args.expr))
+    try:
+        cf = canonicalize(ex.parse(args.expr))
+    except ValueError as err:   # bad text, or a repeated parameter index
+        raise InputError(f"--expr: {err}") from None
     print(f"canonical: {cf.text}")
     print(f"hash: {cf.semantic_hash}")
     print(f"params: {cf.n_params}")
@@ -243,7 +246,7 @@ def _cmd_analyze_dups(args) -> int:
     catalog = read_catalog(args.catalog) if args.catalog else None
     try:
         stats = duplicate_stats(log, catalog)
-    except ValueError as err:   # a record whose expression does not parse
+    except ValueError as err:   # an unparsable record or a repeated index
         raise InputError(f"run log {args.log}: {err}")
     write_dupstats_tsv(stats, args.out)
     print(f"dup stats over {len(log.records)} records -> {args.out}")

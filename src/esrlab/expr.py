@@ -196,17 +196,16 @@ def param_count(e: Expr) -> int:
 
 
 def renumber_params(e: Expr) -> Expr:
-    """Renumber parameter leaves 1..k in left-to-right (pre-order) order.
-
-    Distinct input indices map to distinct output indices; repeated indices
-    stay shared.
+    """Number the parameter leaves 1..k in left-to-right (pre-order) order,
+    one index per leaf: every parameter leaf is its own parameter, so no two
+    leaves share an index, whatever their indices were.
     """
     return _renumber(e, (PARAM,))
 
 
 def renumber_leaves(e: Expr) -> Expr:
-    """``renumber_params`` for parameter and for hole leaves, each kind
-    numbered apart."""
+    """``renumber_params``, and holes numbered apart by first appearance; a
+    partial tree's canonical form can repeat a hole, which stays shared."""
     return _renumber(e, (PARAM, HOLE))
 
 
@@ -216,7 +215,9 @@ def _renumber(e: Expr, kinds: tuple) -> Expr:
     def walk(node: Expr) -> Expr:
         mapping = mappings.get(node.kind)
         if mapping is not None:
-            idx = mapping.setdefault(node.value, len(mapping) + 1)
+            # a parameter's key is always new, a hole's is its index
+            key = node.value if node.kind == HOLE else len(mapping)
+            idx = mapping.setdefault(key, len(mapping) + 1)
             return Expr(node.kind, idx) if idx != node.value else node
         if not node.children:
             return node

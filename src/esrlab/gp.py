@@ -7,6 +7,10 @@ is swapped for the best of all time (elitism).  Every candidate is fitted
 with a short single-restart quasi-Newton run as part of evaluation; an
 offspring over the length limit is assigned an infinite sentinel fitness and
 no fitting effort.  Every evaluation is appended to the run log.
+
+Every parameter leaf is its own parameter, as in the catalog: evaluation
+numbers a candidate's leaves 1..k (``renumber_params``), so copies made by
+crossover and mutation fit independently, and GP searches the catalog's space.
 """
 
 from __future__ import annotations

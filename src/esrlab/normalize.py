@@ -19,10 +19,6 @@ Every local rewrite preserves the function family:
   * inv(inv(u)) = u, inv(|u|^b) = |u|^-b, |c*u| = |c|*|u|, ||u|| = |u|,
     |u|^1 = |u|, (|u|^a)^b = |u|^(a*b), |-u| = |u|, |1/u| = 1/|u|;
   * differences and quotients rewrite to sums/products with -1 or inv.
-
-Parameter-only folding and fresh renumbering assume parameter occurrences
-are independent; when an expression reuses a parameter index the pass keeps
-parameters untouched (the exact rewrites still apply).
 """
 
 from __future__ import annotations
@@ -94,8 +90,7 @@ def _flatten(e: Expr, kind: int) -> list:
 
 
 class _Normalizer:
-    def __init__(self, fold_params: bool):
-        self.fold_params = fold_params
+    def __init__(self):
         self.fresh = 0
 
     def fresh_param(self) -> Expr:
@@ -110,7 +105,7 @@ class _Normalizer:
         kind, v = _analyze(e)
         if kind == _CONST:
             return ex.const(v)
-        if kind == _PARAMONLY and self.fold_params:
+        if kind == _PARAMONLY:
             return self.fresh_param()
         return None
 
@@ -184,7 +179,7 @@ class _Normalizer:
                 else:
                     const_sum = folded
                 continue
-            if self.fold_params and _analyze(base)[0] != _OTHER:
+            if _analyze(base)[0] != _OTHER:
                 param_only.append(t)
                 continue
             key = _merge_key(base, len(by_base))
@@ -243,7 +238,7 @@ class _Normalizer:
                 else:
                     coeff = folded
                 continue
-            if self.fold_params and _analyze(f)[0] != _OTHER:
+            if _analyze(f)[0] != _OTHER:
                 param_only = True
                 continue
             # reciprocal factors count negatively against their base, so
@@ -359,13 +354,14 @@ class _Normalizer:
 
 
 def normalize(e: Expr) -> Expr:
-    """Normal form of ``e``; same function family, deterministic.
-
-    When parameter occurrences are independent (no repeated index) every
-    occurrence is renumbered left-to-right; otherwise parameter folding is
-    disabled and indices are preserved.
+    """Normal form of ``e``, its parameter leaves numbered 1..k left to
+    right; same function family, deterministic.  Every parameter leaf is its
+    own parameter, so a tree that repeats an index is refused with a
+    ValueError naming it.
     """
     indices = [n.value for n in ex.subtrees(e) if n.kind == PARAM]
-    independent = len(indices) == len(set(indices))
-    n = _Normalizer(fold_params=independent).norm(e)
-    return ex.renumber_params(n) if independent else n
+    if len(indices) != len(set(indices)):
+        i = next(i for i in indices if indices.count(i) > 1)
+        raise ValueError(f"p{i} appears more than once; every parameter "
+                         "leaf is its own parameter")
+    return ex.renumber_params(_Normalizer().norm(e))

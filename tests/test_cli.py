@@ -95,6 +95,13 @@ def test_simplify_prints_canonical(capsys):
     assert "canonical: p1" in capsys.readouterr().out
 
 
+def test_simplify_refuses_repeated_param(capsys):
+    # every parameter leaf is its own parameter, as in the catalog
+    assert main(["simplify", "--expr", "p1 * x + p1 * p1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --expr: p1 appears more than once")
+
+
 def test_simplify_overflowing_literals(capsys):
     assert main(["simplify", "--expr", "x * 1e300 * 1e300"]) == 0
     assert "canonical: 1e+300 * (x * 1e+300)" in capsys.readouterr().out
@@ -418,6 +425,21 @@ def test_analyze_dups_unparsable_record_exits_2(tmp_path, capsys):
                  str(tmp_path / "d.tsv")]) == 2
     err = capsys.readouterr().err
     assert f"run log {log}: eval_id 2: " in err
+
+
+def test_analyze_dups_repeated_param_exits_2(tmp_path, capsys):
+    # a log written while GP's terminals shared p1 holds such records
+    log = tmp_path / "run_000.log"
+    log.write_text("#seed=1\n"
+                   "0\t1\t7\t8\t1.0\tx + p1\t3\t0.5\n"
+                   "0\t2\t9\t10\t1.0\tx * p1 + p1\t3\t0.5\n")
+    out = tmp_path / "d.tsv"
+    assert main(["analyze", "dups", "--log", str(log), "--out",
+                 str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: run log {log}: eval_id 2: p1 appears more than once; " \
+        "every parameter leaf is its own parameter\n"
+    assert not out.exists()
 
 
 def test_fit_mnr_needs_uncertainty_columns(tmp_path, catalog3_file, capsys):

@@ -335,7 +335,8 @@ def test_rebuild_matches_full_rebuild(monkeypatch, config):
     trees = []
     trees.extend(enumerate_trees(5, lambda t, key: trees.append(t) or True))
     rng = np.random.default_rng(2024)
-    trees.extend(_random_tree(rng, 4) for _ in range(1500))
+    trees.extend(ex.renumber_params(_random_tree(rng, 4))
+                 for _ in range(1500))
     for t in trees:
         canonicalize(t, config)
     assert sum(stops.values()) == len(trees)

@@ -8,6 +8,7 @@ import pytest
 from esrlab import expr as ex
 from esrlab.gp import (GpConfig, Individual, _Run, crossover, gp_preset, grow,
                        init_population, mutate, run_gp, tournament_select)
+from esrlab.normalize import normalize
 from esrlab.runlog import LogRecord, RunLog, read_runlog, write_runlog
 
 SMALL = GpConfig(pop_size=20, generations=4, max_len=10, optim_iterations=5)
@@ -249,9 +250,27 @@ def test_best_of_run_not_worse_than_init(synth):
     assert log.best_fitness() <= init_best
 
 
+def test_gp_searches_the_catalogs_space(synth):
+    """Each parameter leaf of every record is its own parameter, numbered
+    1..k in pre-order as in the catalog, and normalize is idempotent on
+    every record, which makes the Canonicalizer's raw-tree lookup sound."""
+    cfg = replace(SMALL, pop_size=30, generations=5, max_len=6)
+    log = run_gp(cfg, synth, seed=21)
+    multi = 0
+    for r in log.records:
+        t = ex.parse(r.text)
+        indices = [n.value for n in ex.subtrees(t) if n.kind == ex.PARAM]
+        assert indices == list(range(1, len(indices) + 1)), r.text
+        multi += len(indices) > 1
+        n = normalize(t)
+        assert normalize(n) == n, r.text
+    # the terminal set draws p1 alone, so these leaves were renumbered
+    assert multi > 0
+
+
 # sha256 prefix of the run log file of one short seeded run: pins the random
 # draws, the fits and the log format together
-_GOLDEN_LOG = "e93b18f0751bbd76"
+_GOLDEN_LOG = "6d9cd03b0ad271ba"
 
 
 def test_golden_run_log(synth, tmp_path):

@@ -119,11 +119,11 @@ def test_overflowing_literals_stay_unfolded(text):
                               eval_expr(ex.parse(text), [], xs))
 
 
-def test_repeated_params_not_folded():
-    shared = ex.parse("p1 + p1 * x")  # p1 appears twice: a real constraint
-    n = normalize(shared)
-    assert ex.param_count(n) == 1
-    assert sum(1 for s in ex.subtrees(n) if s.kind == ex.PARAM) == 2
+def test_repeated_params_refused():
+    # every parameter leaf is its own parameter, as in the catalog; a
+    # repeated index would constrain two leaves to one value
+    with pytest.raises(ValueError, match="p1 appears more than once"):
+        normalize(ex.parse("p1 + p1 * x"))
 
 
 def test_family_preserved_under_folding():
@@ -141,18 +141,16 @@ def test_family_preserved_under_folding():
         assert after <= orig + 1e-6, (text, ex.render(n))
 
 
-# normalize decides once per tree whether to fold parameters, by whether any
-# index repeats; a normal form can repeat an index fewer times than its
-# input, so a second pass folds what the first kept.  The Canonicalizer looks
-# raw trees up under the same keys as normal forms, which equals normalizing
-# them only where normalize is idempotent.  Enumerated trees repeat no index;
-# GP's trees can.
-@pytest.mark.xfail(strict=True, reason="normalize is not idempotent on "
-                   "trees that repeat a parameter index")
+# Shapes whose normal form can repeat an index fewer times than the tree
+# does: they are refused as written, and reach a fixpoint with one index per
+# leaf.  The Canonicalizer looks raw trees up under the same keys as normal
+# forms, which equals normalizing them only where normalize is idempotent.
 @pytest.mark.parametrize("text", ["|p1 * (x - x)| ^ p1",
                                   "(x / p1 + x * x) * |x / x| ^ (p1 * p1)"])
-def test_normalize_is_idempotent_with_repeated_params(text):
-    n = normalize(ex.parse(text))
+def test_normalize_is_idempotent_on_renumbered_trees(text):
+    with pytest.raises(ValueError, match="p1 appears more than once"):
+        normalize(ex.parse(text))
+    n = normalize(ex.renumber_params(ex.parse(text)))
     assert normalize(n) == n, ex.render(n)
 
 
@@ -237,7 +235,7 @@ def test_cache_matches_expr_keyed_reference_on_signed_zeros():
     rng = np.random.default_rng(11)
     leaves = _RANDOM_LEAVES + (ex.const(-0.0),)
     for _ in range(400):
-        canon(_random_tree(rng, 4, leaves))
+        canon(ex.renumber_params(_random_tree(rng, 4, leaves)))
 
 
 # Bytes the cache holds after every partial and complete derivation up to
@@ -305,9 +303,10 @@ def _forms_digest(max_len):
 
 
 # Digest over seeded random trees up to depth 4 that the grammar does not
-# produce: literals, neg, abs and repeated parameter indices.  Each line holds
-# the tree, its normal form, its canonical text and its semantic hash.
-GOLDEN_RANDOM_FORMS = (1500, "dafa9c5e8aafe208")
+# produce: literals, neg and abs, with each parameter leaf renumbered to its
+# own index.  Each line holds the tree, its normal form, its canonical text
+# and its semantic hash.
+GOLDEN_RANDOM_FORMS = (1500, "cdd92e89b75df3d7")
 
 _RANDOM_LEAVES = ((ex.var(),) + tuple(ex.param(i) for i in range(1, 5))
                   + tuple(ex.const(v) for v in (0.0, 1.0, -1.0, 2.0, -2.0,
@@ -328,7 +327,7 @@ def _random_forms_digest(n):
     rng = np.random.default_rng(2024)
     h = hashlib.sha256()
     for _ in range(n):
-        t = _random_tree(rng, 4)
+        t = ex.renumber_params(_random_tree(rng, 4))
         cf = canonicalize(t)
         h.update(f"{ex.render(t)}\t{ex.render(normalize(t))}\t{cf.text}\t"
                  f"{cf.semantic_hash}\n".encode("utf-8"))
