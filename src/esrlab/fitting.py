@@ -27,6 +27,11 @@ of min(restart_patience - starts since the last improvement, restarts
 left): the fewest the one-at-a-time loop must still run before patience
 could stop it.  Starts are drawn and results folded in restart order, so
 the restarts used, evaluation counts and results are those of that loop.
+``fit_seeds`` fits one expression under several seeds, and its lockstep
+spans them: each round, the batches of every seed still running go to one
+``minimize`` call.  Each seed draws from its own generator and each run
+counts its own evaluations, so a seed's result, counts included, is that of
+``fit`` with that seed alone; ``fit`` is ``fit_seeds`` with one seed.
 
 ``fit_catalog`` is the one loop that fits catalog entries, serially or in a
 process pool; the random-search baseline and the command line both go
@@ -65,7 +70,7 @@ from .dataset import Dataset
 from .objectives import MnrBatch, MnrParams, mse, mnr_loglik, mnr_terms
 
 __all__ = [
-    "FitConfig", "FitResult", "fit", "fit_catalog",
+    "FitConfig", "FitResult", "fit", "fit_seeds", "fit_catalog",
     "ESR_FIT", "GP_FIT", "read_results", "entry_seed",
 ]
 
@@ -143,15 +148,7 @@ class FitResult:
         return self.theta + (self.mnr.sigma_int, self.mnr.mu, self.mnr.omega)
 
 
-class _Counter:
-    __slots__ = ("obj", "grad")
-
-    def __init__(self):
-        self.obj = 0
-        self.grad = 0
-
-
-def _mse_value_grad(e: Expr, data: Dataset, counter: _Counter):
+def _mse_value_grad(e: Expr, data: Dataset):
     y = data.y
     n = len(y)
 
@@ -159,8 +156,6 @@ def _mse_value_grad(e: Expr, data: Dataset, counter: _Counter):
         """Values and gradients at each row of ``points``; a row with a
         non-finite value is a bad point, and a non-finite gradient is
         zeroed."""
-        counter.obj += len(points)
-        counter.grad += len(points)
         if len(points) == 1:     # the same bits, without a batch axis
             f, g = eval_with_grad(e, points[0], data.x, wrt="params")
             r = f - y
@@ -183,13 +178,12 @@ def _mse_value_grad(e: Expr, data: Dataset, counter: _Counter):
     return fun
 
 
-def _mnr_value(e: Expr, data: Dataset, n_params: int, counter: _Counter):
+def _mnr_value(e: Expr, data: Dataset, n_params: int):
     def fun(points):
         """Negative log-likelihoods at each row of ``points``.  The
         theta-only terms are computed once per distinct theta, keyed on
         bytes, so -0.0 and 0.0 differ, a NaN matches only its own bits, and
         rows that move only the hyperparameters share them."""
-        counter.obj += len(points)
         values = [_BAD] * len(points)
         rows, p = _mnr_batch(points, n_params, 300.0)
         if not rows:
@@ -257,13 +251,14 @@ class OptResult(NamedTuple):
     nfev: int
     njev: int
     success: bool
+    nobj: int
 
 
 class _Run:
     """One L-BFGS-B run: the routine's reverse-communication state, the
-    point it last asked for and the counts of scipy's driver."""
+    point it last asked for, scipy's counts and ``nobj`` (see minimize)."""
 
-    __slots__ = ("x", "f", "g", "last", "nfev", "njev", "nit", "nbd",
+    __slots__ = ("x", "f", "g", "last", "nfev", "njev", "nit", "nobj", "nbd",
                  "bound", "wa", "iwa", "task", "ln_task", "lsave", "isave",
                  "dsave")
 
@@ -271,7 +266,7 @@ class _Run:
         n = len(x0)
         self.x = np.array(x0, dtype=float)
         self.last = self.x.tolist()
-        self.nfev = self.njev = self.nit = 0
+        self.nfev = self.njev = self.nit = self.nobj = 0
         self.nbd = np.zeros(n, np.int32)   # no variable is bounded ...
         self.bound = np.zeros(n)           # ... so the bounds are never read
         self.wa = np.zeros(2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR ** 2
@@ -328,7 +323,8 @@ def minimize(fun, x0: np.ndarray, jac: bool, maxiter: int, ftol: float,
     requested point equal to the last one evaluated is not evaluated again.
     With ``jac`` a point holding a NaN is evaluated twice, as scipy's
     ``MemoizeJac`` did (it compares points with ==), which keeps evaluation
-    counts, and so results files, unchanged; ``nfev`` counts it once.  A
+    counts, and so results files, unchanged; ``nfev`` counts it once and
+    ``nobj``, the rows ``fun`` evaluated for the run, twice.  A
     run stops at iteration ``maxiter``, or once ``nfev`` exceeds ``maxfun``,
     checked as each iteration starts; ``success`` means the routine itself
     declared convergence.
@@ -342,7 +338,7 @@ def minimize(fun, x0: np.ndarray, jac: bool, maxiter: int, ftol: float,
             pending = [run for run in pending
                        if run.advance(factr, gtol, maxiter, maxfun)]
     return [OptResult(run.x, run.f, run.nfev, run.njev,
-                      bool(run.task[0] == 4)) for run in runs]
+                      bool(run.task[0] == 4), run.nobj) for run in runs]
 
 
 def _evaluate(fun, jac: bool, runs: list) -> None:
@@ -352,13 +348,14 @@ def _evaluate(fun, jac: bool, runs: list) -> None:
         np.array([run.last for run in runs])
     if jac:
         values, grads = fun(points)
-        twice = [run.last for run in runs if any(map(math.isnan, run.last))]
+        twice = [run for run in runs if any(map(math.isnan, run.last))]
         if twice:
-            fun(np.array(twice))
+            fun(np.array([run.last for run in twice]))
         for run, f, g in zip(runs, values, grads):
             run.f, run.g = f, g
             run.nfev += 1
             run.njev += 1
+            run.nobj += 1 + (run in twice)
         return
     moved, step = _forward_points(points)
     r, n = points.shape
@@ -370,6 +367,7 @@ def _evaluate(fun, jac: bool, runs: list) -> None:
         run.f, run.g = f, g
         run.nfev += 1 + n
         run.njev += 1
+        run.nobj += 1 + n
 
 
 def _forward_points(points: np.ndarray) -> tuple:
@@ -398,57 +396,77 @@ def fit(e: Expr, data: Dataset, objective: str = "mse",
     log-likelihood).  Expressions with nothing to optimize are evaluated
     once.
     """
+    return fit_seeds(e, data, objective, config, [seed])[0]
+
+
+def fit_seeds(e: Expr, data: Dataset, objective: str, config: FitConfig,
+              seeds: list) -> list:
+    """``fit(e, data, objective, config, seed)`` for each of ``seeds``, in
+    order, with the restarts of all seeds in lockstep: each round, every
+    seed still running draws its batch of starts, in seed order, and all
+    the batches go to one ``minimize`` call.  Each seed keeps its own
+    generator, patience count, best point and counts, so its result is
+    the one it gets alone."""
     if objective not in ("mse", "mnr"):
         raise ValueError(f"unknown objective {objective!r}")
     if objective == "mnr" and not data.has_uncertainties:
         raise ValueError("mnr objective requires sigma_x and sigma_y columns")
     n_params = ex.param_count(e)
     dim = n_params + (3 if objective == "mnr" else 0)
-    counter = _Counter()
-
     if dim == 0:
-        counter.obj += 1
         val = mse(e, (), data)
         reasons = ("constant",) if math.isfinite(val) else \
             ("constant", "degenerate")
-        return FitResult((), val, 0, counter.obj, counter.grad, reasons)
+        return [FitResult((), val, 0, 1, 0, reasons)] * len(seeds)
 
-    rng = np.random.default_rng(seed)
     jac = objective == "mse"
-    if jac:
-        fun = _mse_value_grad(e, data, counter)
-    else:
-        fun = _mnr_value(e, data, n_params, counter)
+    fun = _mse_value_grad(e, data) if jac else _mnr_value(e, data, n_params)
+    loops = [_restarts(np.random.default_rng(seed), config, dim, n_params,
+                       jac) for seed in seeds]
+    results = [None] * len(loops)
+    starts = {i: next(loop) for i, loop in enumerate(loops)}
+    while starts:
+        # optimizer tolerances sit well below the declared bounds so that
+        # convex problems reach parameter-level accuracy at the declared
+        # tolerance
+        runs = minimize(fun, np.concatenate(list(starts.values())), jac,
+                        config.max_iters, _REL_TOL * 1e-3, _ABS_TOL * 1e-3,
+                        max(config.max_iters * 20, 100))
+        vals = _objective_values(e, data, objective,
+                                 np.array([res.x for res in runs]))
+        end, todo = 0, {}
+        for i, x0 in starts.items():
+            rows = slice(end, end + len(x0))
+            end = rows.stop
+            try:
+                todo[i] = loops[i].send((runs[rows], vals[rows]))
+            except StopIteration as stop:
+                results[i] = stop.value
+        starts = todo
+    return results
 
+
+def _restarts(rng, config: FitConfig, dim: int, n_params: int, jac: bool):
+    """One seed's restart loop, as a generator: it yields each batch of
+    starts, is sent back the batch's ``minimize`` results and end-point
+    objectives, and returns the ``FitResult``."""
     best_vec = None
     best_val = math.inf
     terminations = []
     since_improve = 0
-    used = 0
+    used = n_obj = n_grad = 0
     while True:
         # the restarts a one-at-a-time loop must still run before patience
         # could stop it, and at least one: an improvement resets the count,
         # and no other outcome stops the loop sooner
         batch = max(1, min(config.restart_patience - since_improve,
                            config.restarts - used))
-        x0 = rng.uniform(_INIT_LO, _INIT_HI, (batch, dim))
-        # optimizer tolerances sit well below the declared bounds so that
-        # convex problems reach parameter-level accuracy at the declared
-        # tolerance
-        runs = minimize(fun, x0, jac, config.max_iters,
-                        _REL_TOL * 1e-3, _ABS_TOL * 1e-3,
-                        max(config.max_iters * 20, 100))
-        vals = _objective_values(e, data, objective,
-                                 np.array([res.x for res in runs]))
-        counter.obj += batch
+        runs, vals = yield rng.uniform(_INIT_LO, _INIT_HI, (batch, dim))
         for res, val in zip(runs, vals):
             used += 1
-            if not jac:
-                counter.grad += res.njev
-            if res.success:
-                terminations.append("converged")
-            else:
-                terminations.append("iter_limit")
+            n_obj += res.nobj + 1       # and the end point's evaluation
+            n_grad += res.nobj if jac else res.njev
+            terminations.append("converged" if res.success else "iter_limit")
             if math.isfinite(val) and val < best_val - _ABS_TOL:
                 best_val = val
                 best_vec = np.array(res.x)
@@ -462,16 +480,13 @@ def fit(e: Expr, data: Dataset, objective: str = "mse",
             break
 
     if best_vec is None:
-        return FitResult(tuple(), math.inf, used, counter.obj, counter.grad,
+        return FitResult(tuple(), math.inf, used, n_obj, n_grad,
                          tuple(terminations) + ("degenerate",))
-    if objective == "mse":
-        return FitResult(tuple(float(v) for v in best_vec), best_val, used,
-                         counter.obj, counter.grad, tuple(terminations))
     theta = tuple(float(v) for v in best_vec[:n_params])
-    hyper = MnrParams(theta, float(best_vec[n_params]),
-                      math.exp(best_vec[n_params + 1]),
-                      math.exp(best_vec[n_params + 2]))
-    return FitResult(theta, best_val, used, counter.obj, counter.grad,
+    hyper = None if jac else MnrParams(theta, float(best_vec[n_params]),
+                                       math.exp(best_vec[n_params + 1]),
+                                       math.exp(best_vec[n_params + 2]))
+    return FitResult(theta, best_val, used, n_obj, n_grad,
                      tuple(terminations), mnr=hyper)
 
 

@@ -3,10 +3,13 @@
 The loop, per generation: select two parents by tournament, cross over with
 probability p_cx (otherwise keep the first parent), then subtree-mutate; the
 new population fully replaces the old one, after which the worst individual
-is swapped for the best of all time (elitism).  Every candidate is fitted
-with a short single-restart quasi-Newton run as part of evaluation; an
-offspring over the length limit is assigned an infinite sentinel fitness and
-no fitting effort.  Every evaluation is appended to the run log.
+is swapped for the best of all time (elitism).  A generation is bred whole
+and then evaluated: every candidate is fitted with a short single-restart
+quasi-Newton run, and the copies of one tree, which selection and crossover
+make many of, are fitted in one ``fit_seeds`` call, each with its own seed
+and so with the fit it gets alone.  An offspring over the length limit is
+assigned an infinite sentinel fitness and no fitting effort.  Every
+evaluation is appended to the run log, in breeding order.
 
 Every parameter leaf is its own parameter, as in the catalog: evaluation
 numbers a candidate's leaves 1..k (``renumber_params``), so copies made by
@@ -23,7 +26,8 @@ from . import expr as ex
 from .expr import Expr
 from .dataset import Dataset
 from .egraph import EqSatConfig
-from .fitting import FitConfig, GP_FIT, fit
+# ``fit`` stays bound: perfbench/tracing.py patches ``gp.fit`` by name
+from .fitting import FitConfig, GP_FIT, fit, fit_seeds
 from .runlog import LogRecord, RunLog
 from .simplify import Canonicalizer
 
@@ -217,24 +221,44 @@ class _Run:
         self.fevals = 0
         self.init_discards = 0
 
-    def evaluate(self, tree: Expr, gen: int) -> Individual:
+    def prepare(self, tree: Expr) -> tuple:
+        """``tree`` with its parameters numbered, its eval id and, within
+        the length limit, its fit seed (None beyond it)."""
         tree = ex.renumber_params(tree)
         self.eval_id += 1
-        if ex.length(tree) > self.cfg.max_len:
-            ind = Individual(tree, (), math.inf, self.eval_id)
+        seed = (int(self.rng.integers(0, 2**63 - 1))
+                if ex.length(tree) <= self.cfg.max_len else None)
+        return tree, self.eval_id, seed
+
+    def evaluate(self, prepared: list, gen: int) -> list:
+        """Individuals of ``prepare``d trees, logged in order; the copies
+        of one tree are fitted in one ``fit_seeds`` call."""
+        copies: dict = {}
+        for i, (tree, _, seed) in enumerate(prepared):
+            if seed is not None:
+                # exact for GP trees, which hold no literals
+                copies.setdefault(ex.structural_key(tree), []).append(i)
+        fits = {}
+        for rows in copies.values():
+            fits.update(zip(rows, fit_seeds(
+                prepared[rows[0]][0], self.data, self.cfg.objective,
+                self.fit_config, [prepared[i][2] for i in rows])))
+        pop = []
+        for i, (tree, eval_id, _) in enumerate(prepared):
+            res = fits.get(i)
+            if res is None:
+                sem, fitness, params = 0, math.inf, ()
+            else:
+                self.fevals += res.n_obj_evals
+                sem = self.canon(tree).semantic_hash
+                fitness = res.objective if math.isfinite(res.objective) \
+                    else math.inf
+                params = res.params
             self.records.append(LogRecord(
-                gen, self.eval_id, ex.structural_hash(tree), 0, math.inf,
-                ex.render(tree), self.fevals))
-            return ind
-        seed = int(self.rng.integers(0, 2**63 - 1))
-        res = fit(tree, self.data, self.cfg.objective, self.fit_config, seed)
-        self.fevals += res.n_obj_evals
-        fitness = res.objective if math.isfinite(res.objective) else math.inf
-        cf = self.canon(tree)
-        self.records.append(LogRecord(
-            gen, self.eval_id, ex.structural_hash(tree), cf.semantic_hash,
-            fitness, ex.render(tree), self.fevals, res.params))
-        return Individual(tree, res.params, fitness, self.eval_id)
+                gen, eval_id, ex.structural_hash(tree), sem, fitness,
+                ex.render(tree), self.fevals, params))
+            pop.append(Individual(tree, params, fitness, eval_id))
+        return pop
 
 
 def init_population(cfg: GpConfig, run: _Run) -> list:
@@ -254,7 +278,8 @@ def init_population(cfg: GpConfig, run: _Run) -> list:
                 raise GpInitError(
                     f"no finite-fitness individual after "
                     f"{_INIT_RESAMPLE_CAP} samples")
-            ind = run.evaluate(grow(run.rng, depth, min_depth), 0)
+            tree = grow(run.rng, depth, min_depth)
+            ind = run.evaluate([run.prepare(tree)], 0)[0]
             if math.isfinite(ind.fitness):
                 pop.append(ind)
                 break
@@ -268,14 +293,13 @@ def run_gp(cfg: GpConfig, data: Dataset, seed: int = 0) -> RunLog:
     pop = init_population(cfg, run)
     best_ever = min(pop, key=lambda i: i.fitness)
     for gen in range(1, cfg.generations + 1):
-        newpop = []
+        children = []
         for _ in range(cfg.pop_size):
             p1 = tournament_select(pop, cfg.tournament_size, run.rng)
             p2 = tournament_select(pop, cfg.tournament_size, run.rng)
             child = crossover(p1.expr, p2.expr, cfg.p_cx, run.rng)
-            child = mutate(child, cfg.p_mut, run.rng)
-            newpop.append(run.evaluate(child, gen))
-        pop = newpop
+            children.append(run.prepare(mutate(child, cfg.p_mut, run.rng)))
+        pop = run.evaluate(children, gen)
         gen_best = min(pop, key=lambda i: i.fitness)
         if gen_best.fitness < best_ever.fitness:
             best_ever = gen_best

@@ -238,3 +238,73 @@ def unpruned_catalog_hashes(max_len: int) -> set:
 
     return {canon(tree).semantic_hash
             for tree in enumerate_trees(max_len, keep)}
+
+
+# -- GP evaluated one child at a time -------------------------------------------
+#
+# gp.run_gp as it was before a generation's copies of one tree were fitted in
+# one call: each child is bred, numbered, given its fit seed, fitted by its own
+# ``fit`` call, canonicalized and logged before the next child is bred.  Given
+# the same seed, the real run must write the same log, byte for byte.
+
+def gp_one_at_a_time(cfg, data, seed: int):
+    import math
+    from esrlab import expr as ex
+    from esrlab.fitting import FitConfig, fit
+    from esrlab.gp import (Individual, crossover, grow, mutate,
+                           tournament_select)
+    from esrlab.runlog import LogRecord, RunLog
+    from esrlab.simplify import Canonicalizer
+
+    rng = np.random.default_rng(seed)
+    canon = Canonicalizer(cfg.eqsat)
+    fit_config = FitConfig(restarts=1, max_iters=cfg.optim_iterations)
+    records = []
+    eval_id = fevals = 0
+
+    def evaluate(tree, gen):
+        nonlocal eval_id, fevals
+        tree = ex.renumber_params(tree)
+        eval_id += 1
+        if ex.length(tree) > cfg.max_len:
+            records.append(LogRecord(gen, eval_id, ex.structural_hash(tree),
+                                     0, math.inf, ex.render(tree), fevals))
+            return Individual(tree, (), math.inf, eval_id)
+        res = fit(tree, data, cfg.objective, fit_config,
+                  int(rng.integers(0, 2**63 - 1)))
+        fevals += res.n_obj_evals
+        fitness = res.objective if math.isfinite(res.objective) else math.inf
+        records.append(LogRecord(gen, eval_id, ex.structural_hash(tree),
+                                 canon(tree).semantic_hash, fitness,
+                                 ex.render(tree), fevals, res.params))
+        return Individual(tree, res.params, fitness, eval_id)
+
+    combos = [(d, lo) for d in range(min(3, cfg.max_depth), cfg.max_depth + 1)
+              for lo in (cfg.min_depth, d)]
+    pop, discards = [], 0
+    for i in range(cfg.pop_size):
+        depth, min_depth = combos[i % len(combos)]
+        while True:
+            ind = evaluate(grow(rng, depth, min_depth), 0)
+            if math.isfinite(ind.fitness):
+                break
+            discards += 1
+        pop.append(ind)
+    best_ever = min(pop, key=lambda i: i.fitness)
+    for gen in range(1, cfg.generations + 1):
+        newpop = []
+        for _ in range(cfg.pop_size):
+            p1 = tournament_select(pop, cfg.tournament_size, rng)
+            p2 = tournament_select(pop, cfg.tournament_size, rng)
+            child = crossover(p1.expr, p2.expr, cfg.p_cx, rng)
+            newpop.append(evaluate(mutate(child, cfg.p_mut, rng), gen))
+        pop = newpop
+        gen_best = min(pop, key=lambda i: i.fitness)
+        if gen_best.fitness < best_ever.fitness:
+            best_ever = gen_best
+        elif all(i.eval_id != best_ever.eval_id for i in pop):
+            worst = max(range(len(pop)), key=lambda j: pop[j].fitness)
+            pop[worst] = best_ever
+    config = cfg.as_dict()
+    config["init_discards"] = discards
+    return RunLog(records, config, seed)

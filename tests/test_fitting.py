@@ -279,11 +279,20 @@ def test_presets_follow_documented_shapes():
 
 
 def _objective_fun(e, data, objective):
-    """The batched function ``fit`` minimizes and its evaluation counter."""
-    counter = fitting._Counter()
+    """The batched function ``fit`` minimizes, counting the rows it
+    evaluates: [objective rows, gradient rows]."""
     if objective == "mse":
-        return fitting._mse_value_grad(e, data, counter), counter
-    return fitting._mnr_value(e, data, ex.param_count(e), counter), counter
+        fun = fitting._mse_value_grad(e, data)
+    else:
+        fun = fitting._mnr_value(e, data, ex.param_count(e))
+    counts = [0, 0]
+
+    def counted(points):
+        counts[0] += len(points)
+        counts[1] += len(points) if objective == "mse" else 0
+        return fun(points)
+
+    return counted, counts
 
 
 def _options(config, maxfun=None):
@@ -299,10 +308,11 @@ def _lbfgsb_both(e, data, objective, config, x0, maxfun=None):
     from scipy.optimize import minimize as scipy_minimize
 
     opts = _options(config, maxfun)
-    fun, counter = _objective_fun(e, data, objective)
+    fun, counts = _objective_fun(e, data, objective)
     res = fitting.minimize(fun, x0[None], objective == "mse", **opts)[0]
-    runs = [(res, (counter.obj, counter.grad))]
-    fun, counter = _objective_fun(e, data, objective)
+    assert res.nobj == counts[0]
+    runs = [(res, tuple(counts))]
+    fun, counts = _objective_fun(e, data, objective)
     if objective == "mse":
         def one(x):
             values, grads = fun(x[None])
@@ -312,7 +322,7 @@ def _lbfgsb_both(e, data, objective, config, x0, maxfun=None):
             return fun(x[None])[0]
     res = scipy_minimize(one, x0, jac=True if objective == "mse" else None,
                          method="L-BFGS-B", options=opts)
-    runs.append((res, (counter.obj, counter.grad)))
+    runs.append((res, tuple(counts)))
     return runs
 
 
@@ -399,8 +409,7 @@ def _counted_mnr_value(monkeypatch, text, data):
 
     monkeypatch.setattr(objectives, "eval_with_grad", counting)
     e = ex.parse(text)
-    return fitting._mnr_value(e, data, ex.param_count(e),
-                              fitting._Counter()), calls
+    return fitting._mnr_value(e, data, ex.param_count(e)), calls
 
 
 def test_mnr_hyperparameter_moves_reuse_the_expression(monkeypatch,
@@ -450,24 +459,59 @@ def test_lockstep_rows_match_runs_alone(objective, synth):
         slow, normal = rng.uniform(-3, 3, 5), rng.uniform(-3, 3, 5)
         x0 = np.array([normal, [1e9, 0.0, 0.0, -800.0, 0.0], slow])
     opts = _options(ESR_FIT, maxfun)
-    fun, counter = _objective_fun(e, synth, objective)
+    fun, counts = _objective_fun(e, synth, objective)
     batch = fitting.minimize(fun, x0, objective == "mse", **opts)
     evals = [0, 0]
     for row, res in zip(x0, batch):
-        fun, alone_counter = _objective_fun(e, synth, objective)
+        fun, alone_counts = _objective_fun(e, synth, objective)
         alone, = fitting.minimize(fun, row[None], objective == "mse", **opts)
         assert res.x.tobytes() == alone.x.tobytes()
         assert repr(res.fun) == repr(alone.fun)
-        assert (res.nfev, res.njev, res.success) == \
-            (alone.nfev, alone.njev, alone.success)
-        evals[0] += alone_counter.obj
-        evals[1] += alone_counter.grad
-    assert [counter.obj, counter.grad] == evals
+        assert (res.nfev, res.njev, res.success, res.nobj) == \
+            (alone.nfev, alone.njev, alone.success, alone_counts[0])
+        evals[0] += alone_counts[0]
+        evals[1] += alone_counts[1]
+    assert counts == evals
     assert batch[0].success and batch[1].fun == 1e300
     assert batch[2].nfev > maxfun and not batch[2].success
     if objective == "mse":
-        assert np.isnan(batch[1].x).any() and counter.obj > sum(
+        assert np.isnan(batch[1].x).any() and counts[0] > sum(
             res.nfev for res in batch)
+
+
+@pytest.mark.parametrize("text, objective, config", [
+    ("p1 / (x + p2)", "mse", GP_FIT), ("p1 / (x + p2)", "mse", ESR_FIT),
+    ("p1 / (x + p2)", "mnr", GP_FIT), ("p1 / (x + p2)", "mnr", ESR_FIT),
+    ("x * x", "mse", ESR_FIT),
+    # their fits ask for points holding a NaN, which are evaluated twice
+    ("|x| ^ (1.0 / (x + p1))", "mse", ESR_FIT),
+    ("1.0 / |x| ^ (|x| ^ p1)", "mse", ESR_FIT),
+])
+def test_fit_seeds_match_fits_alone(text, objective, config, synth,
+                                    monkeypatch):
+    """Each seed of one ``fit_seeds`` call gets the result, counts included,
+    of ``fit`` with that seed alone, whatever the other seeds' restarts."""
+    e = ex.parse(text)
+    seeds = [0, 1, 2, 3, 4, 5, 3]
+    runs = []
+    minimize = fitting.minimize
+
+    def recording(*args):
+        res = minimize(*args)
+        runs.extend(res)
+        return res
+
+    monkeypatch.setattr(fitting, "minimize", recording)
+    together = fitting.fit_seeds(e, synth, objective, config, seeds)
+    assert len(together) == len(seeds)
+    for seed, res in zip(seeds, together):
+        assert repr(res) == repr(fit(e, synth, objective, config, seed))
+    if config is ESR_FIT and ex.param_count(e) > 1:
+        assert len({res.restarts_used for res in together}) > 2
+    if "|x| ^" in text:
+        assert any(res.nobj > res.nfev for res in runs)
+    if text == "x * x":
+        assert together[0].n_obj_evals == 1 and not runs
 
 
 # the benchmark's fits: every entry of perfbench/data/catalog_l6.tsv under

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esrlab import expr as ex
+from esrlab import expr as ex, gp
 from esrlab.gp import (GpConfig, Individual, _Run, crossover, gp_preset, grow,
                        init_population, mutate, run_gp, tournament_select)
 from esrlab.normalize import normalize
@@ -266,6 +266,46 @@ def test_gp_searches_the_catalogs_space(synth):
         assert normalize(n) == n, r.text
     # the terminal set draws p1 alone, so these leaves were renumbered
     assert multi > 0
+
+
+@pytest.mark.parametrize("objective", ["mse", "mnr"])
+@pytest.mark.parametrize("p_cx, p_mut", [(1.0, 0.25), (0.0, 0.0)])
+def test_generations_match_one_child_at_a_time(objective, p_cx, p_mut, synth,
+                                              tmp_path, monkeypatch):
+    """Fitting a generation's copies of one tree in one ``fit_seeds`` call
+    writes the log of fitting each child alone, byte for byte, also when
+    almost every child is a copy (no crossover, no mutation).  Generation 0
+    makes one call per in-length individual, and every later generation
+    one per distinct in-length tree, with a seed per copy."""
+    from oracles import gp_one_at_a_time
+
+    cfg = replace(SMALL, p_cx=p_cx, p_mut=p_mut, objective=objective)
+    calls = []
+    real = gp.fit_seeds
+
+    def recording(e, data, objective, config, seeds):
+        calls.append((ex.structural_key(e), len(seeds)))
+        return real(e, data, objective, config, seeds)
+
+    monkeypatch.setattr(gp, "fit_seeds", recording)
+    for seed in (0, 1, 2):
+        calls.clear()
+        write_runlog(run_gp(cfg, synth, seed), str(tmp_path / "batched"))
+        write_runlog(gp_one_at_a_time(cfg, synth, seed),
+                     str(tmp_path / "alone"))
+        assert (tmp_path / "batched").read_bytes() == \
+            (tmp_path / "alone").read_bytes()
+        records = read_runlog(str(tmp_path / "alone")).records
+        expected = []
+        for gen in range(cfg.generations + 1):
+            trees = [ex.parse(r.text) for r in records if r.gen == gen]
+            keys = [ex.structural_key(t) for t in trees
+                    if ex.length(t) <= cfg.max_len]
+            expected.extend([(k, 1) for k in keys] if gen == 0
+                            else Counter(keys).items())
+        assert calls == expected
+        if p_cx == 0.0:
+            assert max(n for _, n in calls) > 1
 
 
 # sha256 prefix of the run log file of one short seeded run: pins the random
