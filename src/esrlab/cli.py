@@ -2,8 +2,10 @@
 
 Subcommands: enumerate, fit, gp, rs, simplify, analyze (ecdf | dups | dist),
 rules.  Exit codes: 0 success, 1 usage error, 2 data or configuration error.
-All randomness flows from --seed; --workers (or ESRLAB_WORKERS) gates the
-process pools used for catalog fitting and independent runs.
+All randomness flows from --seed; --workers (or ESRLAB_WORKERS, by default
+the CPUs the process may run on) bounds the processes that build a catalog
+(enumerate), fit one (fit) or make independent runs (gp), and the output is
+the same for every value.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .gp import CONFIG_KEYS, GpConfig, GpInitError, gp_preset, run_gp
 from .objectives import MnrParams, mnr_loglik, mse
 from .random_search import run_rs
 from .runlog import read_runlog, write_runlog
-from .simplify import canonicalize
+from .simplify import canonicalize, usable_cpus
 
 __all__ = ["main"]
 
@@ -49,7 +51,7 @@ def _workers(args) -> int:
     else:
         name, value = "ESRLAB_WORKERS", os.environ.get("ESRLAB_WORKERS")
         if not value:
-            return os.cpu_count() or 1
+            return usable_cpus()
     try:
         workers = int(value)
     except ValueError:
@@ -122,10 +124,11 @@ def write_gp_config(cfg: GpConfig, path: str) -> None:
 
 def _cmd_enumerate(args) -> int:
     _check_out_dir(args.out)
+    workers = _workers(args)
     try:
         cat = build_catalog(args.max_length,
                             progress=_progress("enumerate") if args.verbose
-                            else None)
+                            else None, workers=workers)
     except ValueError as err:
         raise InputError(f"--max-length {args.max_length}: {err}")
     write_catalog(cat, args.out)
@@ -319,6 +322,7 @@ def build_parser() -> _Parser:
     q = sub.add_parser("enumerate", help="build a unique-expression catalog")
     q.add_argument("--max-length", type=int, required=True)
     q.add_argument("--out", required=True)
+    q.add_argument("--workers", type=int, default=None)
     q.add_argument("--verbose", action="store_true")
     q.set_defaults(func=_cmd_enumerate)
 

@@ -8,6 +8,18 @@ and a partial derivation is pruned when an earlier enqueued partial with the
 same symbol multiset has the same canonical form (nonterminals treated as
 opaque leaves), since all of its completions would duplicate earlier ones.
 
+The search goes one wave at a time: a wave is every derivation one
+expansion deeper than the partials kept from the wave before, so all of it
+is known before any of its trees is canonicalized.  ``build_catalog`` hands
+a wave's trees, in derivation order, to ``Canonicalizer.forms``, which
+replays the cache's lookups in that order and may canonicalize the misses
+in other processes.  Whether a lookup hits depends only on the keys looked
+up before it, and a miss's form only on its tree, so every form, the
+cache's contents and the order of the misses are those of one process
+canonicalizing one tree after another.  The forms are then used in
+derivation order (entries, pruning, the next wave, ``progress``), so the
+catalog is byte-identical for any number of workers.
+
 The catalog file format is line-oriented UTF-8 text:
 
     #grammar=<id>
@@ -34,7 +46,7 @@ from . import expr as ex
 from ._files import InputError, atomic_write, read_lines
 from .expr import ARITY, Expr, GRAMMAR_ID, PRODUCTIONS
 from .egraph import EqSatConfig
-from .simplify import CanonicalForm, Canonicalizer
+from .simplify import CanonicalForm, Canonicalizer, usable_cpus
 
 __all__ = [
     "enumerate_trees", "build_catalog", "Catalog", "write_catalog",
@@ -44,6 +56,7 @@ __all__ = [
 RULESET_ID = "table-eqsat-v1"
 
 _NT = -1  # nonterminal marker in derivation token sequences
+_PROGRESS_EVERY = 10000  # complete trees between two progress calls
 
 
 @dataclass
@@ -87,21 +100,16 @@ def _build_tree(tokens) -> Expr:
     return walk()
 
 
-def enumerate_trees(max_len: int, keep=None) -> Iterator[Expr]:
-    """Breadth-first derivation search (first-nonterminal expansion) that
-    yields each complete derivation with length <= max_len once.
+# a queue item: tokens, terminal count, nonterminal count, production counts
+_ROOT = ((_NT,), 0, 1, (0,) * len(PRODUCTIONS))
 
-    With ``keep`` given, a partial derivation is expanded further only if
-    ``keep(tree, key)`` is true; ``key`` is its production counts followed
-    by its number of open nonterminals.  Calls to ``keep`` and yields
-    interleave in derivation order, the order ``build_catalog``
-    canonicalizes in.
-    """
-    if not 1 <= max_len <= 16:
-        raise ValueError("max_len must be in 1..16")
-    queue: deque = deque()
-    # tokens, terminal count, nonterminal count, production counts
-    queue.append(((_NT,), 0, 1, (0,) * len(PRODUCTIONS)))
+
+def _wave(queue: deque, max_len: int, partial_trees: bool = True):
+    """Every derivation one expansion deeper than those of ``queue``, which
+    it empties, in derivation order: ``(tree, None)`` for a complete one and
+    ``(tree, item)`` for a partial, whose queue item is ``item`` and whose
+    pruning key is ``_key(item)``.  Without ``partial_trees`` a partial's
+    tree is None."""
     while queue:
         tokens, n_term, n_nt, counts = queue.popleft()
         slot = tokens.index(_NT)
@@ -112,41 +120,86 @@ def enumerate_trees(max_len: int, keep=None) -> Iterator[Expr]:
             if n_term + 1 + n_open > max_len:
                 continue
             new = tokens[:slot] + (i,) + ((_NT,) * arity) + tokens[slot + 1:]
-            new_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
             if n_open == 0:
-                yield _build_tree(new)
-            elif keep is None or keep(_build_tree(new),
-                                      new_counts + (n_open,)):
-                queue.append((new, n_term + 1, n_open, new_counts))
+                yield _build_tree(new), None
+            else:
+                new_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+                yield (_build_tree(new) if partial_trees else None,
+                       (new, n_term + 1, n_open, new_counts))
 
 
-def build_catalog(max_len: int, progress=None) -> Catalog:
+def _key(item) -> tuple:
+    """A partial's production counts followed by its number of open
+    nonterminals."""
+    return item[3] + (item[2],)
+
+
+def _check_max_len(max_len: int) -> None:
+    if not 1 <= max_len <= 16:
+        raise ValueError("max_len must be in 1..16")
+
+
+def enumerate_trees(max_len: int, keep=None) -> Iterator[Expr]:
+    """Breadth-first derivation search (first-nonterminal expansion) that
+    yields each complete derivation with length <= max_len once.
+
+    With ``keep`` given, a partial derivation is expanded further only if
+    ``keep(tree, key)`` is true; ``key`` is its production counts followed
+    by its number of open nonterminals.  Calls to ``keep`` and yields
+    interleave in derivation order, the order ``build_catalog``
+    canonicalizes in.
+    """
+    _check_max_len(max_len)
+    queue = deque([_ROOT])
+    while queue:
+        kept: deque = deque()
+        for tree, item in _wave(queue, max_len, keep is not None):
+            if item is None:
+                yield tree
+            elif keep is None or keep(tree, _key(item)):
+                kept.append(item)
+        queue = kept
+
+
+def build_catalog(max_len: int, progress=None,
+                  workers: int | None = None) -> Catalog:
     """Enumerate and de-duplicate all expressions up to ``max_len`` under
     the ``EqSatConfig`` defaults, which the catalog header records.
 
     A partial derivation is pruned when an earlier one has the same semantic
     hash and production counts, compared as exact bytes, so no collision can
-    drop a partial.  The same call rebuilds a bit-identical catalog.
+    drop a partial.  ``progress(complete trees seen, entries)`` is called
+    every ``_PROGRESS_EVERY`` (10,000) complete trees.  ``workers`` (by
+    default the CPUs this process may run on) bounds the processes that
+    canonicalize; the same call rebuilds a bit-identical catalog for every
+    ``workers``.
     """
-    canon = Canonicalizer(EqSatConfig())
+    _check_max_len(max_len)
+    if workers is None:
+        workers = usable_cpus()
     seen_exprs: set[int] = set()
     seen_partials: set[bytes] = set()
     entries: list[CanonicalForm] = []
-
-    def keep(tree: Expr, key: tuple) -> bool:
-        pk = canon(tree).semantic_hash.to_bytes(8, "little") + bytes(key)
-        if pk in seen_partials:
-            return False
-        seen_partials.add(pk)
-        return True
-
-    for n_visited, tree in enumerate(enumerate_trees(max_len, keep), 1):
-        cf = canon(tree)
-        if cf.semantic_hash not in seen_exprs:
-            seen_exprs.add(cf.semantic_hash)
-            entries.append(cf)
-        if progress is not None and n_visited % 10000 == 0:
-            progress(n_visited, len(entries))
+    n_visited = 0
+    queue = deque([_ROOT])
+    with Canonicalizer(EqSatConfig(), workers) as canon:
+        while queue:
+            kept: deque = deque()
+            for cf, item in canon.forms(_wave(queue, max_len)):
+                if item is not None:
+                    pk = (cf.semantic_hash.to_bytes(8, "little")
+                          + bytes(_key(item)))
+                    if pk not in seen_partials:
+                        seen_partials.add(pk)
+                        kept.append(item)
+                    continue
+                if cf.semantic_hash not in seen_exprs:
+                    seen_exprs.add(cf.semantic_hash)
+                    entries.append(cf)
+                n_visited += 1
+                if progress is not None and n_visited % _PROGRESS_EVERY == 0:
+                    progress(n_visited, len(entries))
+            queue = kept
     return Catalog(max_len, entries)
 
 

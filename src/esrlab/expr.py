@@ -89,6 +89,11 @@ class Expr:
     def __setattr__(self, name, v):
         raise AttributeError("Expr is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor: pickle's default restores slots
+        # by setattr, which an immutable node refuses
+        return Expr, (self.kind, self.value, self.children)
+
     def __eq__(self, other):
         if self is other:
             return True

@@ -10,14 +10,18 @@ form, which treats reparameterisations (for example ``p1*(x+p2)`` against
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import expr as ex
 from .expr import Expr, PARAM
 from .egraph import EGraph, EqSatConfig
 from .normalize import normalize
 
-__all__ = ["CanonicalForm", "canonicalize", "Canonicalizer", "EqSatConfig"]
+__all__ = ["CanonicalForm", "canonicalize", "Canonicalizer", "EqSatConfig",
+           "usable_cpus"]
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,39 @@ def canonicalize(e: Expr, config: EqSatConfig = EqSatConfig(),
                          text)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the system has
+    one (``os.cpu_count()`` also counts CPUs the mask excludes)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity masks on this system
+        return os.cpu_count() or 1
+
+
+# Misses per chunk, wherever it is canonicalized, and chunks a helper may
+# hold at once, the one it works on included.  At length 7 a backlog of 2
+# left the helper idle while the parent canonicalized chunks of its own.
+_CHUNK = 8
+_BACKLOG = 4
+
+
+class _Miss:
+    """A tree the cache missed: its canonical form once known, and until
+    then the tree, its normal form and the cache keys waiting for it."""
+
+    __slots__ = ("tree", "normal", "keys", "form")
+
+    def __init__(self, tree: Expr, normal: Expr, keys: list):
+        self.tree, self.normal, self.keys = tree, normal, keys
+        self.form = None
+
+
+class _Helper(NamedTuple):
+    process: object
+    conn: object     # our end of the pipe to the process
+    held: deque      # the chunks sent to it whose forms have not come back
+
+
 class Canonicalizer:
     """Caching front-end for canonicalize.
 
@@ -74,22 +111,202 @@ class Canonicalizer:
     trees are freed once canonicalized.  The key is an exact serialization
     (it decodes one way only), so two trees share an entry exactly when
     they are equal as ``Expr`` values; unlike a digest, it cannot collide.
+
+    ``forms`` looks up many trees in order, and ``__call__`` is its
+    one-tree case.  Whether a lookup hits depends only on which keys came
+    before it, never on a form's value, and each miss is the pure call
+    ``canonicalize(tree, config, normal)``.  So ``forms`` replays the
+    lookups in order, with a placeholder for each miss, and gathers the
+    misses into chunks of ``_CHUNK``.  With ``workers > 1`` a chunk goes to
+    one of ``workers - 1`` helper processes, forked the first time one is
+    needed (never in a daemonic process, such as a pool worker, which may
+    not start any); the caller's process canonicalizes a chunk itself when
+    every helper holds ``_BACKLOG`` chunks, so no more than ``workers``
+    CPUs are busy.  The cache's contents, the misses and their order, and
+    the forms returned are the same for every ``workers``.  ``close`` (or
+    leaving a ``with`` block) stops the helpers.
     """
 
-    def __init__(self, config: EqSatConfig = EqSatConfig()):
+    def __init__(self, config: EqSatConfig = EqSatConfig(),
+                 workers: int = 1):
         self.config = config
-        self._cache: dict[bytes, CanonicalForm] = {}
+        self.workers = workers
+        self._cache: dict[bytes, CanonicalForm | _Miss] = {}
+        self._misses: list[_Miss] = []   # the chunk being gathered
+        self._helpers: list[_Helper] = []
 
     def __call__(self, e: Expr) -> CanonicalForm:
-        key = ex.structural_key(e)
-        got = self._cache.get(key)
-        if got is not None:
+        got = self._cache.get(ex.structural_key(e))
+        if type(got) is CanonicalForm:
             return got
-        n = normalize(e)
-        normal_key = ex.structural_key(n)
-        cf = self._cache.get(normal_key)
-        if cf is None:
-            cf = canonicalize(e, self.config, n)
-            self._cache[normal_key] = cf
-        self._cache[key] = cf
+        (cf, _), = self.forms(((e, None),))
         return cf
+
+    def forms(self, items):
+        """Yield ``(form, payload)`` for each ``(tree, payload)`` of
+        ``items``, in order; a form is yielded once it and every form
+        before it are known."""
+        cache = self._cache
+        window: deque = deque()   # (form or _Miss, payload), oldest first
+        try:
+            for tree, payload in items:
+                key = ex.structural_key(tree)
+                got = cache.get(key)
+                if got is None:
+                    n = normalize(tree)
+                    normal_key = ex.structural_key(n)
+                    got = cache.get(normal_key)
+                    if got is None:
+                        got = cache[normal_key] = cache[key] = \
+                            _Miss(tree, n, [normal_key, key])
+                        self._misses.append(got)
+                        if len(self._misses) == _CHUNK:
+                            self._hand_out(anywhere=True)
+                    else:
+                        cache[key] = got
+                        if type(got) is _Miss:
+                            got.keys.append(key)
+                window.append((got, payload))
+                while window:
+                    got, payload = window[0]
+                    if type(got) is _Miss:
+                        if got.form is None:
+                            break
+                        got = got.form
+                    window.popleft()
+                    yield got, payload
+            if self._misses:
+                self._hand_out(anywhere=False)
+            self._collect(block=True)
+        except GeneratorExit:
+            raise   # the caller stopped early: nothing is lost
+        except BaseException:
+            self.close()
+            raise
+        for got, payload in window:
+            yield (got.form if type(got) is _Miss else got), payload
+
+    def _hand_out(self, anywhere: bool) -> None:
+        """Canonicalize the gathered chunk: ``anywhere``, in a helper with
+        room if there is one (started if fewer than ``workers - 1`` run),
+        else here."""
+        chunk, self._misses = self._misses, []
+        if anywhere:
+            self._collect(block=False)
+            helper = next((h for h in self._helpers
+                           if len(h.held) < _BACKLOG), None)
+            if helper is None and len(self._helpers) < self.workers - 1:
+                helper = self._start_helper()
+            if helper is not None:
+                try:
+                    helper.conn.send([(m.tree, m.normal) for m in chunk])
+                except OSError:
+                    _lost(helper.process)
+                helper.held.append(chunk)
+                for m in chunk:
+                    m.tree = m.normal = None
+                return
+        self._resolve(chunk, [canonicalize(m.tree, self.config, m.normal)
+                              for m in chunk])
+
+    def _resolve(self, chunk: list, forms: list) -> None:
+        cache = self._cache
+        for m, cf in zip(chunk, forms):
+            m.form = cf
+            for key in m.keys:
+                cache[key] = cf
+            m.tree = m.normal = m.keys = None
+
+    def _collect(self, block: bool) -> None:
+        """Take in the forms of every chunk a helper has finished; with
+        ``block``, wait until no helper holds a chunk.  A helper's exception
+        is raised here."""
+        for process, conn, held in self._helpers:
+            while held and (block or conn.poll()):
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):
+                    _lost(process)
+                if isinstance(reply, BaseException):
+                    raise reply
+                self._resolve(held.popleft(), reply)
+
+    def _start_helper(self) -> _Helper | None:
+        # forked, not spawned: a helper re-imports nothing, and a script that
+        # builds a catalog needs no __main__ guard.  Daemonic, so that it is
+        # stopped at exit should its Canonicalizer never be closed.
+        import multiprocessing   # here, so that importing stays cheap
+        if multiprocessing.current_process().daemon:
+            self.workers = 1   # a daemonic process may not start children
+            return None
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        process = ctx.Process(
+            target=_serve, daemon=True,
+            args=(theirs, [ours] + [h.conn for h in self._helpers],
+                  self.config))
+        process.start()
+        theirs.close()
+        self._helpers.append(_Helper(process, ours, deque()))
+        return self._helpers[-1]
+
+    def close(self) -> None:
+        """Stop the helpers and wait for them to exit.  Entries still
+        waiting for a form (the lookups of an unfinished ``forms``) are
+        dropped from the cache."""
+        helpers, self._helpers = self._helpers, []
+        try:
+            for process, conn, _ in helpers:
+                conn.close()   # the helper reads EOF and returns
+        finally:
+            for process, _, _ in helpers:
+                process.join()
+        self._misses = []
+        for key in [k for k, v in self._cache.items() if type(v) is _Miss]:
+            del self._cache[key]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+def _lost(process) -> None:
+    """Raise for a helper that exited without being asked to."""
+    process.join()
+    raise RuntimeError(f"canonicalization helper {process.pid} exited "
+                       f"with code {process.exitcode}") from None
+
+
+def _serve(conn, inherited: list, config: EqSatConfig) -> None:
+    """A helper's loop: canonicalize each chunk of ``(tree, normal)`` pairs
+    it receives and send back the forms, or the exception the chunk raised;
+    return at end of input."""
+    import gc
+    import signal
+    # the parent's objects stay out of this process's collections, which
+    # would write to their pages and so copy them
+    gc.freeze()
+    # an interrupt is the parent's to handle; it then closes the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # the parent's ends of every pipe: with them closed here, this process
+    # reads EOF once the parent closes its end or dies
+    for c in inherited:
+        c.close()
+    while True:
+        try:
+            chunk = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = [canonicalize(t, config, n) for t, n in chunk]
+        except Exception as err:
+            reply = err
+        try:
+            conn.send(reply)
+        except BrokenPipeError:
+            return
+        if isinstance(reply, Exception):
+            return

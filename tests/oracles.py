@@ -240,6 +240,52 @@ def unpruned_catalog_hashes(max_len: int) -> set:
             for tree in enumerate_trees(max_len, keep)}
 
 
+# -- the catalog built one derivation at a time -------------------------------
+#
+# enumeration.build_catalog as it was before it went through the BFS one wave
+# at a time: a single queue of derivations, each tree canonicalized as it is
+# derived (through the Expr-keyed cache above, which gives the forms the real
+# cache gives), and a partial kept or pruned before the next derivation is
+# made.  ``progress`` is called every ``every`` complete trees.  The real
+# build must give the same entries and the same progress calls for every
+# number of workers.
+
+def sequential_catalog(max_len: int, progress=None, every: int = 10000):
+    from collections import deque
+    from esrlab.egraph import EqSatConfig
+    from esrlab.enumeration import _NT, _build_tree
+    from esrlab.expr import ARITY, PRODUCTIONS
+    canon = ExprKeyedCanonicalizer(EqSatConfig())
+    seen_exprs, seen_partials, entries = set(), set(), []
+    n_visited = 0
+    queue = deque([((_NT,), 0, 1, (0,) * len(PRODUCTIONS))])
+    while queue:
+        tokens, n_term, n_nt, counts = queue.popleft()
+        slot = tokens.index(_NT)
+        for i, kind in enumerate(PRODUCTIONS):
+            n_open = n_nt - 1 + ARITY[kind]
+            if n_term + 1 + n_open > max_len:
+                continue
+            new = tokens[:slot] + (i,) + (_NT,) * ARITY[kind] \
+                + tokens[slot + 1:]
+            new_counts = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+            cf = canon(_build_tree(new))
+            if n_open:
+                pk = cf.semantic_hash.to_bytes(8, "little") \
+                    + bytes(new_counts + (n_open,))
+                if pk not in seen_partials:
+                    seen_partials.add(pk)
+                    queue.append((new, n_term + 1, n_open, new_counts))
+                continue
+            if cf.semantic_hash not in seen_exprs:
+                seen_exprs.add(cf.semantic_hash)
+                entries.append(cf)
+            n_visited += 1
+            if progress is not None and n_visited % every == 0:
+                progress(n_visited, len(entries))
+    return entries
+
+
 # -- GP evaluated one child at a time -------------------------------------------
 #
 # gp.run_gp as it was before a generation's copies of one tree were fitted in

@@ -5,7 +5,8 @@ import shlex
 import numpy as np
 import pytest
 
-from esrlab.cli import build_parser, main, parse_gp_config, write_gp_config
+from esrlab.cli import (_workers, build_parser, main, parse_gp_config,
+                        write_gp_config)
 from esrlab.dataset import save_csv, synthetic_dataset
 from esrlab import expr as ex
 from esrlab.egraph import EqSatConfig
@@ -277,6 +278,42 @@ def test_workers_env_override(monkeypatch, tmp_path, data_csv, catalog3_file):
     assert main(["fit", "--catalog", catalog3_file, "--data", data_csv,
                  "--restarts", "2", "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_enumerate_workers_write_identical_files(tmp_path):
+    one, two = tmp_path / "one.tsv", tmp_path / "two.tsv"
+    for out, workers in ((one, "1"), (two, "2")):
+        assert main(["enumerate", "--max-length", "5", "--out", str(out),
+                     "--workers", workers]) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_enumerate_passes_workers_to_the_build(monkeypatch, tmp_path):
+    seen = []
+
+    def build(max_len, progress=None, workers=None):
+        seen.append(workers)
+        return Catalog(max_len, [])
+
+    monkeypatch.setattr("esrlab.cli.build_catalog", build)
+    out = str(tmp_path / "c.tsv")
+    monkeypatch.setenv("ESRLAB_WORKERS", "3")
+    assert main(["enumerate", "--max-length", "2", "--out", out]) == 0
+    assert main(["enumerate", "--max-length", "2", "--out", out,
+                 "--workers", "2"]) == 0
+    assert seen == [3, 2]
+
+
+def test_workers_default_to_the_cpus_the_process_may_use(monkeypatch):
+    """Under an affinity mask of one CPU on a machine of eight, the default
+    is one worker, not eight."""
+    monkeypatch.delenv("ESRLAB_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    args = build_parser().parse_args(["enumerate", "--max-length", "2",
+                                      "--out", "c.tsv"])
+    assert _workers(args) == 1
 
 
 def test_fit_workers_write_identical_files(tmp_path, data_csv, catalog4_file):

@@ -1,10 +1,14 @@
 import math
+import multiprocessing
+import os
 import re
+import signal
 import time
 import zlib
 
 import pytest
 
+from esrlab import enumeration, simplify
 from esrlab import expr as ex
 from esrlab._files import InputError
 from esrlab.egraph import EqSatConfig
@@ -13,7 +17,8 @@ from esrlab.enumeration import (RULESET_ID, Catalog, build_catalog,
 from esrlab.simplify import CanonicalForm, canonicalize
 
 from conftest import slow
-from oracles import trees_cumulative, unpruned_catalog_hashes
+from oracles import (sequential_catalog, trees_cumulative,
+                     unpruned_catalog_hashes)
 
 
 def test_raw_counts_match_recursive_oracle():
@@ -111,17 +116,18 @@ def test_fresh_form_is_in_catalog(catalog4):
 def test_partial_pruning_counts(monkeypatch, max_len, offered, kept):
     # how many partials build_catalog is offered and keeps, pinned so that a
     # change to the pruning key shows up even where the catalog does not
-    counts = [0, 0]
+    # (offered: partials a wave derives; kept: partials queued for the
+    # next wave, the root aside)
+    counts = [0, -1]
+    wave = enumeration._wave
 
-    def counting(n, keep):
-        def wrapped(tree, key):
-            counts[0] += 1
-            ok = keep(tree, key)
-            counts[1] += ok
-            return ok
-        return enumerate_trees(n, wrapped)
+    def counting(queue, *args):
+        counts[1] += len(queue)
+        for tree, item in wave(queue, *args):
+            counts[0] += item is not None
+            yield tree, item
 
-    monkeypatch.setattr("esrlab.enumeration.enumerate_trees", counting)
+    monkeypatch.setattr(enumeration, "_wave", counting)
     build_catalog(max_len)
     assert counts == [offered, kept]
 
@@ -282,3 +288,118 @@ def test_golden_catalogs(catalog4, catalog6):
 def test_golden_catalogs_slow(max_len):
     assert _digest(build_catalog(max_len)) == GOLDEN[max_len]
 
+
+# -- waves, helpers and the sequential reference ------------------------------
+
+def _check_against_oracle(monkeypatch, max_len, workers):
+    """Entries and progress calls (every 7 complete trees, so that there
+    are some) match the sequential reference's, and no helper is left."""
+    monkeypatch.setattr(enumeration, "_PROGRESS_EVERY", 7)
+    want_calls, got_calls = [], []
+    want = sequential_catalog(max_len, lambda *a: want_calls.append(a), 7)
+    got = build_catalog(max_len, lambda *a: got_calls.append(a), workers)
+    assert (got.entries, got_calls) == (want, want_calls)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4, 5, 6])
+def test_catalog_matches_sequential_oracle(monkeypatch, max_len, workers):
+    """Going through the BFS a wave at a time, with the misses canonicalized
+    in a helper or not, changes neither the entries nor the progress
+    calls."""
+    _check_against_oracle(monkeypatch, max_len, workers)
+
+
+@slow
+@pytest.mark.parametrize("workers", [1, 2])
+def test_catalog_matches_sequential_oracle_slow(monkeypatch, workers):
+    _check_against_oracle(monkeypatch, 7, workers)
+
+
+def test_misses_are_the_same_for_every_workers(monkeypatch):
+    """The chunks of misses handed out, each miss and their order, do not
+    depend on how many processes canonicalize them."""
+    hand_out = simplify.Canonicalizer._hand_out
+
+    def recorded(self, anywhere):
+        chunks.append([ex.structural_key(m.tree) for m in self._misses])
+        hand_out(self, anywhere)
+
+    monkeypatch.setattr(simplify.Canonicalizer, "_hand_out", recorded)
+    runs = []
+    for workers in (1, 2):
+        chunks = []
+        build_catalog(5, workers=workers)
+        runs.append(chunks)
+    assert runs[0] == runs[1]
+    assert sum(len(c) for c in runs[0]) > 100
+
+
+def test_no_helper_outlives_a_build_whose_progress_raises(monkeypatch):
+    monkeypatch.setattr(enumeration, "_PROGRESS_EVERY", 50)
+    running = []
+
+    def progress(*_):
+        running.append(len(multiprocessing.active_children()))
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        build_catalog(6, progress, workers=2)
+    assert running == [1]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_helpers_exception_reaches_the_caller(monkeypatch):
+    """An exception raised while a helper canonicalizes reaches the caller
+    with its type and message, and no helper is left running."""
+    parent = os.getpid()
+    canonicalize = simplify.canonicalize
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ArithmeticError("raised in a helper")
+        return canonicalize(*args)
+
+    monkeypatch.setattr(simplify, "canonicalize", failing)
+    with pytest.raises(ArithmeticError, match="^raised in a helper$"):
+        build_catalog(5, workers=2)
+    assert multiprocessing.active_children() == []
+    # a Canonicalizer that met the exception keeps no entry waiting for a
+    # form that will never come, and answers from here on
+    canon = simplify.Canonicalizer(workers=2)
+    with pytest.raises(ArithmeticError):
+        list(canon.forms((t, None) for t in enumerate_trees(5)))
+    assert multiprocessing.active_children() == []
+    assert all(isinstance(cf, CanonicalForm) for cf in canon._cache.values())
+    monkeypatch.setattr(simplify, "canonicalize", canonicalize)
+    tree = ex.parse("x * (x + p1)")
+    assert canon(tree) == canonicalize(tree)
+
+
+def test_a_helper_that_dies_is_named(monkeypatch):
+    """A helper killed while it canonicalizes fails the build with a
+    RuntimeError that names its exit, not a pipe error."""
+    parent = os.getpid()
+    canonicalize = simplify.canonicalize
+    done = []
+
+    def dying(*args):
+        if os.getpid() != parent:
+            done.append(1)
+            if len(done) == 20:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return canonicalize(*args)
+
+    monkeypatch.setattr(simplify, "canonicalize", dying)
+    with pytest.raises(RuntimeError, match=r"helper \d+ exited with code -9"):
+        build_catalog(6, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_build_in_a_daemonic_worker_runs_alone():
+    """A pool worker may not start processes of its own, so a build there
+    canonicalizes every miss in the worker."""
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        catalog = pool.apply(build_catalog, (4, None, 2))
+    assert _digest(catalog) == GOLDEN[4]

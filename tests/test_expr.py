@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,21 @@ from esrlab import expr as ex
 from esrlab.enumeration import enumerate_trees
 
 from conftest import slow
+
+
+def test_pickle_round_trip_keeps_equality_hash_and_key():
+    """A tree rebuilt from its pickle is the same ``Expr``, down to a
+    ``-0.0`` literal and a hole; forked canonicalization helpers receive
+    their trees this way."""
+    a, b = ex.param(2), ex.const(-0.0)
+    tree = ex.add(ex.sub(ex.mul(ex.var(), a), ex.div(b, ex.hole(1))),
+                  ex.powabs(ex.inv(ex.neg(ex.abs_(a))), ex.param(1)))
+    assert {n.kind for n in ex.subtrees(tree)} == set(ex.ARITY)
+    back = pickle.loads(pickle.dumps(tree))
+    assert back == tree and hash(back) == hash(tree)
+    assert ex.structural_key(back) == ex.structural_key(tree)
+    assert ex.render(back) == ex.render(tree)
+    assert str(back.children[0].children[1].children[0].value) == "-0.0"
 
 
 def test_length_examples():

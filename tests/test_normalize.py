@@ -2,6 +2,7 @@ import gc
 import hashlib
 import tracemalloc
 import types
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -169,8 +170,8 @@ class _Paired:
     """A Canonicalizer that also runs the Expr-keyed reference cache on every
     tree and checks that the two give the same form."""
 
-    def __init__(self, config):
-        self.real = Canonicalizer(config)
+    def __init__(self, config, workers=1):
+        self.real = Canonicalizer(config, workers)
         self.ref = ExprKeyedCanonicalizer(config)
 
     def __call__(self, e):
@@ -178,12 +179,31 @@ class _Paired:
         assert got == self.ref(e), ex.render(e)
         return got
 
+    def forms(self, items):
+        trees = deque()
+
+        def tee():
+            for tree, payload in items:
+                trees.append(tree)
+                yield tree, payload
+
+        for got, payload in self.real.forms(tee()):
+            e = trees.popleft()
+            assert got == self.ref(e), ex.render(e)
+            yield got, payload
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.real.__exit__(*exc)
+
 
 def _paired(monkeypatch, module):
     made = []
 
-    def make(config):
-        made.append(_Paired(config))
+    def make(*args):
+        made.append(_Paired(*args))
         return made[-1]
 
     monkeypatch.setattr(module, "Canonicalizer", make)
@@ -346,7 +366,8 @@ def _catalog_calls(monkeypatch, max_len):
     for name in calls:
         monkeypatch.setattr(simplify, name,
                             counted(name, getattr(simplify, name)))
-    enumeration.build_catalog(max_len)
+    # one process, so that every call is made, and counted, here
+    enumeration.build_catalog(max_len, workers=1)
     return calls["normalize"], calls["canonicalize"]
 
 
@@ -359,7 +380,7 @@ def _catalog_saturations(monkeypatch, max_len):
         return reports[-1]
 
     monkeypatch.setattr(egraph.EGraph, "saturate", recorded)
-    enumeration.build_catalog(max_len)
+    enumeration.build_catalog(max_len, workers=1)
     stops = [r.stop_reason for r in reports]
     return (len(reports), sum(r.iterations for r in reports),
             stops.count("fixpoint"), stops.count("iter_limit"),
