@@ -26,7 +26,7 @@ from .analysis import (duplicate_stats, ecdf, fitness_distribution,
 from .dataset import Dataset, load_csv
 from .egraph import EGraphCapacityError, dump_rules
 from .enumeration import build_catalog, read_catalog, write_catalog
-from .fitting import ESR_FIT, fit_catalog, read_results
+from .fitting import ESR_FIT, exit_with_parent, fit_catalog, read_results
 from .gp import CONFIG_KEYS, GpConfig, GpInitError, gp_preset, run_gp
 from .objectives import MnrParams, mnr_loglik, mse
 from .random_search import run_rs
@@ -167,7 +167,8 @@ def _cmd_gp(args) -> int:
     seeds = [[args.seed, r] for r in range(args.runs)]
     try:
         if workers > 1:
-            with ProcessPoolExecutor(workers) as pool:
+            with ProcessPoolExecutor(workers, initializer=exit_with_parent,
+                                     initargs=(os.getpid(),)) as pool:
                 logs = list(pool.map(_gp_one,
                                      [(cfg, data, s) for s in seeds]))
         else:

@@ -71,7 +71,7 @@ from .objectives import MnrBatch, MnrParams, mse, mnr_loglik, mnr_terms
 
 __all__ = [
     "FitConfig", "FitResult", "fit", "fit_seeds", "fit_catalog",
-    "ESR_FIT", "GP_FIT", "read_results", "entry_seed",
+    "ESR_FIT", "GP_FIT", "read_results", "entry_seed", "exit_with_parent",
 ]
 
 
@@ -529,7 +529,8 @@ def fit_catalog(catalog, data: Dataset, objective: str = "mse",
         from itertools import repeat
         pool = ProcessPoolExecutor(
             min(workers, len(todo)),
-            mp_context=multiprocessing.get_context("spawn"))
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=exit_with_parent, initargs=(os.getpid(),))
         fits = pool.map(_fit_entry, todo, repeat(data), repeat(objective),
                         repeat(config), repeat(seed))
     else:
@@ -553,6 +554,20 @@ def fit_catalog(catalog, data: Dataset, objective: str = "mse",
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return done
+
+
+def exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker once ``parent``, the process that
+    started it, has gone, rather than let it compute for no one."""
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _fit_entry(entry, data: Dataset, objective: str, config: FitConfig,

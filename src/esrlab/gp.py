@@ -9,7 +9,9 @@ quasi-Newton run, and the copies of one tree, which selection and crossover
 make many of, are fitted in one ``fit_seeds`` call, each with its own seed
 and so with the fit it gets alone.  An offspring over the length limit is
 assigned an infinite sentinel fitness and no fitting effort.  Every
-evaluation is appended to the run log, in breeding order.
+evaluation is appended to the run log, in breeding order, with the semantic
+hash of its tree, canonicalized once per run and then remembered by the
+tree's ``structural_key``.
 
 Every parameter leaf is its own parameter, as in the catalog: evaluation
 numbers a candidate's leaves 1..k (``renumber_params``), so copies made by
@@ -216,6 +218,7 @@ class _Run:
         self.data = data
         self.rng = np.random.default_rng(seed)
         self.canon = Canonicalizer(cfg.eqsat)
+        self.sem_hashes: dict[bytes, int] = {}   # structural_key -> hash
         self.records: list = []
         self.eval_id = 0
         self.fevals = 0
@@ -232,25 +235,30 @@ class _Run:
 
     def evaluate(self, prepared: list, gen: int) -> list:
         """Individuals of ``prepare``d trees, logged in order; the copies
-        of one tree are fitted in one ``fit_seeds`` call."""
+        of one tree are fitted in one ``fit_seeds`` call, and a tree seen
+        before takes its semantic hash from ``sem_hashes``."""
         copies: dict = {}
         for i, (tree, _, seed) in enumerate(prepared):
             if seed is not None:
                 # exact for GP trees, which hold no literals
                 copies.setdefault(ex.structural_key(tree), []).append(i)
         fits = {}
-        for rows in copies.values():
-            fits.update(zip(rows, fit_seeds(
-                prepared[rows[0]][0], self.data, self.cfg.objective,
-                self.fit_config, [prepared[i][2] for i in rows])))
+        for key, rows in copies.items():
+            tree = prepared[rows[0]][0]
+            sem = self.sem_hashes.get(key)
+            if sem is None:
+                sem = self.sem_hashes[key] = self.canon(tree).semantic_hash
+            results = fit_seeds(tree, self.data, self.cfg.objective,
+                                self.fit_config,
+                                [prepared[i][2] for i in rows])
+            fits.update((i, (res, sem)) for i, res in zip(rows, results))
         pop = []
         for i, (tree, eval_id, _) in enumerate(prepared):
-            res = fits.get(i)
+            res, sem = fits.get(i, (None, 0))
             if res is None:
-                sem, fitness, params = 0, math.inf, ()
+                fitness, params = math.inf, ()
             else:
                 self.fevals += res.n_obj_evals
-                sem = self.canon(tree).semantic_hash
                 fitness = res.objective if math.isfinite(res.objective) \
                     else math.inf
                 params = res.params

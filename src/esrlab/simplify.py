@@ -5,7 +5,8 @@ rewrite rules, extracts the cost-minimal representative, renumbers parameter
 leaves left to right, and hashes the rendered text.  Two expressions have the
 same semantic hash exactly when this pipeline maps them to the same canonical
 form, which treats reparameterisations (for example ``p1*(x+p2)`` against
-``p1*x + p2``) as the same function family.
+``p1*x + p2``) as the same function family.  ``Canonicalizer`` memoizes
+forms by normal form, one entry per ``canonicalize`` call.
 """
 
 from __future__ import annotations
@@ -83,12 +84,12 @@ _BACKLOG = 4
 
 class _Miss:
     """A tree the cache missed: its canonical form once known, and until
-    then the tree, its normal form and the cache keys waiting for it."""
+    then the tree and its normal form; ``key`` is the normal form's."""
 
-    __slots__ = ("tree", "normal", "keys", "form")
+    __slots__ = ("tree", "normal", "key", "form")
 
-    def __init__(self, tree: Expr, normal: Expr, keys: list):
-        self.tree, self.normal, self.keys = tree, normal, keys
+    def __init__(self, tree: Expr, normal: Expr, key: bytes):
+        self.tree, self.normal, self.key = tree, normal, key
         self.form = None
 
 
@@ -101,16 +102,14 @@ class _Helper(NamedTuple):
 class Canonicalizer:
     """Caching front-end for canonicalize.
 
-    Lookups happen twice: on the raw tree and on its normal form, so every
-    tree in one commutative/sign orbit shares a single e-graph run.  GP runs
-    revisit structures heavily and enumeration pours whole orbits through
-    the same entries, so both workloads hit the cache hard.
-
-    Both lookups key on ``expr.structural_key``, not on the ``Expr``: the
-    cache then holds a few bytes per tree seen instead of the tree, and the
-    trees are freed once canonicalized.  The key is an exact serialization
-    (it decodes one way only), so two trees share an entry exactly when
-    they are equal as ``Expr`` values; unlike a digest, it cannot collide.
+    Each tree is looked up by its normal form's ``expr.structural_key``,
+    so every tree of one commutative/sign orbit shares one e-graph run, and
+    a miss canonicalizes the tree itself, which anchors extraction.  The
+    cache holds one entry per miss; a caller that revisits the same trees,
+    as GP does, keeps its own memo in front of it.  The key is an exact
+    serialization, a few bytes where the tree would be many: it decodes one
+    way only, so two normal forms share an entry exactly when they are
+    equal as ``Expr`` values, and unlike a digest it cannot collide.
 
     ``forms`` looks up many trees in order, and ``__call__`` is its
     one-tree case.  Whether a lookup hits depends only on which keys came
@@ -136,9 +135,6 @@ class Canonicalizer:
         self._helpers: list[_Helper] = []
 
     def __call__(self, e: Expr) -> CanonicalForm:
-        got = self._cache.get(ex.structural_key(e))
-        if type(got) is CanonicalForm:
-            return got
         (cf, _), = self.forms(((e, None),))
         return cf
 
@@ -150,22 +146,14 @@ class Canonicalizer:
         window: deque = deque()   # (form or _Miss, payload), oldest first
         try:
             for tree, payload in items:
-                key = ex.structural_key(tree)
+                n = normalize(tree)
+                key = ex.structural_key(n)
                 got = cache.get(key)
                 if got is None:
-                    n = normalize(tree)
-                    normal_key = ex.structural_key(n)
-                    got = cache.get(normal_key)
-                    if got is None:
-                        got = cache[normal_key] = cache[key] = \
-                            _Miss(tree, n, [normal_key, key])
-                        self._misses.append(got)
-                        if len(self._misses) == _CHUNK:
-                            self._hand_out(anywhere=True)
-                    else:
-                        cache[key] = got
-                        if type(got) is _Miss:
-                            got.keys.append(key)
+                    got = cache[key] = _Miss(tree, n, key)
+                    self._misses.append(got)
+                    if len(self._misses) == _CHUNK:
+                        self._hand_out(anywhere=True)
                 window.append((got, payload))
                 while window:
                     got, payload = window[0]
@@ -212,10 +200,8 @@ class Canonicalizer:
     def _resolve(self, chunk: list, forms: list) -> None:
         cache = self._cache
         for m, cf in zip(chunk, forms):
-            m.form = cf
-            for key in m.keys:
-                cache[key] = cf
-            m.tree = m.normal = m.keys = None
+            m.form = cache[m.key] = cf
+            m.tree = m.normal = None
 
     def _collect(self, block: bool) -> None:
         """Take in the forms of every chunk a helper has finished; with

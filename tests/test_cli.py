@@ -225,7 +225,7 @@ def test_gp_pool_has_one_process_per_run_at_most(tmp_path, data_csv,
     sizes = []
 
     class InProcessPool:
-        def __init__(self, n):
+        def __init__(self, n, **kwargs):
             sizes.append(n)
 
         def __enter__(self):
@@ -832,3 +832,82 @@ def test_configuration_errors_exit_2(tmp_path, data_csv, catalog3_file,
     assert main(argv + extra) == 2
     assert names in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def _descendants(pid: int) -> set:
+    """The processes ``pid`` started and their own, from /proc."""
+    parents = {}
+    for name in os.listdir("/proc"):
+        if name.isdigit():
+            try:
+                with open(f"/proc/{name}/stat") as f:
+                    parents[int(name)] = int(f.read().rsplit(")", 1)[1]
+                                             .split()[1])
+            except (OSError, IndexError, ValueError):
+                pass   # gone meanwhile
+    found, frontier = set(), {pid}
+    while frontier:
+        frontier = {p for p, pp in parents.items() if pp in frontier}
+        found |= frontier
+    return found
+
+
+def _running(pid: int) -> bool:
+    """True until ``pid`` has exited; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("command", ["fit", "gp"])
+def test_pool_workers_exit_with_a_killed_parent(tmp_path, catalog4_file,
+                                                command):
+    """An ``esrlab`` process killed while its pool works leaves no worker
+    running: each worker ends once its parent has gone."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    data = tmp_path / "big.csv"
+    save_csv(synthetic_dataset(n=20_000), str(data))   # slow fits
+    cfg = tmp_path / "gp.toml"
+    cfg.write_text("max_length = 10\n")   # the 250-generation default
+    args = {"fit": ["fit", "--catalog", catalog4_file, "--data", str(data),
+                    "--out", str(tmp_path / "fit.tsv"), "--workers", "2"],
+            "gp": ["gp", "--data", str(data), "--config", str(cfg),
+                   "--runs", "4", "--log-dir", str(tmp_path / "logs"),
+                   "--workers", "2"]}[command]
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = ("import sys\nfrom esrlab.cli import main\n"
+           "sys.exit(main(sys.argv[1:]))")
+    cli = subprocess.Popen([sys.executable, "-c", run, *args], env=env,
+                           stdout=subprocess.DEVNULL,
+                           stderr=subprocess.DEVNULL)
+    workers: set = set()
+    try:
+        deadline = time.monotonic() + 60
+        busy_since = None
+        while busy_since is None or time.monotonic() < busy_since + 1.0:
+            assert cli.poll() is None and time.monotonic() < deadline
+            workers |= _descendants(cli.pid)
+            if busy_since is None and len(workers) >= 2:
+                busy_since = time.monotonic()
+            time.sleep(0.05)
+        cli.kill()
+        assert cli.wait(timeout=10) == -signal.SIGKILL
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [p for p in workers if _running(p)]
+    finally:
+        cli.kill()
+        for p in workers:
+            if _running(p):
+                os.kill(p, signal.SIGKILL)
