@@ -4,8 +4,9 @@ Subcommands: enumerate, fit, gp, rs, simplify, analyze (ecdf | dups | dist),
 rules.  Exit codes: 0 success, 1 usage error, 2 data or configuration error.
 All randomness flows from --seed; --workers (or ESRLAB_WORKERS, by default
 the CPUs the process may run on) bounds the processes that build a catalog
-(enumerate), fit one (fit) or make independent runs (gp), and the output is
-the same for every value.
+(enumerate), fit one (fit) or make independent runs (gp: min(W, runs) at a
+time, each given W // that many workers, so a run given two or more forks
+its helper), and the output is the same for every value.
 """
 
 from __future__ import annotations
@@ -159,20 +160,23 @@ def _cmd_fit(args) -> int:
 
 def _cmd_gp(args) -> int:
     _check_run_args(args)
-    workers = min(_workers(args), args.runs)
+    workers = _workers(args)
+    pool = min(workers, args.runs)
     data = load_csv(args.data)
     cfg = parse_gp_config(args.config)
     _check_objective(cfg.objective, data)
     os.makedirs(args.log_dir, exist_ok=True)
-    seeds = [[args.seed, r] for r in range(args.runs)]
+    # each run gets an equal part of the workers: a run with two or more
+    # starts its one helper
+    runs = [(cfg, data, [args.seed, r], max(1, workers // pool))
+            for r in range(args.runs)]
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(workers, initializer=exit_with_parent,
-                                     initargs=(os.getpid(),)) as pool:
-                logs = list(pool.map(_gp_one,
-                                     [(cfg, data, s) for s in seeds]))
+        if pool > 1:
+            with ProcessPoolExecutor(pool, initializer=exit_with_parent,
+                                     initargs=(os.getpid(),)) as executor:
+                logs = list(executor.map(_gp_one, runs))
         else:
-            logs = [_gp_one((cfg, data, s)) for s in seeds]
+            logs = [_gp_one(run) for run in runs]
     except GpInitError as err:
         raise InputError(f"{args.config}: {err}") from None
     # the echo goes in with the logs, so a failed run leaves none behind
@@ -186,9 +190,9 @@ def _cmd_gp(args) -> int:
 
 def _gp_one(payload):
     import numpy as np
-    cfg, data, seed = payload
+    cfg, data, seed, workers = payload
     root = int(np.random.SeedSequence(seed).generate_state(1)[0])
-    return run_gp(cfg, data, root)
+    return run_gp(cfg, data, root, workers)
 
 
 def _cmd_rs(args) -> int:

@@ -16,12 +16,28 @@ tree's ``structural_key``.
 Every parameter leaf is its own parameter, as in the catalog: evaluation
 numbers a candidate's leaves 1..k (``renumber_params``), so copies made by
 crossover and mutation fit independently, and GP searches the catalog's space.
+
+A run given two workers or more forks one helper process (``_helper``).
+The run's process breeds, selects and logs; the helper owns the run's
+``Canonicalizer``.  Each tree an evaluation meets for the first time is sent
+to the helper, in the order met, and canonicalized there while the run goes
+on; its semantic hash comes back with a later reply, and the records take
+it when the run ends.  Each generation the helper also fits the first of
+its ``fit_seeds`` groups that hold ``_HELPER_SHARE`` of its rows, while the
+run's process fits the rest; the initial population, evaluated one
+individual at a time, is fitted in the run's process.  No byte of the log
+depends on this: ``fit_seeds`` is pure, so a group's fits are the same in
+either process, and the helper's ``Canonicalizer`` is asked for the same
+trees in the same order as a run alone asks its own, so every answer it
+gives, which depends on the trees asked before, is the same too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import expr as ex
@@ -31,7 +47,7 @@ from .egraph import EqSatConfig
 # ``fit`` stays bound: perfbench/tracing.py patches ``gp.fit`` by name
 from .fitting import FitConfig, GP_FIT, fit, fit_seeds
 from .runlog import LogRecord, RunLog
-from .simplify import Canonicalizer
+from .simplify import Canonicalizer, usable_cpus
 
 __all__ = ["GpConfig", "CONFIG_KEYS", "Individual", "run_gp",
            "init_population", "tournament_select", "crossover", "mutate",
@@ -102,6 +118,10 @@ CONFIG_KEYS = {
 
 # samples drawn for one initial individual before giving up
 _INIT_RESAMPLE_CAP = 10_000
+
+# of each evaluation's fitted rows, the share the helper fits (beside
+# canonicalizing every new tree) while the run's process fits the rest
+_HELPER_SHARE = 0.4
 
 
 def gp_preset(max_len: int) -> GpConfig:
@@ -212,17 +232,24 @@ def mutate(e: Expr, p_mut: float, rng) -> Expr:
 class _Run:
     """Mutable state of one GP run."""
 
-    def __init__(self, cfg: GpConfig, data: Dataset, seed: int):
+    def __init__(self, cfg: GpConfig, data: Dataset, seed: int,
+                 workers: int = 1):
         self.cfg = cfg
         self.fit_config = FitConfig(restarts=1, max_iters=cfg.optim_iterations)
         self.data = data
         self.rng = np.random.default_rng(seed)
-        self.canon = Canonicalizer(cfg.eqsat)
-        self.sem_hashes: dict[bytes, int] = {}   # structural_key -> hash
-        self.records: list = []
+        # structural_key -> semantic hash, None while the helper owes it
+        self.sem_hashes: dict[bytes, int | None] = {}
+        self.records: list = []   # LogRecord fields, a key for sem_hash
         self.eval_id = 0
         self.fevals = 0
         self.init_discards = 0
+        self.helper = None
+        if workers > 1:
+            from ._helper import start   # here, so that importing stays cheap
+            self.helper = start("GP", _serve, cfg.eqsat, data, cfg.objective,
+                                self.fit_config)
+        self.canon = Canonicalizer(cfg.eqsat) if self.helper is None else None
 
     def prepare(self, tree: Expr) -> tuple:
         """``tree`` with its parameters numbered, its eval id and, within
@@ -235,26 +262,42 @@ class _Run:
 
     def evaluate(self, prepared: list, gen: int) -> list:
         """Individuals of ``prepare``d trees, logged in order; the copies
-        of one tree are fitted in one ``fit_seeds`` call, and a tree seen
-        before takes its semantic hash from ``sem_hashes``."""
+        of one tree are fitted in one ``fit_seeds`` call, and a tree not
+        seen before is canonicalized, by the helper if there is one."""
         copies: dict = {}
         for i, (tree, _, seed) in enumerate(prepared):
             if seed is not None:
                 # exact for GP trees, which hold no literals
                 copies.setdefault(ex.structural_key(tree), []).append(i)
+        groups = [(prepared[rows[0]][0], [prepared[i][2] for i in rows])
+                  for rows in copies.values()]
+        new = [(key, tree) for key, (tree, _) in zip(copies, groups)
+               if key not in self.sem_hashes]
+        theirs = 0   # groups, from the first, that the helper fits
+        if self.helper is None:
+            for key, tree in new:
+                self.sem_hashes[key] = self.canon(tree).semantic_hash
+        else:
+            theirs = _helper_groups(groups)
+            if new or theirs:
+                self.helper.send(([tree for _, tree in new],
+                                  groups[:theirs]))
+            for key, _ in new:
+                self.sem_hashes[key] = None
+                self.helper.held.append(key)
+        results = [fit_seeds(tree, self.data, self.cfg.objective,
+                             self.fit_config, seeds)
+                   for tree, seeds in groups[theirs:]]
+        if theirs:
+            fitted, hashes = self.helper.recv()
+            self._take(hashes)
+            results[:0] = fitted
         fits = {}
-        for key, rows in copies.items():
-            tree = prepared[rows[0]][0]
-            sem = self.sem_hashes.get(key)
-            if sem is None:
-                sem = self.sem_hashes[key] = self.canon(tree).semantic_hash
-            results = fit_seeds(tree, self.data, self.cfg.objective,
-                                self.fit_config,
-                                [prepared[i][2] for i in rows])
-            fits.update((i, (res, sem)) for i, res in zip(rows, results))
+        for (key, rows), group in zip(copies.items(), results):
+            fits.update((i, (res, key)) for i, res in zip(rows, group))
         pop = []
         for i, (tree, eval_id, _) in enumerate(prepared):
-            res, sem = fits.get(i, (None, 0))
+            res, key = fits.get(i, (None, None))
             if res is None:
                 fitness, params = math.inf, ()
             else:
@@ -262,11 +305,72 @@ class _Run:
                 fitness = res.objective if math.isfinite(res.objective) \
                     else math.inf
                 params = res.params
-            self.records.append(LogRecord(
-                gen, eval_id, ex.structural_hash(tree), sem, fitness,
-                ex.render(tree), self.fevals, params))
+            self.records.append((gen, eval_id, ex.structural_hash(tree), key,
+                                 fitness, ex.render(tree), self.fevals,
+                                 params))
             pop.append(Individual(tree, params, fitness, eval_id))
         return pop
+
+    def _take(self, hashes: list) -> None:
+        """Give the oldest keys the helper owes their semantic hashes."""
+        for h in hashes:
+            self.sem_hashes[self.helper.held.popleft()] = h
+
+    def log_records(self) -> list:
+        """The run's records, each with its semantic hash (0 beyond the
+        length limit), once the helper has sent every hash it owes."""
+        if self.helper is not None:
+            self.helper.send(None)
+            self._take(self.helper.recv())
+        records = self.records
+        # in place, so that no moment holds two copies of the run's records
+        for i, (gen, eval_id, struct, key, *rest) in enumerate(records):
+            records[i] = LogRecord(gen, eval_id, struct,
+                                   self.sem_hashes.get(key, 0), *rest)
+        return records
+
+    def close(self) -> None:
+        if self.helper is not None:
+            self.helper.close()
+
+
+def _helper_groups(groups: list) -> int:
+    """How many of ``groups``, from the first, the helper fits: the fewest
+    that hold ``_HELPER_SHARE`` of the rows, rounded down (so none of an
+    initial individual's one row)."""
+    want = int(_HELPER_SHARE * sum(len(seeds) for _, seeds in groups))
+    n = rows = 0
+    while rows < want:
+        rows += len(groups[n][1])
+        n += 1
+    return n
+
+
+def _serve(conn, eqsat: EqSatConfig, data: Dataset, objective: str,
+           fit_config: FitConfig) -> None:
+    """The helper's loop.  A message ``(trees, groups)`` queues ``trees``
+    to canonicalize, in order, and, if ``groups`` (``(tree, seeds)``
+    pairs) is not empty, is answered at once with their ``fit_seeds``
+    results and the semantic hashes found since the last answer.  The
+    queue is worked through while no message waits.  ``None`` ends the
+    run: it is answered with the hashes still owed."""
+    canon = Canonicalizer(eqsat)
+    trees: deque = deque()
+    hashes = []
+    while True:
+        if trees and not conn.poll():
+            hashes.append(canon(trees.popleft()).semantic_hash)
+            continue
+        message = conn.recv()
+        if message is None:
+            conn.send(hashes + [canon(t).semantic_hash for t in trees])
+            return
+        new, groups = message
+        trees.extend(new)
+        if groups:
+            conn.send(([fit_seeds(tree, data, objective, fit_config, seeds)
+                        for tree, seeds in groups], hashes))
+            hashes = []
 
 
 def init_population(cfg: GpConfig, run: _Run) -> list:
@@ -295,25 +399,40 @@ def init_population(cfg: GpConfig, run: _Run) -> list:
     return pop
 
 
-def run_gp(cfg: GpConfig, data: Dataset, seed: int = 0) -> RunLog:
-    """One full GP run; deterministic given the seed."""
-    run = _Run(cfg, data, seed)
-    pop = init_population(cfg, run)
-    best_ever = min(pop, key=lambda i: i.fitness)
-    for gen in range(1, cfg.generations + 1):
-        children = []
-        for _ in range(cfg.pop_size):
-            p1 = tournament_select(pop, cfg.tournament_size, run.rng)
-            p2 = tournament_select(pop, cfg.tournament_size, run.rng)
-            child = crossover(p1.expr, p2.expr, cfg.p_cx, run.rng)
-            children.append(run.prepare(mutate(child, cfg.p_mut, run.rng)))
-        pop = run.evaluate(children, gen)
-        gen_best = min(pop, key=lambda i: i.fitness)
-        if gen_best.fitness < best_ever.fitness:
-            best_ever = gen_best
-        elif all(i.eval_id != best_ever.eval_id for i in pop):
-            worst = max(range(len(pop)), key=lambda j: pop[j].fitness)
-            pop[worst] = best_ever
+def run_gp(cfg: GpConfig, data: Dataset, seed: int = 0,
+           workers: int | None = None) -> RunLog:
+    """One full GP run; deterministic given the seed.
+
+    ``workers`` (by default the CPUs this process may run on) bounds the
+    run's processes.  With two or more, and outside a daemonic process, the
+    run forks one helper, which canonicalizes every new tree and fits a
+    share of each generation, as the module docstring says; the log is the
+    same, byte for byte, for every ``workers``.  The helper is stopped when
+    the run returns or raises; an exception raised in it is raised here,
+    and a helper that dies fails the run with a ``RuntimeError`` naming its
+    exit code."""
+    run = _Run(cfg, data, seed, usable_cpus() if workers is None else workers)
+    try:
+        pop = init_population(cfg, run)
+        best_ever = min(pop, key=lambda i: i.fitness)
+        for gen in range(1, cfg.generations + 1):
+            children = []
+            for _ in range(cfg.pop_size):
+                p1 = tournament_select(pop, cfg.tournament_size, run.rng)
+                p2 = tournament_select(pop, cfg.tournament_size, run.rng)
+                child = crossover(p1.expr, p2.expr, cfg.p_cx, run.rng)
+                children.append(run.prepare(mutate(child, cfg.p_mut,
+                                                   run.rng)))
+            pop = run.evaluate(children, gen)
+            gen_best = min(pop, key=lambda i: i.fitness)
+            if gen_best.fitness < best_ever.fitness:
+                best_ever = gen_best
+            elif all(i.eval_id != best_ever.eval_id for i in pop):
+                worst = max(range(len(pop)), key=lambda j: pop[j].fitness)
+                pop[worst] = best_ever
+        records = run.log_records()
+    finally:
+        run.close()
     config = cfg.as_dict()
     config["init_discards"] = run.init_discards
-    return RunLog(run.records, config, seed)
+    return RunLog(records, config, seed)

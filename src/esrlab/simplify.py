@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import expr as ex
 from .expr import Expr, PARAM
@@ -93,12 +92,6 @@ class _Miss:
         self.form = None
 
 
-class _Helper(NamedTuple):
-    process: object
-    conn: object     # our end of the pipe to the process
-    held: deque      # the chunks sent to it whose forms have not come back
-
-
 class Canonicalizer:
     """Caching front-end for canonicalize.
 
@@ -132,7 +125,7 @@ class Canonicalizer:
         self.workers = workers
         self._cache: dict[bytes, CanonicalForm | _Miss] = {}
         self._misses: list[_Miss] = []   # the chunk being gathered
-        self._helpers: list[_Helper] = []
+        self._helpers: list = []   # of _helper.Helper
 
     def __call__(self, e: Expr) -> CanonicalForm:
         (cf, _), = self.forms(((e, None),))
@@ -186,10 +179,7 @@ class Canonicalizer:
             if helper is None and len(self._helpers) < self.workers - 1:
                 helper = self._start_helper()
             if helper is not None:
-                try:
-                    helper.conn.send([(m.tree, m.normal) for m in chunk])
-                except OSError:
-                    _lost(helper.process)
+                helper.send([(m.tree, m.normal) for m in chunk])
                 helper.held.append(chunk)
                 for m in chunk:
                     m.tree = m.normal = None
@@ -207,46 +197,26 @@ class Canonicalizer:
         """Take in the forms of every chunk a helper has finished; with
         ``block``, wait until no helper holds a chunk.  A helper's exception
         is raised here."""
-        for process, conn, held in self._helpers:
-            while held and (block or conn.poll()):
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    _lost(process)
-                if isinstance(reply, BaseException):
-                    raise reply
-                self._resolve(held.popleft(), reply)
+        for helper in self._helpers:
+            while helper.held and (block or helper.poll()):
+                self._resolve(helper.held.popleft(), helper.recv())
 
-    def _start_helper(self) -> _Helper | None:
-        # forked, not spawned: a helper re-imports nothing, and a script that
-        # builds a catalog needs no __main__ guard.  Daemonic, so that it is
-        # stopped at exit should its Canonicalizer never be closed.
-        import multiprocessing   # here, so that importing stays cheap
-        if multiprocessing.current_process().daemon:
+    def _start_helper(self):
+        from ._helper import start   # here, so that importing stays cheap
+        helper = start("canonicalization", _serve, self.config)
+        if helper is None:
             self.workers = 1   # a daemonic process may not start children
             return None
-        ctx = multiprocessing.get_context("fork")
-        ours, theirs = ctx.Pipe()
-        process = ctx.Process(
-            target=_serve, daemon=True,
-            args=(theirs, [ours] + [h.conn for h in self._helpers],
-                  self.config))
-        process.start()
-        theirs.close()
-        self._helpers.append(_Helper(process, ours, deque()))
-        return self._helpers[-1]
+        self._helpers.append(helper)
+        return helper
 
     def close(self) -> None:
         """Stop the helpers and wait for them to exit.  Entries still
         waiting for a form (the lookups of an unfinished ``forms``) are
         dropped from the cache."""
         helpers, self._helpers = self._helpers, []
-        try:
-            for process, conn, _ in helpers:
-                conn.close()   # the helper reads EOF and returns
-        finally:
-            for process, _, _ in helpers:
-                process.join()
+        for helper in helpers:
+            helper.close()
         self._misses = []
         for key in [k for k, v in self._cache.items() if type(v) is _Miss]:
             del self._cache[key]
@@ -259,40 +229,8 @@ class Canonicalizer:
         return False
 
 
-def _lost(process) -> None:
-    """Raise for a helper that exited without being asked to."""
-    process.join()
-    raise RuntimeError(f"canonicalization helper {process.pid} exited "
-                       f"with code {process.exitcode}") from None
-
-
-def _serve(conn, inherited: list, config: EqSatConfig) -> None:
+def _serve(conn, config: EqSatConfig) -> None:
     """A helper's loop: canonicalize each chunk of ``(tree, normal)`` pairs
-    it receives and send back the forms, or the exception the chunk raised;
-    return at end of input."""
-    import gc
-    import signal
-    # the parent's objects stay out of this process's collections, which
-    # would write to their pages and so copy them
-    gc.freeze()
-    # an interrupt is the parent's to handle; it then closes the pipe
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # the parent's ends of every pipe: with them closed here, this process
-    # reads EOF once the parent closes its end or dies
-    for c in inherited:
-        c.close()
+    it receives and send back the forms."""
     while True:
-        try:
-            chunk = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = [canonicalize(t, config, n) for t, n in chunk]
-        except Exception as err:
-            reply = err
-        try:
-            conn.send(reply)
-        except BrokenPipeError:
-            return
-        if isinstance(reply, Exception):
-            return
+        conn.send([canonicalize(t, config, n) for t, n in conn.recv()])

@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,23 @@ from esrlab.enumeration import build_catalog
 slow = pytest.mark.skipif(
     not os.environ.get("ESRLAB_SLOW"),
     reason="long-running; set ESRLAB_SLOW=1 to enable")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_behind():
+    """Fail a test that leaves a multiprocessing child (a helper, a pool
+    worker) running, after giving each a moment to exit; the children are
+    then killed, so that no later test is blamed for them."""
+    yield
+    deadline = time.monotonic() + 2.0
+    for child in multiprocessing.active_children():
+        child.join(max(0.0, deadline - time.monotonic()))
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    if left:
+        pytest.fail(f"children left running: {left}")
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import pytest
 from esrlab.cli import (_workers, build_parser, main, parse_gp_config,
                         write_gp_config)
 from esrlab.dataset import save_csv, synthetic_dataset
-from esrlab import expr as ex
+from esrlab import expr as ex, gp
 from esrlab.egraph import EqSatConfig
 from esrlab.enumeration import (RULESET_ID, Catalog, read_catalog,
                                 write_catalog)
@@ -215,14 +215,17 @@ def test_gp_determinism_across_invocations(tmp_path, data_csv):
         (d2 / "run_000.log").read_bytes()
 
 
-@pytest.mark.parametrize("runs, workers, pool", [(1, 4, None), (2, 4, 2),
-                                                  (3, 2, 2)])
+@pytest.mark.parametrize("runs, workers, pool, per_run",
+                         [(1, 4, None, 4), (2, 4, 2, 2), (3, 2, 2, 1),
+                          (1, 2, None, 2), (4, 2, 2, 1)],
+                         ids=["1-4-None", "2-4-2", "3-2-2", "1-2-None",
+                              "4-2-2"])
 def test_gp_pool_has_one_process_per_run_at_most(tmp_path, data_csv,
                                                  monkeypatch, runs, workers,
-                                                 pool):
+                                                 pool, per_run):
     """``esrlab gp`` starts min(workers, runs) processes, and no pool when
-    that is one."""
-    sizes = []
+    that is one, and gives each run workers // that many workers."""
+    sizes, given = [], []
 
     class InProcessPool:
         def __init__(self, n, **kwargs):
@@ -235,9 +238,17 @@ def test_gp_pool_has_one_process_per_run_at_most(tmp_path, data_csv,
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            given.extend(workers for *_, workers in items)
             return map(fn, items)
 
+    def one_process(cfg, data, seed, workers):
+        if pool is None:
+            given.append(workers)
+        return gp.run_gp(cfg, data, seed, workers=1)
+
     monkeypatch.setattr("esrlab.cli.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("esrlab.cli.run_gp", one_process)
     cfg = tmp_path / "gp.toml"
     cfg.write_text("max_length = 6\npop_size = 8\ngenerations = 2\n"
                    "optim_iterations = 3\n")
@@ -245,6 +256,22 @@ def test_gp_pool_has_one_process_per_run_at_most(tmp_path, data_csv,
                  "--runs", str(runs), "--log-dir", str(tmp_path / "logs"),
                  "--workers", str(workers)]) == 0
     assert sizes == ([] if pool is None else [pool])
+    assert given == [per_run] * runs
+
+
+def test_gp_writes_the_same_files_for_every_workers(tmp_path, data_csv):
+    """One run given a helper (--workers 2) writes the log and the config
+    echo of one run alone."""
+    cfg = tmp_path / "gp.toml"
+    cfg.write_text("max_length = 8\npop_size = 12\ngenerations = 3\n"
+                   "optim_iterations = 5\n")
+    dirs = [tmp_path / "w1", tmp_path / "w2"]
+    for workers, d in zip((1, 2), dirs):
+        assert main(["gp", "--data", data_csv, "--config", str(cfg),
+                     "--runs", "1", "--seed", "5", "--log-dir", str(d),
+                     "--workers", str(workers)]) == 0
+    for name in ("run_000.log", "config_echo.txt"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
 def test_gp_config_depths_in_either_order(tmp_path):
@@ -862,11 +889,12 @@ def _running(pid: int) -> bool:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-@pytest.mark.parametrize("command", ["fit", "gp"])
+@pytest.mark.parametrize("command", ["fit", "gp", "gp_helper"])
 def test_pool_workers_exit_with_a_killed_parent(tmp_path, catalog4_file,
                                                 command):
     """An ``esrlab`` process killed while its pool works leaves no worker
-    running: each worker ends once its parent has gone."""
+    running: each worker ends once its parent has gone.  So does the
+    helper of a single GP run."""
     import signal
     import subprocess
     import sys
@@ -880,7 +908,11 @@ def test_pool_workers_exit_with_a_killed_parent(tmp_path, catalog4_file,
                     "--out", str(tmp_path / "fit.tsv"), "--workers", "2"],
             "gp": ["gp", "--data", str(data), "--config", str(cfg),
                    "--runs", "4", "--log-dir", str(tmp_path / "logs"),
-                   "--workers", "2"]}[command]
+                   "--workers", "2"],
+            "gp_helper": ["gp", "--data", str(data), "--config", str(cfg),
+                          "--runs", "1", "--log-dir", str(tmp_path / "logs"),
+                          "--workers", "2"]}[command]
+    busy = 1 if command == "gp_helper" else 2
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -897,7 +929,7 @@ def test_pool_workers_exit_with_a_killed_parent(tmp_path, catalog4_file,
         while busy_since is None or time.monotonic() < busy_since + 1.0:
             assert cli.poll() is None and time.monotonic() < deadline
             workers |= _descendants(cli.pid)
-            if busy_since is None and len(workers) >= 2:
+            if busy_since is None and len(workers) >= busy:
                 busy_since = time.monotonic()
             time.sleep(0.05)
         cli.kill()

@@ -1,13 +1,17 @@
 import math
+import multiprocessing
+import os
+import signal
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from esrlab import expr as ex, gp
-from esrlab.gp import (GpConfig, Individual, _Run, crossover, gp_preset, grow,
-                       init_population, mutate, run_gp, tournament_select)
+from esrlab import _helper, expr as ex, gp
+from esrlab.gp import (GpConfig, GpInitError, Individual, _Run, crossover,
+                       gp_preset, grow, init_population, mutate, run_gp,
+                       tournament_select)
 from esrlab.normalize import normalize
 from esrlab.runlog import LogRecord, RunLog, read_runlog, write_runlog
 
@@ -290,7 +294,9 @@ def test_generations_match_one_child_at_a_time(objective, p_cx, p_mut, synth,
     monkeypatch.setattr(gp, "fit_seeds", recording)
     for seed in (0, 1, 2):
         calls.clear()
-        write_runlog(run_gp(cfg, synth, seed), str(tmp_path / "batched"))
+        # the helper's fit_seeds calls would not reach this process
+        write_runlog(run_gp(cfg, synth, seed, workers=1),
+                     str(tmp_path / "batched"))
         write_runlog(gp_one_at_a_time(cfg, synth, seed),
                      str(tmp_path / "alone"))
         assert (tmp_path / "batched").read_bytes() == \
@@ -320,3 +326,123 @@ def test_golden_run_log(synth, tmp_path):
     path = tmp_path / "run.log"
     write_runlog(run_gp(cfg, synth, seed=100), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == _GOLDEN_LOG
+
+
+def _log_bytes(log, path) -> bytes:
+    write_runlog(log, str(path))
+    return path.read_bytes()
+
+
+# draws offspring over the length limit (sentinels) and initial trees over
+# it (init discards)
+_SHORT = replace(SMALL, max_len=6)
+
+
+@pytest.mark.parametrize("cfg", [SMALL, replace(SMALL, objective="mnr"),
+                                 replace(SMALL, p_cx=0.0, p_mut=0.0), _SHORT],
+                         ids=["mse", "mnr", "no_variation", "over_length"])
+def test_logs_are_the_same_for_every_workers(cfg, synth, tmp_path,
+                                             monkeypatch):
+    """A run whose helper canonicalizes and fits a share of each
+    generation writes the log of a run alone, byte for byte."""
+    start = _helper.start
+    started = []
+
+    def recording(*args):
+        started.append(start(*args))
+        return started[-1]
+
+    monkeypatch.setattr(_helper, "start", recording)
+    sentinels = discards = 0
+    for seed in (0, 1, 2):
+        alone = run_gp(cfg, synth, seed, workers=1)
+        assert started == []
+        helped = _log_bytes(run_gp(cfg, synth, seed, workers=2),
+                            tmp_path / "helped")
+        assert len(started) == 1 and started.pop() is not None
+        assert _log_bytes(alone, tmp_path / "alone") == helped
+        sentinels += sum(r.sem_hash == 0 for r in alone.records)
+        discards += alone.config["init_discards"]
+    if cfg is _SHORT:
+        assert sentinels > 0 and discards > 0
+
+
+def test_more_workers_start_one_helper(synth, monkeypatch):
+    real = gp.fit_seeds
+    running = []
+
+    def counting(*args):
+        running.append(len(multiprocessing.active_children()))
+        return real(*args)
+
+    monkeypatch.setattr(gp, "fit_seeds", counting)
+    run_gp(SMALL, synth, 0, workers=4)
+    assert set(running) == {1}
+
+
+def test_no_helper_outlives_its_run(synth):
+    run_gp(SMALL, synth, 0, workers=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(GpInitError):
+        run_gp(replace(SMALL, max_len=2), synth, 0, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+class _FailingCanonicalizer:
+    def __init__(self, *args):
+        pass
+
+    def __call__(self, tree):
+        raise ArithmeticError("raised in the GP helper")
+
+
+@pytest.mark.parametrize("where", ["fit_seeds", "Canonicalizer"])
+def test_a_helpers_exception_reaches_the_caller(where, synth, monkeypatch):
+    """An exception raised in the helper, while it fits (the run waits for
+    the reply) or while it canonicalizes (the run does not), reaches the
+    caller with its type and message, and no helper is left running."""
+    parent = os.getpid()
+    real = gp.fit_seeds
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ArithmeticError("raised in the GP helper")
+        return real(*args)
+
+    monkeypatch.setattr(gp, where, {"fit_seeds": failing,
+                                    "Canonicalizer": _FailingCanonicalizer
+                                    }[where])
+    with pytest.raises(ArithmeticError, match="^raised in the GP helper$"):
+        run_gp(SMALL, synth, 0, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_helper_fails_the_run(synth, monkeypatch):
+    parent = os.getpid()
+    real = gp.fit_seeds
+    calls = []
+
+    def dying(*args):
+        if os.getpid() != parent:
+            calls.append(1)
+            if len(calls) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(gp, "fit_seeds", dying)
+    with pytest.raises(RuntimeError,
+                       match=r"^GP helper \d+ exited with code -9$"):
+        run_gp(SMALL, synth, 0, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_run_in_a_daemonic_worker_runs_alone(synth, tmp_path):
+    """A pool worker may not start processes of its own, so a run there
+    canonicalizes and fits everything itself."""
+    import hashlib
+
+    cfg = replace(gp_preset(10), pop_size=30, generations=5)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        log = pool.apply(run_gp, (cfg, synth, 100, 2))
+    digest = hashlib.sha256(_log_bytes(log, tmp_path / "run.log"))
+    assert digest.hexdigest()[:16] == _GOLDEN_LOG

@@ -243,8 +243,9 @@ def test_no_tree_is_kept(monkeypatch):
 
 def test_cache_matches_expr_keyed_reference_over_gp_run(monkeypatch, synth):
     made = _paired(monkeypatch, gp)
+    # the helper's Canonicalizer calls would not reach this process
     log = gp.run_gp(replace(gp.gp_preset(10), generations=25), synth,
-                    seed=100)
+                    seed=100, workers=1)
     # GP's own memo answers most lookups: a tree reaches the Canonicalizer
     # the first time the run evaluates it
     in_length = sum(1 for r in log.records if r.sem_hash)
