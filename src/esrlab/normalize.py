@@ -2,9 +2,13 @@
 
 Whole families of trivially congruent trees (orderings of sums and products,
 sign variants, reciprocal/power chains, parameter-only subexpressions)
-collapse to one normal form in a single O(n log n) pass, so the e-graph
-budget is spent on the deep equalities (distribution, factoring, exponent
-arithmetic) instead of on enumerating those orbits.
+collapse to one normal form in one recursive pass, so the e-graph budget is
+spent on the deep equalities (distribution, factoring, exponent arithmetic)
+instead of on enumerating those orbits.  The pass costs O(n * depth), since
+folding analyzes each subtree it meets.  A subtree of at most 5 nodes is
+normalized once per process: a memo of at most 4,096 entries keys its normal
+form by the subtree's shape, which drops parameter indices and keeps literal
+bits and hole indices.
 
 Every local rewrite preserves the function family:
 
@@ -27,7 +31,7 @@ from . import expr as ex
 from .egraph import (_CONST, _FRESH_BASE, _OTHER, _PARAMONLY,
                      _const_analysis, _const_eval)
 from .expr import (
-    Expr, VAR, PARAM, CONST, ADD, SUB, MUL, DIV, INV, POWABS, NEG, ABS, HOLE,
+    Expr, PARAM, CONST, ADD, SUB, MUL, DIV, INV, POWABS, NEG, ABS, HOLE,
 )
 
 __all__ = ["normalize"]
@@ -89,6 +93,34 @@ def _flatten(e: Expr, kind: int) -> list:
     return out
 
 
+# The memo of small subtrees' normal forms, by ``_shape``.
+_MEMO_LENGTH = 5   # nodes
+_MEMO_SIZE = 4096   # entries; a full memo still answers
+_memo: dict = {}
+
+
+def _shape(e: Expr):
+    """Memo key of ``e``, one item per node in a fixed order: a literal's
+    ``float.hex`` (so -0.0 stays apart from 0.0), ``-1 - index`` for a
+    hole, and the kind for any other node, so parameter indices drop out.
+    None when ``e`` has more than _MEMO_LENGTH nodes."""
+    parts = []
+    stack = [e]
+    while stack:
+        if len(parts) == _MEMO_LENGTH:
+            return None
+        node = stack.pop()
+        k = node.kind
+        if k == CONST:
+            parts.append(node.value.hex())
+        elif k == HOLE:
+            parts.append(-1 - node.value)
+        else:
+            parts.append(k)
+            stack += node.children
+    return tuple(parts)
+
+
 class _Normalizer:
     def __init__(self):
         self.fresh = 0
@@ -110,9 +142,20 @@ class _Normalizer:
         return None
 
     def norm(self, e: Expr) -> Expr:
-        k = e.kind
-        if k in (VAR, PARAM, CONST, HOLE):
+        if not e.children:
             return e
+        key = _shape(e)
+        if key is None:
+            return self.norm_node(e)
+        n = _memo.get(key)
+        if n is None:
+            n = self.norm_node(e)
+            if len(_memo) < _MEMO_SIZE:
+                _memo[key] = n
+        return n
+
+    def norm_node(self, e: Expr) -> Expr:
+        k = e.kind
         folded = self.fold(e)
         if folded is not None:
             return folded
@@ -358,6 +401,11 @@ def normalize(e: Expr) -> Expr:
     right; same function family, deterministic.  Every parameter leaf is its
     own parameter, so a tree that repeats an index is refused with a
     ValueError naming it.
+
+    Nothing here reads a parameter's index (``_sort_key`` ignores it,
+    ``_merge_key`` never merges a base that holds a parameter, and the
+    final renumbering gives every leaf a new one), so the memo, which
+    answers subtrees that differ only there alike, changes no output.
     """
     indices = [n.value for n in ex.subtrees(e) if n.kind == PARAM]
     if len(indices) != len(set(indices)):

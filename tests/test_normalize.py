@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import tracemalloc
 import types
 from collections import deque
@@ -451,3 +452,111 @@ def test_golden_catalog_calls_slow(monkeypatch):
 def test_golden_catalog_saturations_slow(monkeypatch):
     assert (_catalog_saturations(monkeypatch, 7)
             == GOLDEN_SATURATIONS[7])
+
+
+# The memo of small subtrees' normal forms.  The package's ``normalize`` is
+# the function, so the module is looked up by name.
+_nm = importlib.import_module("esrlab.normalize")
+
+
+def _bits(n):
+    """A normal form as exact values: its structural key, which writes -0.0
+    as 0.0, and every literal's bits."""
+    return ex.structural_key(n), [s.value.hex() for s in ex.subtrees(n)
+                                  if s.kind == ex.CONST]
+
+
+def _memo_free(monkeypatch, trees) -> list:
+    """The reference: normal forms with no subtree short enough to memoize."""
+    with monkeypatch.context() as m:
+        m.setattr(_nm, "_MEMO_LENGTH", 0)
+        m.setattr(_nm, "_memo", {})
+        out = [_bits(normalize(t)) for t in trees]
+        assert not _nm._memo
+    return out
+
+
+def _assert_memo_changes_nothing(monkeypatch, trees):
+    want = _memo_free(monkeypatch, trees)
+    monkeypatch.setattr(_nm, "_memo", {})
+    for t, w in zip(trees, want):
+        assert _bits(normalize(t)) == w, ex.render(t)
+    assert _nm._memo
+
+
+def _derivations(max_len) -> list:
+    """Every partial and complete derivation up to ``max_len``."""
+    trees = []
+
+    def keep(t, key):
+        trees.append(t)
+        return True
+
+    trees.extend(enumerate_trees(max_len, keep))
+    return trees
+
+
+@pytest.mark.parametrize("max_len", [6, pytest.param(7, marks=slow)])
+def test_memo_changes_no_normal_form_of_a_derivation(monkeypatch, max_len):
+    _assert_memo_changes_nothing(monkeypatch, _derivations(max_len))
+
+
+def test_memo_changes_no_normal_form_of_a_gp_run(monkeypatch, synth):
+    log = gp.run_gp(replace(gp.gp_preset(10), generations=10), synth,
+                    seed=100, workers=1)
+    _assert_memo_changes_nothing(
+        monkeypatch, [ex.parse(r.text) for r in log.records])
+
+
+def test_memo_changes_no_normal_form_of_a_tree_with_literals(monkeypatch):
+    rng = np.random.default_rng(23)
+    leaves = _RANDOM_LEAVES + (ex.const(-0.0),)
+    _assert_memo_changes_nothing(
+        monkeypatch, [ex.renumber_params(_random_tree(rng, 4, leaves))
+                      for _ in range(400)])
+
+
+_X = ex.var()
+
+
+@pytest.mark.parametrize("first, second", [
+    (ex.powabs(ex.const(-0.0), _X), ex.powabs(ex.const(0.0), _X)),
+    (ex.powabs(ex.const(0.0), _X), ex.powabs(ex.const(-0.0), _X)),
+    (ex.add(_X, ex.hole(1)), ex.add(_X, ex.hole(2))),
+    (ex.mul(ex.hole(2), ex.inv(ex.hole(1))),
+     ex.mul(ex.hole(1), ex.inv(ex.hole(2)))),
+], ids=["-0.0|0.0", "0.0|-0.0", "hole_1|2", "hole_order"])
+def test_memo_keeps_apart_literal_bits_and_hole_indices(monkeypatch, first,
+                                                         second):
+    want = _memo_free(monkeypatch, [first, second])
+    assert want[0] != want[1]
+    monkeypatch.setattr(_nm, "_memo", {})
+    assert _bits(normalize(first)) == want[0]
+    assert _bits(normalize(second)) == want[1]
+    assert _nm._shape(first) != _nm._shape(second)
+    assert {_nm._shape(first), _nm._shape(second)} <= _nm._memo.keys()
+
+
+def test_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(_nm, "_memo", {})
+    assert len(enumeration.build_catalog(7)) == 1713
+    assert 0 < len(_nm._memo) <= _nm._MEMO_SIZE
+    # one key item per node
+    assert max(len(key) for key in _nm._memo) <= _nm._MEMO_LENGTH
+
+
+def test_a_full_memo_still_answers(monkeypatch):
+    trees = _derivations(5)
+    want = _memo_free(monkeypatch, trees)
+    monkeypatch.setattr(_nm, "_memo", {})
+    monkeypatch.setattr(_nm, "_MEMO_SIZE", 50)
+    assert [_bits(normalize(t)) for t in trees] == want
+    assert len(_nm._memo) == 50
+
+
+def test_repeated_params_refused_on_memo_hits(monkeypatch):
+    monkeypatch.setattr(_nm, "_memo", {})
+    normalize(ex.parse("x * p1 + x * p2"))
+    assert _nm._shape(ex.parse("x * p1")) in _nm._memo
+    with pytest.raises(ValueError, match="p1 appears more than once"):
+        normalize(ex.parse("x * p1 + x * p1"))
