@@ -2,7 +2,9 @@
 
 ``start(name, serve, *args)`` forks a process that runs ``serve(conn,
 *args)``, where ``conn`` is the helper's end of a duplex pipe, and returns
-the caller's end as a ``Helper``.  Every helper:
+the caller's end as a ``Helper``.  The fork hands ``args`` over as they
+are, unpickled, so they may hold memory the two processes share.  Every
+helper:
 
 - is forked, not spawned, so it re-imports nothing and a script that uses
   one needs no ``__main__`` guard, and it is never started in a daemonic

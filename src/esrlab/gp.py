@@ -22,14 +22,19 @@ The run's process breeds, selects and logs; the helper owns the run's
 ``Canonicalizer``.  Each tree an evaluation meets for the first time is sent
 to the helper, in the order met, and canonicalized there while the run goes
 on; its semantic hash comes back with a later reply, and the records take
-it when the run ends.  Each generation the helper also fits the first of
-its ``fit_seeds`` groups that hold ``_HELPER_SHARE`` of its rows, while the
-run's process fits the rest; the initial population, evaluated one
-individual at a time, is fitted in the run's process.  No byte of the log
-depends on this: ``fit_seeds`` is pure, so a group's fits are the same in
-either process, and the helper's ``Canonicalizer`` is asked for the same
-trees in the same order as a run alone asks its own, so every answer it
-gives, which depends on the trees asked before, is the same too.
+it when the run ends.  Each generation's ``fit_seeds`` groups are fitted
+from both ends: the helper takes them from the first forward, the run's
+process from the last backward, each claiming its next group only while
+the other has not claimed it, and they stop where they meet.  So each side
+fits as many groups as its speed allows, and at most the group they meet
+at is fitted twice.  The claims are two counters in memory shared with the
+helper, each written by one process only, so no lock is needed.  The
+initial population, evaluated one individual at a time, is fitted in the
+run's process.  No byte of the log depends on this: ``fit_seeds`` is pure,
+so a group's fits are the same in either process, and the helper's
+``Canonicalizer`` is asked for the same trees in the same order as a run
+alone asks its own, so every answer it gives, which depends on the trees
+asked before, is the same too.
 """
 
 from __future__ import annotations
@@ -118,10 +123,6 @@ CONFIG_KEYS = {
 
 # samples drawn for one initial individual before giving up
 _INIT_RESAMPLE_CAP = 10_000
-
-# of each evaluation's fitted rows, the share the helper fits (beside
-# canonicalizing every new tree) while the run's process fits the rest
-_HELPER_SHARE = 0.4
 
 
 def gp_preset(max_len: int) -> GpConfig:
@@ -246,9 +247,16 @@ class _Run:
         self.init_discards = 0
         self.helper = None
         if workers > 1:
-            from ._helper import start   # here, so that importing stays cheap
+            import mmap   # here, so that importing stays cheap
+            from ._helper import start
+            # the groups both processes fit are numbered over the run, so
+            # that a counter left by one generation claims none of the
+            # next; the helper has claimed the groups below claims[0], the
+            # run's process those from claims[1] on
+            self.numbered = 0
+            self.claims = memoryview(mmap.mmap(-1, 16)).cast("q")
             self.helper = start("GP", _serve, cfg.eqsat, data, cfg.objective,
-                                self.fit_config)
+                                self.fit_config, self.claims)
         self.canon = Canonicalizer(cfg.eqsat) if self.helper is None else None
 
     def prepare(self, tree: Expr) -> tuple:
@@ -273,25 +281,15 @@ class _Run:
                   for rows in copies.values()]
         new = [(key, tree) for key, (tree, _) in zip(copies, groups)
                if key not in self.sem_hashes]
-        theirs = 0   # groups, from the first, that the helper fits
         if self.helper is None:
             for key, tree in new:
                 self.sem_hashes[key] = self.canon(tree).semantic_hash
+            results = [self._fit(group) for group in groups]
         else:
-            theirs = _helper_groups(groups)
-            if new or theirs:
-                self.helper.send(([tree for _, tree in new],
-                                  groups[:theirs]))
             for key, _ in new:
                 self.sem_hashes[key] = None
                 self.helper.held.append(key)
-        results = [fit_seeds(tree, self.data, self.cfg.objective,
-                             self.fit_config, seeds)
-                   for tree, seeds in groups[theirs:]]
-        if theirs:
-            fitted, hashes = self.helper.recv()
-            self._take(hashes)
-            results[:0] = fitted
+            results = self._fit_shared([tree for _, tree in new], groups)
         fits = {}
         for (key, rows), group in zip(copies.items(), results):
             fits.update((i, (res, key)) for i, res in zip(rows, group))
@@ -310,6 +308,36 @@ class _Run:
                                  params))
             pop.append(Individual(tree, params, fitness, eval_id))
         return pop
+
+    def _fit(self, group: tuple) -> list:
+        tree, seeds = group
+        return fit_seeds(tree, self.data, self.cfg.objective,
+                         self.fit_config, seeds)
+
+    def _fit_shared(self, trees: list, groups: list) -> list:
+        """The ``fit_seeds`` results of ``groups``, two or more of which
+        are fitted from both ends: the run's process takes them from the
+        last backward while the helper takes them from the first forward.
+        ``trees`` are sent to the helper to canonicalize."""
+        first = self.numbered
+        if len(groups) < 2:
+            if trees:
+                self.helper.send((trees, first, []))
+            return [self._fit(group) for group in groups]
+        # each side claims a group, by writing its own counter, only while
+        # the other's shows it unclaimed; so no group is left unfitted,
+        # and only the one they meet at can be fitted by both
+        self.numbered = last = first + len(groups)
+        self.claims[1] = last
+        self.helper.send((trees, first, groups))
+        mine = []
+        while last > first and last > self.claims[0]:
+            last -= 1
+            self.claims[1] = last
+            mine.append(self._fit(groups[last - first]))
+        fitted, hashes = self.helper.recv()
+        self._take(hashes)
+        return fitted[:last - first] + mine[::-1]
 
     def _take(self, hashes: list) -> None:
         """Give the oldest keys the helper owes their semantic hashes."""
@@ -334,26 +362,17 @@ class _Run:
             self.helper.close()
 
 
-def _helper_groups(groups: list) -> int:
-    """How many of ``groups``, from the first, the helper fits: the fewest
-    that hold ``_HELPER_SHARE`` of the rows, rounded down (so none of an
-    initial individual's one row)."""
-    want = int(_HELPER_SHARE * sum(len(seeds) for _, seeds in groups))
-    n = rows = 0
-    while rows < want:
-        rows += len(groups[n][1])
-        n += 1
-    return n
-
-
 def _serve(conn, eqsat: EqSatConfig, data: Dataset, objective: str,
-           fit_config: FitConfig) -> None:
-    """The helper's loop.  A message ``(trees, groups)`` queues ``trees``
-    to canonicalize, in order, and, if ``groups`` (``(tree, seeds)``
-    pairs) is not empty, is answered at once with their ``fit_seeds``
-    results and the semantic hashes found since the last answer.  The
-    queue is worked through while no message waits.  ``None`` ends the
-    run: it is answered with the hashes still owed."""
+           fit_config: FitConfig, claims) -> None:
+    """The helper's loop.  A message ``(trees, first, groups)`` queues
+    ``trees`` to canonicalize, in order.  If ``groups`` (``(tree, seeds)``
+    pairs, numbered from ``first``) is not empty, the helper fits them
+    from the first forward, claiming each in ``claims[0]`` while
+    ``claims[1]`` shows the run's process has not (``_Run._fit_shared``),
+    and then answers with their ``fit_seeds`` results and the semantic
+    hashes found since the last answer.  The queue is worked through while
+    no message waits.  ``None`` ends the run: it is answered with the
+    hashes still owed."""
     canon = Canonicalizer(eqsat)
     trees: deque = deque()
     hashes = []
@@ -365,11 +384,17 @@ def _serve(conn, eqsat: EqSatConfig, data: Dataset, objective: str,
         if message is None:
             conn.send(hashes + [canon(t).semantic_hash for t in trees])
             return
-        new, groups = message
+        new, first, groups = message
         trees.extend(new)
         if groups:
-            conn.send(([fit_seeds(tree, data, objective, fit_config, seeds)
-                        for tree, seeds in groups], hashes))
+            fitted = []
+            for i, (tree, seeds) in enumerate(groups, first):
+                if i >= claims[1]:
+                    break
+                claims[0] = i + 1
+                fitted.append(fit_seeds(tree, data, objective, fit_config,
+                                        seeds))
+            conn.send((fitted, hashes))
             hashes = []
 
 
@@ -405,12 +430,12 @@ def run_gp(cfg: GpConfig, data: Dataset, seed: int = 0,
 
     ``workers`` (by default the CPUs this process may run on) bounds the
     run's processes.  With two or more, and outside a daemonic process, the
-    run forks one helper, which canonicalizes every new tree and fits a
-    share of each generation, as the module docstring says; the log is the
-    same, byte for byte, for every ``workers``.  The helper is stopped when
-    the run returns or raises; an exception raised in it is raised here,
-    and a helper that dies fails the run with a ``RuntimeError`` naming its
-    exit code."""
+    run forks one helper, which canonicalizes every new tree and fits each
+    generation with the run from the other end, as the module docstring
+    says; the log is the same, byte for byte, for every ``workers``.  The
+    helper is stopped when the run returns or raises; an exception raised
+    in it is raised here, and a helper that dies fails the run with a
+    ``RuntimeError`` naming its exit code."""
     run = _Run(cfg, data, seed, usable_cpus() if workers is None else workers)
     try:
         pop = init_population(cfg, run)

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import signal
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -338,10 +339,14 @@ def _log_bytes(log, path) -> bytes:
 _SHORT = replace(SMALL, max_len=6)
 
 
-@pytest.mark.parametrize("cfg", [SMALL, replace(SMALL, objective="mnr"),
-                                 replace(SMALL, p_cx=0.0, p_mut=0.0), _SHORT],
-                         ids=["mse", "mnr", "no_variation", "over_length"])
-def test_logs_are_the_same_for_every_workers(cfg, synth, tmp_path,
+@pytest.mark.parametrize(
+    "cfg, seeds",
+    [(SMALL, (0, 1, 2)), (replace(SMALL, objective="mnr"), (0, 1, 2)),
+     (replace(SMALL, p_cx=0.0, p_mut=0.0), (0, 1, 2)), (_SHORT, (0, 1, 2)),
+     # a converged population: one large group near the front
+     (replace(gp_preset(10), generations=20), (100,))],
+    ids=["mse", "mnr", "no_variation", "over_length", "preset10_converged"])
+def test_logs_are_the_same_for_every_workers(cfg, seeds, synth, tmp_path,
                                              monkeypatch):
     """A run whose helper canonicalizes and fits a share of each
     generation writes the log of a run alone, byte for byte."""
@@ -354,7 +359,7 @@ def test_logs_are_the_same_for_every_workers(cfg, synth, tmp_path,
 
     monkeypatch.setattr(_helper, "start", recording)
     sentinels = discards = 0
-    for seed in (0, 1, 2):
+    for seed in seeds:
         alone = run_gp(cfg, synth, seed, workers=1)
         assert started == []
         helped = _log_bytes(run_gp(cfg, synth, seed, workers=2),
@@ -434,6 +439,97 @@ def test_a_killed_helper_fails_the_run(synth, monkeypatch):
                        match=r"^GP helper \d+ exited with code -9$"):
         run_gp(SMALL, synth, 0, workers=2)
     assert multiprocessing.active_children() == []
+
+
+def test_a_helper_killed_while_the_run_waits_fails_the_run(
+        synth, tmp_path, monkeypatch):
+    """The helper dies in the middle of a fit, after the run's process has
+    fitted its end of the generation and while it waits for the helper's:
+    the run fails at once, naming the exit code, and does not hang."""
+    parent = os.getpid()
+    real_fit, real_recv = gp.fit_seeds, _helper.Helper.recv
+    fitting = tmp_path / "fitting"
+
+    def slow(*args):
+        if os.getpid() == parent:
+            time.sleep(0.005)   # so that the helper claims a group
+        else:
+            fitting.touch()
+            time.sleep(60)   # cut short by the kill
+        return real_fit(*args)
+
+    def killing(helper):
+        # a helper that claimed no group of this generation replies at once
+        while not (fitting.exists() or helper.conn.poll(0.01)):
+            pass
+        if fitting.exists():
+            os.kill(helper.process.pid, signal.SIGKILL)
+        return real_recv(helper)
+
+    monkeypatch.setattr(gp, "fit_seeds", slow)
+    monkeypatch.setattr(_helper.Helper, "recv", killing)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError,
+                       match=r"^GP helper \d+ exited with code -9$"):
+        run_gp(SMALL, synth, 0, workers=2)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("slow", ["helper", "run", "neither"])
+def test_the_split_follows_each_sides_speed(slow, synth, tmp_path,
+                                            monkeypatch):
+    """The two processes fit a generation's groups from opposite ends until
+    they meet, so the one slowed down fits fewer; every group is fitted,
+    at most one per generation twice, and the log is that of a run alone
+    (also when neither is slowed, and they meet at fast fits)."""
+    cfg = replace(SMALL, generations=6)
+    parent = os.getpid()
+    real = gp.fit_seeds
+    calls = tmp_path / "calls"
+    gens = {}   # first seed of a group -> its generation, in a run alone
+    state = {}
+
+    def alone(*args):
+        gens[args[4][0]] = state["gen"]
+        return real(*args)
+
+    def tagging(run, prepared, gen):
+        state["gen"] = gen
+        return real_evaluate(run, prepared, gen)
+
+    def helped(*args):
+        in_helper = os.getpid() != parent
+        if slow == ("helper" if in_helper else "run"):
+            time.sleep(0.01)
+        with open(calls, "a") as f:
+            f.write(f"{int(in_helper)} {args[4][0]}\n")
+        return real(*args)
+
+    real_evaluate = _Run.evaluate
+    with monkeypatch.context() as m:
+        m.setattr(gp, "fit_seeds", alone)
+        m.setattr(_Run, "evaluate", tagging)
+        expected = _log_bytes(run_gp(cfg, synth, 0, workers=1),
+                              tmp_path / "alone")
+    monkeypatch.setattr(gp, "fit_seeds", helped)
+    assert _log_bytes(run_gp(cfg, synth, 0, workers=2),
+                      tmp_path / "helped") == expected
+    fits = [(side == "1", gens[int(s)], int(s)) for side, s in
+            (line.split() for line in calls.read_text().splitlines())]
+    counts = Counter(s for _, _, s in fits)
+    assert counts.keys() == gens.keys()
+    twice = Counter(gens[s] for s, n in counts.items() if n > 1)
+    assert all(n == 1 for n in twice.values()) and 0 not in twice
+    # the run's process claims its first group before the helper has the
+    # generation, unless a counter left from an earlier one says otherwise
+    runs = Counter(gen for in_helper, gen, _ in fits if not in_helper)
+    assert all(runs[gen] >= 1
+               for gen, n in Counter(gens.values()).items() if n > 1)
+    if slow != "neither":
+        sides = Counter(in_helper for in_helper, gen, _ in fits if gen > 0)
+        slowed = slow == "helper"
+        assert 0 < sides[slowed] < sides[not slowed]
 
 
 def test_a_run_in_a_daemonic_worker_runs_alone(synth, tmp_path):
