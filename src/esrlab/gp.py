@@ -19,22 +19,21 @@ crossover and mutation fit independently, and GP searches the catalog's space.
 
 A run given two workers or more forks one helper process (``_helper``).
 The run's process breeds, selects and logs; the helper owns the run's
-``Canonicalizer``.  Each tree an evaluation meets for the first time is sent
-to the helper, in the order met, and canonicalized there while the run goes
-on; its semantic hash comes back with a later reply, and the records take
-it when the run ends.  Each generation's ``fit_seeds`` groups are fitted
-from both ends: the helper takes them from the first forward, the run's
-process from the last backward, each claiming its next group only while
-the other has not claimed it, and they stop where they meet.  So each side
-fits as many groups as its speed allows, and at most the group they meet
-at is fitted twice.  The claims are two counters in memory shared with the
-helper, each written by one process only, so no lock is needed.  The
-initial population, evaluated one individual at a time, is fitted in the
-run's process.  No byte of the log depends on this: ``fit_seeds`` is pure,
-so a group's fits are the same in either process, and the helper's
-``Canonicalizer`` is asked for the same trees in the same order as a run
-alone asks its own, so every answer it gives, which depends on the trees
-asked before, is the same too.
+``Canonicalizer``.  Each tree the run logs for the first time is sent to
+the helper, in log order, and canonicalized there while the run goes on;
+its semantic hash comes back with a later reply, and the records take it
+when the run ends.  The ``fit_seeds`` groups of each generation, and of
+each window of initial draws (``init_population``), are fitted from both
+ends: the helper takes them from the first forward, the run's process from
+the last backward, each claiming its next group only while the other has
+not claimed it, and they stop where they meet.  So each side fits as many
+groups as its speed allows, and at most the group they meet at is fitted
+twice.  The claims are two counters in memory shared with the helper, each
+written by one process only, so no lock is needed.  No byte of the log
+depends on this: ``fit_seeds`` is pure, so a group's fits are the same in
+either process, and the helper's ``Canonicalizer`` is asked for the same
+trees in the same order as a run alone asks its own, so every answer it
+gives, which depends on the trees asked before, is the same too.
 """
 
 from __future__ import annotations
@@ -123,6 +122,8 @@ CONFIG_KEYS = {
 
 # samples drawn for one initial individual before giving up
 _INIT_RESAMPLE_CAP = 10_000
+# initial individuals drawn ahead and fitted together by a run with a helper
+_INIT_WINDOW = 10
 
 
 def gp_preset(max_len: int) -> GpConfig:
@@ -269,9 +270,14 @@ class _Run:
         return tree, self.eval_id, seed
 
     def evaluate(self, prepared: list, gen: int) -> list:
-        """Individuals of ``prepare``d trees, logged in order; the copies
-        of one tree are fitted in one ``fit_seeds`` call, and a tree not
-        seen before is canonicalized, by the helper if there is one."""
+        """Individuals of ``prepare``d trees, fitted and logged in order."""
+        return self.log(prepared, self.fit(prepared), gen)
+
+    def fit(self, prepared: list) -> list:
+        """Per ``prepare``d tree, its ``(FitResult, structural key)``, or
+        None beyond the length limit.  The copies of one tree are fitted in
+        one ``fit_seeds`` call, shared with the helper if there is one.
+        Nothing is logged or counted, so a fit may be thrown away."""
         copies: dict = {}
         for i, (tree, _, seed) in enumerate(prepared):
             if seed is not None:
@@ -279,34 +285,39 @@ class _Run:
                 copies.setdefault(ex.structural_key(tree), []).append(i)
         groups = [(prepared[rows[0]][0], [prepared[i][2] for i in rows])
                   for rows in copies.values()]
-        new = [(key, tree) for key, (tree, _) in zip(copies, groups)
-               if key not in self.sem_hashes]
-        if self.helper is None:
-            for key, tree in new:
-                self.sem_hashes[key] = self.canon(tree).semantic_hash
-            results = [self._fit(group) for group in groups]
-        else:
-            for key, _ in new:
-                self.sem_hashes[key] = None
-                self.helper.held.append(key)
-            results = self._fit_shared([tree for _, tree in new], groups)
-        fits = {}
+        fits = [None] * len(prepared)
+        results = self._fit_groups(groups)
         for (key, rows), group in zip(copies.items(), results):
-            fits.update((i, (res, key)) for i, res in zip(rows, group))
-        pop = []
-        for i, (tree, eval_id, _) in enumerate(prepared):
-            res, key = fits.get(i, (None, None))
-            if res is None:
-                fitness, params = math.inf, ()
-            else:
+            for i, res in zip(rows, group):
+                fits[i] = (res, key)
+        return fits
+
+    def log(self, prepared: list, fits: list, gen: int) -> list:
+        """Log ``prepare``d trees with their ``fit`` results, in order, as
+        individuals; a tree not seen before is canonicalized, by the helper
+        if there is one, which gets the run's trees in log order."""
+        pop, new = [], []
+        for (tree, eval_id, _), fitted in zip(prepared, fits):
+            key, fitness, params = None, math.inf, ()
+            if fitted is not None:
+                res, key = fitted
                 self.fevals += res.n_obj_evals
-                fitness = res.objective if math.isfinite(res.objective) \
-                    else math.inf
+                if math.isfinite(res.objective):
+                    fitness = res.objective
                 params = res.params
+                if key not in self.sem_hashes:
+                    if self.helper is None:
+                        self.sem_hashes[key] = self.canon(tree).semantic_hash
+                    else:
+                        self.sem_hashes[key] = None
+                        self.helper.held.append(key)
+                        new.append(tree)
             self.records.append((gen, eval_id, ex.structural_hash(tree), key,
                                  fitness, ex.render(tree), self.fevals,
                                  params))
             pop.append(Individual(tree, params, fitness, eval_id))
+        if new:
+            self.helper.send((new, 0, []))
         return pop
 
     def _fit(self, group: tuple) -> list:
@@ -314,22 +325,20 @@ class _Run:
         return fit_seeds(tree, self.data, self.cfg.objective,
                          self.fit_config, seeds)
 
-    def _fit_shared(self, trees: list, groups: list) -> list:
-        """The ``fit_seeds`` results of ``groups``, two or more of which
-        are fitted from both ends: the run's process takes them from the
-        last backward while the helper takes them from the first forward.
-        ``trees`` are sent to the helper to canonicalize."""
-        first = self.numbered
-        if len(groups) < 2:
-            if trees:
-                self.helper.send((trees, first, []))
+    def _fit_groups(self, groups: list) -> list:
+        """The ``fit_seeds`` results of ``groups``; with a helper, two or
+        more are fitted from both ends: the run's process takes them from
+        the last backward while the helper takes them from the first
+        forward."""
+        if self.helper is None or len(groups) < 2:
             return [self._fit(group) for group in groups]
+        first = self.numbered
         # each side claims a group, by writing its own counter, only while
         # the other's shows it unclaimed; so no group is left unfitted,
         # and only the one they meet at can be fitted by both
         self.numbered = last = first + len(groups)
         self.claims[1] = last
-        self.helper.send((trees, first, groups))
+        self.helper.send(([], first, groups))
         mine = []
         while last > first and last > self.claims[0]:
             last -= 1
@@ -368,7 +377,7 @@ def _serve(conn, eqsat: EqSatConfig, data: Dataset, objective: str,
     ``trees`` to canonicalize, in order.  If ``groups`` (``(tree, seeds)``
     pairs, numbered from ``first``) is not empty, the helper fits them
     from the first forward, claiming each in ``claims[0]`` while
-    ``claims[1]`` shows the run's process has not (``_Run._fit_shared``),
+    ``claims[1]`` shows the run's process has not (``_Run._fit_groups``),
     and then answers with their ``fit_seeds`` results and the semantic
     hashes found since the last answer.  The queue is worked through while
     no message waits.  ``None`` ends the run: it is answered with the
@@ -402,25 +411,46 @@ def init_population(cfg: GpConfig, run: _Run) -> list:
     """Ramped half-and-half: cycle (depth, grow/full) combinations over
     depths 3..max_depth, full being grow with min_depth = depth; resample
     every individual until its fitness is finite (and within the length
-    limit)."""
+    limit).
+
+    With a helper, the draws run ahead: trees for up to ``_INIT_WINDOW``
+    individuals are drawn on the guess that each within the length limit
+    fits, and fitted as one evaluation.  The window is logged up to the
+    first tree that fails to fit, and the draws after it are undone and
+    made again.  So the log is that of one tree at a time, which is what a
+    run without a helper does (a window of one)."""
     combos = [(d, lo) for d in range(min(3, cfg.max_depth), cfg.max_depth + 1)
               for lo in (cfg.min_depth, d)]
+    window = _INIT_WINDOW if run.helper is not None else 1
     pop = []
-    for i in range(cfg.pop_size):
-        depth, min_depth = combos[i % len(combos)]
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > _INIT_RESAMPLE_CAP:
-                raise GpInitError(
-                    f"no finite-fitness individual after "
-                    f"{_INIT_RESAMPLE_CAP} samples")
-            tree = grow(run.rng, depth, min_depth)
-            ind = run.evaluate([run.prepare(tree)], 0)[0]
+    tries = 0   # samples drawn for individual len(pop)
+    while len(pop) < cfg.pop_size:
+        drawn, kept = [], []
+        while (len(kept) < window and len(pop) + len(kept) < cfg.pop_size
+               and tries < _INIT_RESAMPLE_CAP):
+            depth, min_depth = combos[(len(pop) + len(kept)) % len(combos)]
+            tries += 1
+            drawn.append(run.prepare(grow(run.rng, depth, min_depth)))
+            if drawn[-1][2] is not None:   # within the length limit
+                kept.append((len(drawn), tries, run.rng.bit_generator.state))
+                tries = 0
+        fits = run.fit(drawn)
+        end = len(drawn)
+        for n, tried, state in kept:
+            if not math.isfinite(fits[n - 1][0].objective):
+                # undo the draws after the first tree that fails to fit
+                end, tries = n, tried
+                run.rng.bit_generator.state = state
+                run.eval_id = drawn[n - 1][1]
+                break
+        for ind in run.log(drawn[:end], fits[:end], 0):
             if math.isfinite(ind.fitness):
                 pop.append(ind)
-                break
-            run.init_discards += 1
+            else:
+                run.init_discards += 1
+        if tries >= _INIT_RESAMPLE_CAP:
+            raise GpInitError(f"no finite-fitness individual after "
+                              f"{_INIT_RESAMPLE_CAP} samples")
     return pop
 
 

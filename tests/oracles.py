@@ -290,14 +290,18 @@ def sequential_catalog(max_len: int, progress=None, every: int = 10000):
 #
 # gp.run_gp as it was before a generation's copies of one tree were fitted in
 # one call: each child is bred, numbered, given its fit seed, fitted by its own
-# ``fit`` call, canonicalized and logged before the next child is bred.  Given
-# the same seed, the real run must write the same log, byte for byte.
+# ``fit`` call, canonicalized and logged before the next child is bred, and an
+# initial individual is drawn again until it fits, up to
+# ``gp._INIT_RESAMPLE_CAP`` samples.  Given the same seed, the real run must
+# write the same log, byte for byte, or raise ``GpInitError`` after the same
+# records.  ``records``, if given, is the list the records are appended to, so
+# that a caller sees them after a raise.
 
-def gp_one_at_a_time(cfg, data, seed: int):
+def gp_one_at_a_time(cfg, data, seed: int, records=None):
     import math
-    from esrlab import expr as ex
+    from esrlab import expr as ex, gp
     from esrlab.fitting import FitConfig, fit
-    from esrlab.gp import (Individual, crossover, grow, mutate,
+    from esrlab.gp import (GpInitError, Individual, crossover, grow, mutate,
                            tournament_select)
     from esrlab.runlog import LogRecord, RunLog
     from esrlab.simplify import Canonicalizer
@@ -305,7 +309,7 @@ def gp_one_at_a_time(cfg, data, seed: int):
     rng = np.random.default_rng(seed)
     canon = Canonicalizer(cfg.eqsat)
     fit_config = FitConfig(restarts=1, max_iters=cfg.optim_iterations)
-    records = []
+    records = [] if records is None else records
     eval_id = fevals = 0
 
     def evaluate(tree, gen):
@@ -330,7 +334,10 @@ def gp_one_at_a_time(cfg, data, seed: int):
     pop, discards = [], 0
     for i in range(cfg.pop_size):
         depth, min_depth = combos[i % len(combos)]
-        while True:
+        for attempt in range(gp._INIT_RESAMPLE_CAP + 1):
+            if attempt == gp._INIT_RESAMPLE_CAP:
+                raise GpInitError(f"no finite-fitness individual after "
+                                  f"{attempt} samples")
             ind = evaluate(grow(rng, depth, min_depth), 0)
             if math.isfinite(ind.fitness):
                 break

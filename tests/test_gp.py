@@ -4,12 +4,13 @@ import os
 import signal
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from esrlab import _helper, expr as ex, gp
+from esrlab.dataset import Dataset
 from esrlab.gp import (GpConfig, GpInitError, Individual, _Run, crossover,
                        gp_preset, grow, init_population, mutate, run_gp,
                        tournament_select)
@@ -372,6 +373,99 @@ def test_logs_are_the_same_for_every_workers(cfg, seeds, synth, tmp_path,
         assert sentinels > 0 and discards > 0
 
 
+# x = 0 is a pole of every tree that divides by an x that vanishes there, so
+# many initial trees within the length limit fail to fit
+_POLE_X = np.linspace(-1.0, 1.0, 9)
+_POLE = Dataset(_POLE_X, 0.5 * _POLE_X + 1.0)
+
+
+def _failed_slots(log, cfg, window) -> Counter:
+    """Where in-length initial trees that failed to fit fall in the windows
+    of a run with a helper: ``mid`` (between a window's first and last
+    slots) or ``last``.  A window starts at the slot after a full one and
+    at the slot of a failed fit."""
+    where = Counter()
+    start = slot = 0
+    for r in log.records:
+        if r.gen != 0 or r.sem_hash == 0:
+            continue
+        if math.isinf(r.fitness):
+            last = min(window, cfg.pop_size - start) - 1
+            where["last" if slot - start == last else
+                  "mid" if slot > start else "first"] += 1
+            start = slot
+        else:
+            slot += 1
+            start = slot if slot - start == window else start
+    return where
+
+
+@pytest.mark.parametrize("window", [gp._INIT_WINDOW, 3])
+def test_initial_windows_roll_back_failed_fits(window, tmp_path,
+                                               monkeypatch):
+    """An initial window is logged up to its first tree that fails to fit,
+    and the draws after it are made again: with failed fits in the middle
+    and on the last slot of windows, and a last window cut short, a run
+    with a helper and a run alone write the log of one tree at a time."""
+    from oracles import gp_one_at_a_time
+
+    monkeypatch.setattr(gp, "_INIT_WINDOW", window)
+    cfg = replace(SMALL, pop_size=23, generations=2, max_len=7)
+    assert cfg.pop_size % window
+    where = Counter()
+    for seed in range(4):
+        alone = gp_one_at_a_time(cfg, _POLE, seed)
+        expected = _log_bytes(alone, tmp_path / "alone")
+        for workers in (1, 2):
+            assert _log_bytes(run_gp(cfg, _POLE, seed, workers),
+                              tmp_path / "run") == expected
+        where += _failed_slots(alone, cfg, window)
+    assert where["mid"] > 0 and where["last"] > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_resample_cap_stops_where_one_at_a_time_does(workers,
+                                                         monkeypatch):
+    """``_INIT_RESAMPLE_CAP`` counts the samples of one initial individual,
+    across rolled-back windows too: the run raises ``GpInitError`` after
+    logging the records one tree at a time logs before it raises, also
+    when the individual's samples hold a failed fit within the length
+    limit, which a window with a helper rolls back to."""
+    from oracles import gp_one_at_a_time
+
+    cfg = replace(SMALL, pop_size=23, generations=1)
+    runs = []
+    real_init = gp.init_population
+
+    def keeping(cfg, run):
+        runs.append(run)
+        return real_init(cfg, run)
+
+    monkeypatch.setattr(gp, "init_population", keeping)
+    raised = Counter()
+    for cap in (3, 6):
+        monkeypatch.setattr(gp, "_INIT_RESAMPLE_CAP", cap)
+        for seed in range(6):
+            expected = []
+            try:
+                gp_one_at_a_time(cfg, _POLE, seed, expected)
+            except GpInitError:
+                with pytest.raises(GpInitError, match=f"after {cap} samples"):
+                    run_gp(cfg, _POLE, seed, workers)
+                got = runs[-1].records
+                # every field but the semantic hash, which the helper owes
+                assert [r[:3] + r[4:] for r in got] == \
+                    [astuple(r)[:3] + astuple(r)[4:] for r in expected]
+                rolled = any(r.sem_hash for r in expected[-cap:])
+                raised["after a failed fit" if rolled else "over length"] += 1
+            else:
+                log = run_gp(cfg, _POLE, seed, workers)
+                assert log.records == expected
+                raised["no"] += 1
+    assert raised["after a failed fit"] and raised["over length"] \
+        and raised["no"]
+
+
 def test_more_workers_start_one_helper(synth, monkeypatch):
     real = gp.fit_seeds
     running = []
@@ -479,16 +573,20 @@ def test_a_helper_killed_while_the_run_waits_fails_the_run(
 @pytest.mark.parametrize("slow", ["helper", "run", "neither"])
 def test_the_split_follows_each_sides_speed(slow, synth, tmp_path,
                                             monkeypatch):
-    """The two processes fit a generation's groups from opposite ends until
-    they meet, so the one slowed down fits fewer; every group is fitted,
-    at most one per generation twice, and the log is that of a run alone
-    (also when neither is slowed, and they meet at fast fits)."""
+    """The two processes fit the groups of each evaluation (an initial
+    window or a generation) from opposite ends until they meet, so the one
+    slowed down fits fewer; every group is fitted, at most one per
+    evaluation twice, and the log is that of a run alone (also when neither
+    is slowed, and they meet at fast fits).  The run alone fits every
+    group the helped run logs; the helped run's other fits are initial
+    ones that a failed fit before them undid."""
     cfg = replace(SMALL, generations=6)
     parent = os.getpid()
     real = gp.fit_seeds
     calls = tmp_path / "calls"
     gens = {}   # first seed of a group -> its generation, in a run alone
-    state = {}
+    evaluations = {}   # first seed of a group -> its evaluation, helped
+    state = {"gen": 0}   # generation 0 is drawn outside ``evaluate``
 
     def alone(*args):
         gens[args[4][0]] = state["gen"]
@@ -498,6 +596,11 @@ def test_the_split_follows_each_sides_speed(slow, synth, tmp_path,
         state["gen"] = gen
         return real_evaluate(run, prepared, gen)
 
+    def numbering(run, groups):
+        n = len(set(evaluations.values()))
+        evaluations.update((seeds[0], n) for _, seeds in groups)
+        return real_fit_groups(run, groups)
+
     def helped(*args):
         in_helper = os.getpid() != parent
         if slow == ("helper" if in_helper else "run"):
@@ -506,28 +609,31 @@ def test_the_split_follows_each_sides_speed(slow, synth, tmp_path,
             f.write(f"{int(in_helper)} {args[4][0]}\n")
         return real(*args)
 
-    real_evaluate = _Run.evaluate
+    real_evaluate, real_fit_groups = _Run.evaluate, _Run._fit_groups
     with monkeypatch.context() as m:
         m.setattr(gp, "fit_seeds", alone)
         m.setattr(_Run, "evaluate", tagging)
         expected = _log_bytes(run_gp(cfg, synth, 0, workers=1),
                               tmp_path / "alone")
     monkeypatch.setattr(gp, "fit_seeds", helped)
+    monkeypatch.setattr(_Run, "_fit_groups", numbering)
     assert _log_bytes(run_gp(cfg, synth, 0, workers=2),
                       tmp_path / "helped") == expected
-    fits = [(side == "1", gens[int(s)], int(s)) for side, s in
+    fits = [(side == "1", evaluations[int(s)], gens.get(int(s), 0), int(s))
+            for side, s in
             (line.split() for line in calls.read_text().splitlines())]
-    counts = Counter(s for _, _, s in fits)
-    assert counts.keys() == gens.keys()
-    twice = Counter(gens[s] for s, n in counts.items() if n > 1)
-    assert all(n == 1 for n in twice.values()) and 0 not in twice
+    counts = Counter(s for *_, s in fits)
+    assert counts.keys() == evaluations.keys() >= gens.keys()
+    twice = Counter(evaluations[s] for s, n in counts.items() if n > 1)
+    assert all(n == 1 for n in twice.values())
     # the run's process claims its first group before the helper has the
-    # generation, unless a counter left from an earlier one says otherwise
-    runs = Counter(gen for in_helper, gen, _ in fits if not in_helper)
-    assert all(runs[gen] >= 1
-               for gen, n in Counter(gens.values()).items() if n > 1)
+    # evaluation, unless a counter left from an earlier one says otherwise
+    runs = Counter(e for in_helper, e, _, _ in fits if not in_helper)
+    assert all(runs[e] >= 1
+               for e, n in Counter(evaluations.values()).items() if n > 1)
     if slow != "neither":
-        sides = Counter(in_helper for in_helper, gen, _ in fits if gen > 0)
+        sides = Counter(in_helper for in_helper, _, gen, _ in fits
+                        if gen > 0)
         slowed = slow == "helper"
         assert 0 < sides[slowed] < sides[not slowed]
 
