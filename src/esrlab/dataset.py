@@ -20,16 +20,23 @@ __all__ = ["Dataset", "load_csv", "save_csv", "synthetic_dataset",
            "bundled_synthetic_path"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Observations: each column a read-only float copy of the one given,
+    so nothing computed from a dataset (a fit kernel bound to it) can go
+    stale.  Datasets compare and hash by identity."""
     x: np.ndarray
     y: np.ndarray
     sigma_x: Optional[np.ndarray] = None
     sigma_y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for arr in (self.x, self.y, self.sigma_x, self.sigma_y):
+        for name in ("x", "y", "sigma_x", "sigma_y"):
+            arr = getattr(self, name)
             if arr is not None:
+                arr = np.array(arr, dtype=float)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
                 if arr.shape != self.x.shape:
                     raise ValueError("dataset columns must share one length")
                 if not np.all(np.isfinite(arr)):
@@ -38,6 +45,11 @@ class Dataset:
             raise ValueError("sigma_x must be nonnegative")
         if self.sigma_y is not None and np.any(self.sigma_y < 0):
             raise ValueError("sigma_y must be nonnegative")
+
+    def __reduce__(self):
+        # rebuilt through the constructor: pickle's default would restore
+        # writable columns
+        return type(self), (self.x, self.y, self.sigma_x, self.sigma_y)
 
     def __len__(self) -> int:
         return len(self.x)

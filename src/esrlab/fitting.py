@@ -18,6 +18,12 @@ package's ``__init__`` loads linalg, sparse, linprog and more, which took
 0.6 s and 40 MB (2-vCPU Xeon, Python 3.11, scipy 1.17) in every process
 that imports this module, CLI commands and spawned fit workers alike,
 against a few milliseconds for the extension.
+The ``mse`` objective evaluates through ``autodiff.mse_kernel``: one
+generated function, bound to the dataset, gives the mean squared errors and
+their gradients at a batch of points, with every subtree that holds no
+parameter computed once, when the kernel is compiled.  A fit compiles its
+one-point and its batch kernel at first use, so a one-restart fit compiles
+one.
 For the marginal likelihood the optimization vector is
 [theta, mu, log omega, log sigma_int], maximized jointly; a point where
 omega underflows to zero counts as a bad point.  Restarts stop early once
@@ -65,7 +71,10 @@ import numpy as np
 from . import expr as ex
 from ._files import InputError, read_lines
 from .expr import Expr
-from .autodiff import eval_with_grad
+# the benchmark's tracer (perfbench/tracing.py) patches eval_with_grad, mse
+# and mnr_loglik by name on this module, so all three stay bound here,
+# eval_with_grad though nothing here calls it
+from .autodiff import eval_with_grad, mse_kernel
 from .dataset import Dataset
 from .objectives import MnrBatch, MnrParams, mse, mnr_loglik, mnr_terms
 
@@ -149,23 +158,18 @@ class FitResult:
 
 
 def _mse_value_grad(e: Expr, data: Dataset):
-    y = data.y
-    n = len(y)
+    kernels = [None, None]      # one theta, a batch: each bound at first use
 
     def fun(points):
-        """Values and gradients at each row of ``points``; a row with a
-        non-finite value is a bad point, and a non-finite gradient is
-        zeroed."""
-        if len(points) == 1:     # the same bits, without a batch axis
-            f, g = eval_with_grad(e, points[0], data.x, wrt="params")
-            r = f - y
-            values = [float(np.add.reduce(r * r) / n)]
-            grads = ((2.0 / n) * (g @ r))[None]
-        else:
-            f, g = eval_with_grad(e, points, data.x, wrt="params")
-            r = f - y
-            values = (np.add.reduce(r * r, -1) / n).tolist()
-            grads = (2.0 / n) * (g @ r[..., None])[..., 0]
+        """Values and gradients at each row of ``points``, from ``e``'s
+        kernel bound to ``data``; a row with a non-finite value is a bad
+        point, and a non-finite gradient is zeroed."""
+        batched = len(points) > 1
+        kernel = kernels[batched]
+        if kernel is None:
+            kernel = kernels[batched] = mse_kernel(e, points.shape[1], data,
+                                                   batched)
+        _, _, values, grads = kernel(points if batched else points[0])
         if not (all(map(math.isfinite, values)) and np.isfinite(grads).all()):
             for i, value in enumerate(values):
                 if not math.isfinite(value):
@@ -509,8 +513,9 @@ def fit_catalog(catalog, data: Dataset, objective: str = "mse",
     line in catalog order: an interrupted run leaves a valid partial file
     that a rerun resumes, after dropping a last line the interruption left
     without its newline.  The ``#done`` footer is written once.  With
-    ``workers > 1`` the entries to fit go to a pool of that many processes;
-    the results, and the file, are the same as with one.
+    ``workers > 1`` the entries to fit go to a pool of that many processes,
+    each sent the dataset once; the results, and the file, are the same as
+    with one.
     """
     done: dict = {}
     complete = False
@@ -530,8 +535,8 @@ def fit_catalog(catalog, data: Dataset, objective: str = "mse",
         pool = ProcessPoolExecutor(
             min(workers, len(todo)),
             mp_context=multiprocessing.get_context("spawn"),
-            initializer=exit_with_parent, initargs=(os.getpid(),))
-        fits = pool.map(_fit_entry, todo, repeat(data), repeat(objective),
+            initializer=_start_worker, initargs=(os.getpid(), data))
+        fits = pool.map(_fit_in_worker, todo, repeat(objective),
                         repeat(config), repeat(seed))
     else:
         fits = (_fit_entry(e, data, objective, config, seed) for e in todo)
@@ -568,6 +573,23 @@ def exit_with_parent(parent: int) -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
+
+
+# the dataset of a fit_catalog pool worker, sent once, to the initializer,
+# rather than with every entry: a kernel bound to it is cached by its
+# identity, so a copy per entry would cache a kernel, and a dataset, per entry
+_worker_data: Optional[Dataset] = None
+
+
+def _start_worker(parent: int, data: Dataset) -> None:
+    global _worker_data
+    _worker_data = data
+    exit_with_parent(parent)
+
+
+def _fit_in_worker(entry, objective: str, config: FitConfig,
+                   seed: int) -> FitResult:
+    return _fit_entry(entry, _worker_data, objective, config, seed)
 
 
 def _fit_entry(entry, data: Dataset, objective: str, config: FitConfig,

@@ -1,6 +1,7 @@
 """Independent test oracles, written directly against the definitions and
 kept free of the implementation paths they check."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -125,6 +126,49 @@ def dual_walk(e, theta, pts, lanes: int, x_lane):
     if np.any(at_zero):
         d = np.where(at_zero & (bv > 1.0), 0.0, d)
     return v, d
+
+
+# -- least squares over the unbound kernels ------------------------------------------
+#
+# The mse and the fit's mse objective as they were before kernels were bound
+# to a dataset: the model and its lanes from ``eval_with_grad`` over the
+# points, then the residual, the reduction and the gradient product apart.
+# The bound kernel runs the same operations on the same shapes, so it must
+# match these bit for bit, NaNs and the non-finite -> bad-point mapping
+# included.
+
+BAD = 1e300
+
+
+def mse_unbound(e, theta, data):
+    from esrlab.autodiff import eval_expr
+    with np.errstate(all="ignore"):
+        r = eval_expr(e, theta, data.x) - data.y
+        return (np.add.reduce(r * r, -1) / r.shape[-1]).tolist()
+
+
+def mse_value_grad_unbound(e, data, points):
+    from esrlab.autodiff import eval_with_grad
+    y = data.y
+    n = len(y)
+    with np.errstate(all="ignore"):
+        if len(points) == 1:
+            f, g = eval_with_grad(e, points[0], data.x, wrt="params")
+            r = f - y
+            values = [float(np.add.reduce(r * r) / n)]
+            grads = ((2.0 / n) * (g @ r))[None]
+        else:
+            f, g = eval_with_grad(e, points, data.x, wrt="params")
+            r = f - y
+            values = (np.add.reduce(r * r, -1) / n).tolist()
+            grads = (2.0 / n) * (g @ r[..., None])[..., 0]
+    for i, value in enumerate(values):
+        if not math.isfinite(value):
+            values[i] = BAD
+            grads[i] = 0.0
+        elif not np.isfinite(grads[i]).all():
+            grads[i] = 0.0
+    return values, grads
 
 
 # -- e-graph rebuilding -----------------------------------------------------------

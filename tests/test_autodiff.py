@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from esrlab import expr as ex
-from esrlab.autodiff import eval_expr, eval_with_grad
+from esrlab import expr as ex, fitting, objectives
+from esrlab.autodiff import eval_expr, eval_with_grad, mse_kernel
+from esrlab.dataset import Dataset
 
 
 def _at(x: float) -> np.ndarray:
@@ -282,3 +283,84 @@ def test_batched_two_variables():
     theta = np.array([[0.5, 1.5], [-1.0, 0.25], [2.0, -0.0]])
     with pytest.raises(ValueError, match="x must be one-dimensional"):
         eval_with_grad(e, theta, np.ones((2, 9)))
+
+
+def _hard_thetas(k: int, rng) -> np.ndarray:
+    """Rows that put signed zeros in every parameter, poles (1 / (x - p)
+    at x = 1 or 0) and powabs bases of 0 (|x - p| at x = 0.5) at the
+    points of ``_batch_points``, then random rows."""
+    rows = [np.full(k, v) for v in (0.5, 0.0, -0.0, 1.0, -1.0)]
+    return np.concatenate([np.array(rows),
+                           rng.uniform(-3, 3, (3, k))])
+
+
+def test_bound_kernels_match_the_unbound_path_bitwise(catalog6):
+    """Over every catalog(6) structure, one theta at a time and in batches,
+    the kernel bound to a dataset gives the values and lanes of
+    ``eval_with_grad``, ``mse`` gives what the unbound path gave, and the
+    fit's objective gives the values, gradients and bad points it gave."""
+    from oracles import BAD, mse_unbound, mse_value_grad_unbound
+
+    rng = np.random.default_rng(11)
+    data = Dataset(_batch_points(24), rng.uniform(-2, 2, 24))
+    bad = nan_lanes = 0
+    for entry in catalog6.entries:
+        e = ex.parse(entry.text)
+        k = entry.n_params
+        thetas = _hard_thetas(k, rng)
+        fun = fitting._mse_value_grad(e, data)
+        for theta in list(thetas) + [thetas, thetas[1:3]]:
+            batched = theta.ndim == 2
+            with np.errstate(all="ignore"):
+                v, g, _, _ = mse_kernel(e, k, data, batched)(theta)
+            rv, rg = eval_with_grad(e, theta, data.x)
+            assert v.tobytes() == rv.tobytes(), (entry.text, theta)
+            assert g.tobytes() == rg.tobytes(), (entry.text, theta)
+            nan_lanes += not np.isfinite(rg).all()
+            assert np.array(objectives.mse(e, theta, data)).tobytes() == \
+                np.array(mse_unbound(e, theta, data)).tobytes(), entry.text
+            if k == 0:       # a fit evaluates these once, through mse
+                continue
+            points = theta if batched else theta[None]
+            with np.errstate(all="ignore"):
+                values, grads = fun(points)
+            want, want_grads = mse_value_grad_unbound(e, data, points)
+            assert np.array(values).tobytes() == np.array(want).tobytes(), \
+                (entry.text, theta)
+            assert grads.tobytes() == want_grads.tobytes(), (entry.text, theta)
+            bad += want.count(BAD)
+    assert bad and nan_lanes
+
+
+def test_bound_kernels_are_per_dataset():
+    """Datasets of one length that differ in x or in y never share a
+    kernel, and neither do equal copies: datasets key by identity."""
+    from oracles import mse_unbound
+
+    x = np.linspace(0.1, 2.0, 9)
+    y = np.sin(x)
+    sets = [Dataset(x, y), Dataset(x + 0.5, y), Dataset(x, y + 0.5),
+            Dataset(x, y)]
+    e = ex.parse("p1 * |x| ^ x + 1.0 / x")    # both terms read x once
+    theta = np.array([0.75])
+    kernels = [mse_kernel(e, 1, data, False) for data in sets]
+    assert len(set(map(id, kernels))) == len(sets)
+    mses = []
+    for data, kernel in zip(sets, kernels):
+        v, g, [value], _ = kernel(theta)
+        rv, rg = eval_with_grad(e, theta, data.x)
+        assert v.tobytes() == rv.tobytes() and g.tobytes() == rg.tobytes()
+        assert value == mse_unbound(e, theta, data)
+        mses.append(value)
+    assert len(set(mses[:3])) == 3 and mses[3] == mses[0]
+
+
+def test_bound_kernels_keep_their_arrays_read_only():
+    """A structure without parameters is computed whole when its kernel is
+    bound; the value and lanes it returns are the kernel's own, read-only."""
+    data = Dataset(np.array([0.5, 1.5, 2.0]), np.zeros(3))
+    v, g, _, _ = mse_kernel(ex.parse("|x| ^ x"), 0, data, False)(np.ones(0))
+    for arr in (v, g):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 7.0
+    assert v.tobytes() == eval_expr(ex.parse("|x| ^ x"), [], data.x).tobytes()

@@ -173,6 +173,69 @@ if __name__ == "__main__":
 """
 
 
+def test_a_new_structure_compiles_one_kernel_per_layout_it_uses(synth):
+    """A GP-preset fit of a structure not seen before compiles one kernel,
+    for one point and bound to the data, and an ESR-preset fit two, for one
+    point and for a batch: the end points' mse reuses the fit's kernels."""
+    from esrlab import autodiff
+
+    for config, literal, want in ((GP_FIT, "1.375", 1), (ESR_FIT, "1.625", 2)):
+        before = autodiff._kernel.cache_info().misses
+        fit(ex.parse(f"p1 * x + p2 * |x| ^ {literal}"), synth, "mse", config,
+            seed=3)
+        assert autodiff._kernel.cache_info().misses - before == want
+
+
+_UNPICKLE_PROBE = """
+import os
+import sys
+
+import numpy as np
+from esrlab.dataset import Dataset
+from esrlab.enumeration import Catalog
+from esrlab.fitting import GP_FIT, fit_catalog
+from esrlab.simplify import CanonicalForm
+
+
+def unpickled(path):
+    with open(path, "a") as f:
+        f.write(f"{os.getpid()}\\n")
+    return Dataset(np.linspace(1.0, 2.0, 5), np.linspace(1.0, 2.0, 5))
+
+
+class Probe(Dataset):
+    def __reduce__(self):
+        return unpickled, (sys.argv[1],)
+
+
+if __name__ == "__main__":
+    catalog = Catalog(1, [CanonicalForm(h, 1, 0, "x") for h in range(1, 9)])
+    fit_catalog(catalog, Probe(np.zeros(5), np.zeros(5)), "mse", GP_FIT,
+                workers=2)
+"""
+
+
+def test_fit_workers_get_the_dataset_once(tmp_path):
+    """Each fit worker unpickles the dataset once, however many entries it
+    fits: a bound kernel is cached per dataset object."""
+    import os
+    import subprocess
+    import sys
+
+    script = tmp_path / "probe.py"
+    script.write_text(_UNPICKLE_PROBE)
+    seen = tmp_path / "unpickled"
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, str(script), str(seen)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    pids = seen.read_text().split()
+    assert 1 <= len(pids) <= 2 and len(set(pids)) == len(pids)
+
+
 def test_fit_workers_inherit_the_blas_pin(tmp_path):
     """Importing esrlab pins BLAS to one thread where the environment does
     not already set the thread count, and spawned fit workers inherit it."""
