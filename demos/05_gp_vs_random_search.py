@@ -16,7 +16,7 @@ from esrlab.analysis import duplicate_stats, ecdf, write_ecdf_tsv
 from esrlab.dataset import synthetic_dataset
 from esrlab.enumeration import build_catalog
 from esrlab.fitting import FitConfig, fit_catalog
-from esrlab.gp import GpConfig, run_gp
+from esrlab.gp import GpConfig, run_gps
 from esrlab.random_search import run_rs
 
 data = synthetic_dataset()
@@ -38,7 +38,7 @@ rs_logs = run_rs(catalog, data, "mse", fit_cfg, runs=runs, seed=7,
 
 gp_cfg = GpConfig(pop_size=24, generations=20, max_len=max_len,
                   optim_iterations=10)
-gp_logs = [run_gp(gp_cfg, data, seed=100 + r) for r in range(runs)]
+gp_logs = list(run_gps(gp_cfg, data, [100 + r for r in range(runs)]))
 
 threshold = values[9]
 for name, logs in (("random search", rs_logs), ("GP", gp_logs)):

@@ -4,9 +4,9 @@ Subcommands: enumerate, fit, gp, rs, simplify, analyze (ecdf | dups | dist),
 rules.  Exit codes: 0 success, 1 usage error, 2 data or configuration error.
 All randomness flows from --seed; --workers (or ESRLAB_WORKERS, by default
 the CPUs the process may run on) bounds the processes that build a catalog
-(enumerate), fit one (fit) or make independent runs (gp: min(W, runs) at a
-time, each given W // that many workers, so a run given two or more forks
-its helper), and the output is the same for every value.
+(enumerate), fit one (fit) or make independent runs (gp, through
+``gp.run_gps``, the one way to make many runs), and the output is the same
+for every value.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import glob
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import expr as ex
@@ -27,8 +26,8 @@ from .analysis import (duplicate_stats, ecdf, fitness_distribution,
 from .dataset import Dataset, load_csv
 from .egraph import EGraphCapacityError, dump_rules
 from .enumeration import build_catalog, read_catalog, write_catalog
-from .fitting import ESR_FIT, exit_with_parent, fit_catalog, read_results
-from .gp import CONFIG_KEYS, GpConfig, GpInitError, gp_preset, run_gp
+from .fitting import ESR_FIT, fit_catalog, read_results
+from .gp import CONFIG_KEYS, GpConfig, GpInitError, gp_preset, run_gps
 from .objectives import MnrParams, mnr_loglik, mse
 from .random_search import run_rs
 from .runlog import read_runlog, write_runlog
@@ -77,6 +76,8 @@ def _check_objective(objective: str, data: Dataset) -> None:
 
 
 def _check_run_args(args) -> None:
+    if os.path.exists(args.log_dir) and not os.path.isdir(args.log_dir):
+        raise InputError(f"--log-dir {args.log_dir}: not a directory")
     if args.runs < 1:
         raise InputError(f"--runs must be >= 1, got {args.runs}")
     if args.seed < 0:
@@ -159,40 +160,35 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gp(args) -> int:
+    import numpy as np
     _check_run_args(args)
     workers = _workers(args)
-    pool = min(workers, args.runs)
     data = load_csv(args.data)
     cfg = parse_gp_config(args.config)
     _check_objective(cfg.objective, data)
     os.makedirs(args.log_dir, exist_ok=True)
-    # each run gets an equal part of the workers: a run with two or more
-    # starts its one helper
-    runs = [(cfg, data, [args.seed, r], max(1, workers // pool))
-            for r in range(args.runs)]
+    seeds = [int(np.random.SeedSequence([args.seed, r]).generate_state(1)[0])
+             for r in range(args.runs)]
+    # each log waits as .tmp until every run is done, so that a failed run
+    # leaves neither logs nor the echo
+    logs, best = [], math.inf
     try:
-        if pool > 1:
-            with ProcessPoolExecutor(pool, initializer=exit_with_parent,
-                                     initargs=(os.getpid(),)) as executor:
-                logs = list(executor.map(_gp_one, runs))
-        else:
-            logs = [_gp_one(run) for run in runs]
-    except GpInitError as err:
-        raise InputError(f"{args.config}: {err}") from None
-    # the echo goes in with the logs, so a failed run leaves none behind
+        for r, log in enumerate(run_gps(cfg, data, seeds, workers)):
+            path = os.path.join(args.log_dir, f"run_{r:03d}.log")
+            write_runlog(log, path + ".tmp")
+            logs.append(path)
+            best = min(best, log.best_fitness())
+    except BaseException as err:
+        for path in logs:
+            os.unlink(path + ".tmp")
+        if isinstance(err, GpInitError):
+            raise InputError(f"{args.config}: {err}") from None
+        raise
+    for path in logs:
+        os.replace(path + ".tmp", path)
     write_gp_config(cfg, os.path.join(args.log_dir, "config_echo.txt"))
-    for r, log in enumerate(logs):
-        write_runlog(log, os.path.join(args.log_dir, f"run_{r:03d}.log"))
-    best = min(log.best_fitness() for log in logs)
     print(f"{args.runs} runs -> {args.log_dir}, best fitness {best!r}")
     return 0
-
-
-def _gp_one(payload):
-    import numpy as np
-    cfg, data, seed, workers = payload
-    root = int(np.random.SeedSequence(seed).generate_state(1)[0])
-    return run_gp(cfg, data, root, workers)
 
 
 def _cmd_rs(args) -> int:

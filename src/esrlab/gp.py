@@ -39,6 +39,7 @@ gives, which depends on the trees asked before, is the same too.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -49,11 +50,11 @@ from .expr import Expr
 from .dataset import Dataset
 from .egraph import EqSatConfig
 # ``fit`` stays bound: perfbench/tracing.py patches ``gp.fit`` by name
-from .fitting import FitConfig, GP_FIT, fit, fit_seeds
+from .fitting import FitConfig, GP_FIT, exit_with_parent, fit, fit_seeds
 from .runlog import LogRecord, RunLog
 from .simplify import Canonicalizer, usable_cpus
 
-__all__ = ["GpConfig", "CONFIG_KEYS", "Individual", "run_gp",
+__all__ = ["GpConfig", "CONFIG_KEYS", "Individual", "run_gp", "run_gps",
            "init_population", "tournament_select", "crossover", "mutate",
            "grow", "gp_preset", "GpInitError"]
 
@@ -491,3 +492,29 @@ def run_gp(cfg: GpConfig, data: Dataset, seed: int = 0,
     config = cfg.as_dict()
     config["init_discards"] = run.init_discards
     return RunLog(records, config, seed)
+
+
+def run_gps(cfg: GpConfig, data: Dataset, seeds, workers: int | None = None):
+    """Yield the ``run_gp`` log of each of ``seeds`` (a sequence), in order.
+    Of ``workers`` W (by default the CPUs this process may run on),
+    ``min(W, len(seeds))`` processes make the runs, each run given
+    ``W // min(W, len(seeds))`` workers: a lone run forks its helper, and
+    pooled runs do not.  Logs are the same for every ``workers``, and are
+    yielded so that a caller need not hold them all (a full run's holds
+    about 10 MB).  A run that raises cancels the runs not yet started and
+    is raised here."""
+    workers = usable_cpus() if workers is None else workers
+    pool = min(workers, len(seeds))
+    if pool <= 1:
+        yield from (run_gp(cfg, data, seed, workers) for seed in seeds)
+        return
+    # imported here, so that importing this module stays cheap
+    from concurrent.futures import ProcessPoolExecutor
+    from itertools import repeat
+    executor = ProcessPoolExecutor(pool, initializer=exit_with_parent,
+                                   initargs=(os.getpid(),))
+    try:
+        yield from executor.map(run_gp, repeat(cfg), repeat(data), seeds,
+                                repeat(workers // pool))
+    finally:
+        executor.shutdown(cancel_futures=True)

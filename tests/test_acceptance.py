@@ -21,7 +21,7 @@ from esrlab.dataset import Dataset, load_csv, synthetic_dataset
 from esrlab.egraph import RULES
 from esrlab.enumeration import build_catalog, enumerate_trees
 from esrlab.fitting import ESR_FIT, FitConfig, fit, fit_catalog
-from esrlab.gp import GpConfig, run_gp
+from esrlab.gp import GpConfig, run_gps
 from esrlab.objectives import MnrParams, mnr_loglik
 from esrlab.random_search import run_rs
 from esrlab.simplify import canonicalize
@@ -211,8 +211,7 @@ def test_c08_gp_behavior_bands():
     elitism_ok = 0
     uniq_fracs = []
     const_fracs = []
-    for r in range(50):
-        log = run_gp(cfg, data, seed=1000 + r)
+    for log in run_gps(cfg, data, [1000 + r for r in range(50)]):
         by_gen: dict = {}
         for rec in log.records:
             by_gen.setdefault(rec.gen, []).append(rec.fitness)
@@ -272,7 +271,7 @@ def test_c10_analysis_invariants():
     cat = build_catalog(4)
     gp_cfg = GpConfig(pop_size=16, generations=6, max_len=8,
                       optim_iterations=5)
-    logs = [run_gp(gp_cfg, data, seed=s) for s in (1, 2)]
+    logs = list(run_gps(gp_cfg, data, (1, 2)))
     logs += run_rs(cat, data, "mse", FitConfig(restarts=2), runs=2, seed=9)
     ok = True
     thresholds = [0.5, 0.05, 0.005]

@@ -202,6 +202,33 @@ def test_failed_gp_run_leaves_no_config_echo(tmp_path, data_csv, capsys):
     assert not (log_dir / "config_echo.txt").exists()
 
 
+def test_failed_gp_run_leaves_no_log(tmp_path, data_csv, monkeypatch,
+                                     capsys):
+    """Each log is written as its run ends, to a temporary file, and the
+    logs go in place only once every run is done: a run that fails after
+    another was written leaves no log and no temporary file."""
+    real, written = gp.run_gp, []
+    log_dir = tmp_path / "gp_logs"
+
+    def second_fails(cfg, data, seed, workers):
+        if written:
+            assert sorted(os.listdir(log_dir)) == ["run_000.log.tmp"]
+            raise gp.GpInitError("no finite-fitness individual in run 1")
+        written.append(seed)
+        return real(cfg, data, seed, workers)
+
+    monkeypatch.setattr("esrlab.gp.run_gp", second_fails)
+    cfg = tmp_path / "gp.toml"
+    cfg.write_text("max_length = 6\npop_size = 8\ngenerations = 2\n"
+                   "optim_iterations = 3\n")
+    assert main(["gp", "--data", data_csv, "--config", str(cfg),
+                 "--runs", "3", "--log-dir", str(log_dir),
+                 "--workers", "1"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {cfg}: no finite-fitness individual in run 1\n"
+    assert os.listdir(log_dir) == []
+
+
 def test_gp_determinism_across_invocations(tmp_path, data_csv):
     cfg = tmp_path / "gp.toml"
     cfg.write_text("max_length = 6\npop_size = 8\ngenerations = 2\n"
@@ -223,32 +250,31 @@ def test_gp_determinism_across_invocations(tmp_path, data_csv):
 def test_gp_pool_has_one_process_per_run_at_most(tmp_path, data_csv,
                                                  monkeypatch, runs, workers,
                                                  pool, per_run):
-    """``esrlab gp`` starts min(workers, runs) processes, and no pool when
-    that is one, and gives each run workers // that many workers."""
+    """``esrlab gp`` makes its runs through ``gp.run_gps``, which starts
+    min(workers, runs) processes, and no pool when that is one, and gives
+    each run workers // that many workers."""
+    import itertools
+
     sizes, given = [], []
+    real = gp.run_gp
 
     class InProcessPool:
         def __init__(self, n, **kwargs):
             sizes.append(n)
 
-        def __enter__(self):
-            return self
+        def map(self, fn, *iterables):
+            return itertools.starmap(fn, zip(*iterables))
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            given.extend(workers for *_, workers in items)
-            return map(fn, items)
+        def shutdown(self, **kwargs):
+            pass
 
     def one_process(cfg, data, seed, workers):
-        if pool is None:
-            given.append(workers)
-        return gp.run_gp(cfg, data, seed, workers=1)
+        given.append(workers)
+        return real(cfg, data, seed, workers=1)
 
-    monkeypatch.setattr("esrlab.cli.ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr("esrlab.cli.run_gp", one_process)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        InProcessPool)
+    monkeypatch.setattr("esrlab.gp.run_gp", one_process)
     cfg = tmp_path / "gp.toml"
     cfg.write_text("max_length = 6\npop_size = 8\ngenerations = 2\n"
                    "optim_iterations = 3\n")
@@ -790,6 +816,27 @@ def test_out_directory_exits_2_before_work(tmp_path, data_csv, catalog3_file,
     assert list(out.iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out",
                                                           "run_000.log"]
+
+
+@pytest.mark.parametrize("command", ["gp", "rs"])
+def test_log_dir_file_exits_2_before_input_is_read(tmp_path, capsys,
+                                                   monkeypatch, command):
+    """A --log-dir that names an existing file is refused by the flag's own
+    message before any input is read, and the file is left as it was."""
+    def no_read(path):
+        raise AssertionError("read an input before checking --log-dir")
+
+    monkeypatch.setattr("esrlab.cli.load_csv", no_read)
+    monkeypatch.setattr("esrlab.cli.read_catalog", no_read)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    argv = {"gp": ["gp", "--config", "CONFIG"],
+            "rs": ["rs", "--catalog", "CATALOG"]}[command]
+    assert main(argv + ["--data", "DATA", "--log-dir", str(afile)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: --log-dir {afile}: not a directory\n"
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
 def test_unwritable_ecdf_output_exits_2(tmp_path, capsys):

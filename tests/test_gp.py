@@ -487,6 +487,48 @@ def test_no_helper_outlives_its_run(synth):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_gps_gives_the_logs_of_run_gp_in_seed_order(workers, synth,
+                                                        tmp_path):
+    """``run_gps`` yields, in the order of its seeds, the log each seed's
+    ``run_gp`` writes alone, byte for byte, whether its runs are made one
+    after another (one worker) or by a pool of two or three processes."""
+    seeds = (7, 3, 5)
+    alone = [_log_bytes(run_gp(SMALL, synth, seed, workers=1),
+                        tmp_path / "alone") for seed in seeds]
+    pooled = [_log_bytes(log, tmp_path / "pooled")
+              for log in gp.run_gps(SMALL, synth, seeds, workers)]
+    assert pooled == alone
+
+
+def test_run_gps_raises_a_pooled_runs_error_and_leaves_no_process(synth):
+    runs = gp.run_gps(replace(SMALL, max_len=2), synth, (0, 1, 2), workers=2)
+    with pytest.raises(GpInitError,
+                       match="^no finite-fitness individual after 10000 "
+                             "samples$"):
+        list(runs)
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_gp_loads_no_process_pool():
+    """``run_gps`` imports its pool only when it makes one, so importing
+    ``esrlab.gp`` stays cheap."""
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, esrlab.gp\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 class _FailingCanonicalizer:
     def __init__(self, *args):
         pass
