@@ -22,11 +22,15 @@ in the root's use list; a key that now collides with another node's merges
 the two classes.  Once no root is pending, it folds the merged classes and
 re-makes their parents' analyses, joining each into its class; a class whose
 analysis grew is repaired in turn, so analyses are repaired upward from the
-merges.  A fold that merges with a literal's class starts the next round.
-Last, it re-canonicalizes the node lists of the classes it touched.
-Congruence comes before analyses, as in the whole-graph rebuild this
-replaced, because the order in which folds land decides which nodes a fold
-hides and how many fresh parameters exist.
+merges.  As in egg, only a merge that changed an analysis is repaired: a
+union flags its root when the join changes either side's (kind, value,
+nonneg), which is all a parent's analysis reads, and a later union carries
+the flag to its own root.  Nearly every union joins equal analyses, and
+folding or re-making parents after one changes nothing.  A fold that merges
+with a literal's class starts the next round.  Last, it re-canonicalizes the
+node lists of the classes it touched.  Congruence comes before analyses, as
+in the whole-graph rebuild this replaced, because the order in which folds
+land decides which nodes a fold hides and how many fresh parameters exist.
 
 A node sits in the use list of each of its children as one shared record,
 [hashcons key, class, live].  Re-keying through one child updates the key
@@ -38,7 +42,10 @@ grow.
 
 Each directed rule is compiled once: its left-hand side into a matcher, its
 right-hand side into a builder, straight-line code that adds the right
-side's missing nodes bottom-up.
+side's missing nodes bottom-up.  Two directions that are the same rule up to
+the names of their variables, as both directions of ``a + b = b + a`` are,
+are compiled once: the second would find the same matches and build the
+same nodes.
 
 Extraction returns the cost-minimal member under (parameter count, node
 count, fixed total order).  Costs are counted on the surface form an e-node
@@ -317,8 +324,14 @@ def _pat_size(pat: tuple) -> int:
 def _compile_rules(rules) -> list:
     """Directed (rule id, root op, match function, build function), ordered
     so low-growth rules apply before expanding ones: the node budget is then
-    spent on merges rather than on expansion."""
+    spent on merges rather than on expansion.
+
+    Variables are numbered in order of first appearance, left side first,
+    so a direction that only renames another's variables compiles to the
+    same (lhs, rhs, guard) and is dropped: the reverse directions of
+    ``a + b = b + a``, ``a * b = b * a`` and ``abs(a - b) = abs(b - a)``."""
     compiled = []
+    seen: set = set()
     rid = 0
     for rule in rules:
         for lhs, rhs, guard in rule.directed():
@@ -329,6 +342,9 @@ def _compile_rules(rules) -> list:
             if guard is not None:
                 kind, name = guard.split(":")
                 cguard = (kind, slots[name])
+            if (clhs, crhs, cguard) in seen:
+                continue
+            seen.add((clhs, crhs, cguard))
             src = (_emit_match(clhs, cguard, len(slots)) + "\n\n\n"
                    + _emit_build(crhs))
             ns: dict = {}
@@ -404,6 +420,8 @@ class EGraph:
         self._uses: list = []
         # roots merged or grown since the last rebuild
         self._pending: list[int] = []
+        # roots whose merges changed an analysis: their parents need repair
+        self._changed: set[int] = set()
         self._fresh_params = 0
 
     # union-find ------------------------------------------------------------
@@ -425,7 +443,10 @@ class EGraph:
         self.classes[ra].extend(self.classes.pop(rb))
         self._uses[ra].extend(self._uses[rb])
         self._uses[rb] = None
-        self._join_analysis(ra, self.analysis.pop(rb))
+        mine, other = self.analysis[ra], self.analysis.pop(rb)
+        if (self._join_analysis(ra, other) or mine[:3] != other[:3]
+                or rb in self._changed):
+            self._changed.add(ra)
         self._pending.append(ra)
         return True
 
@@ -552,13 +573,15 @@ class EGraph:
         Works only on what the unions touched, in rounds.  First the nodes
         in each pending root's use list are re-keyed; a key that now
         collides merges the two classes and retires the node.  Then each
-        merged class is folded and its parents re-join their analyses; a
-        parent whose analysis grew is handled in turn, and a fold's union
-        waits for the next round.  A folded class lists only its leaf, so
-        its other nodes no longer feed its analysis.  Last, the node lists
-        of the touched classes get root children and lose duplicates.
+        merged class whose analysis a merge changed is folded and its
+        parents re-join their analyses; a parent whose analysis grew is
+        handled in turn, and a fold's union waits for the next round.  A
+        folded class lists only its leaf, so its other nodes no longer feed
+        its analysis.  Last, the node lists of the touched classes get root
+        children and lose duplicates.
         """
         pending = self._pending
+        changed = self._changed
         find = self.find
         hashcons = self.hashcons
         uses = self._uses
@@ -591,7 +614,10 @@ class EGraph:
                 c = find(c)
                 uses[c].extend(kept)
                 touched.append(c)
-                grown.append(c)
+                if c in changed:
+                    grown.append(c)
+            # each flagged root is in grown after its last merge
+            changed.clear()
             while grown:
                 c = find(grown.pop())
                 self._fold(c)

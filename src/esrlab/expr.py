@@ -205,31 +205,40 @@ def renumber_params(e: Expr) -> Expr:
     one index per leaf: every parameter leaf is its own parameter, so no two
     leaves share an index, whatever their indices were.
     """
-    return _renumber(e, (PARAM,))
+    return _renumber(e, None)
 
 
 def renumber_leaves(e: Expr) -> Expr:
     """``renumber_params``, and holes numbered apart by first appearance; a
     partial tree's canonical form can repeat a hole, which stays shared."""
-    return _renumber(e, (PARAM, HOLE))
+    return _renumber(e, {})
 
 
-def _renumber(e: Expr, kinds: tuple) -> Expr:
-    mappings: dict[int, dict] = {k: {} for k in kinds}
+def _renumber(e: Expr, holes: dict | None) -> Expr:
+    # One left-to-right walk: the n-th parameter leaf becomes p<n>, and a
+    # hole, when ``holes`` is a dict, the number of its index's first
+    # appearance.  A node comes back as it is when nothing under it changes.
+    n = 0
 
     def walk(node: Expr) -> Expr:
-        mapping = mappings.get(node.kind)
-        if mapping is not None:
-            # a parameter's key is always new, a hole's is its index
-            key = node.value if node.kind == HOLE else len(mapping)
-            idx = mapping.setdefault(key, len(mapping) + 1)
-            return Expr(node.kind, idx) if idx != node.value else node
-        if not node.children:
+        nonlocal n
+        kids = node.children
+        if not kids:
+            kind = node.kind
+            if kind == PARAM:
+                n += 1
+                return node if node.value == n else Expr(PARAM, n)
+            if kind == HOLE and holes is not None:
+                idx = holes.setdefault(node.value, len(holes) + 1)
+                return node if node.value == idx else Expr(HOLE, idx)
             return node
-        kids = tuple(walk(c) for c in node.children)
-        if all(k is c for k, c in zip(kids, node.children)):
+        a = walk(kids[0])
+        if len(kids) == 1:
+            return node if a is kids[0] else Expr(node.kind, node.value, (a,))
+        b = walk(kids[1])
+        if a is kids[0] and b is kids[1]:
             return node
-        return Expr(node.kind, node.value, kids)
+        return Expr(node.kind, node.value, (a, b))
 
     return walk(e)
 

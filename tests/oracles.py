@@ -235,6 +235,100 @@ def _refresh_analyses(self) -> None:
                 changed = True
 
 
+# -- e-graph repair of every merged root ------------------------------------------
+#
+# EGraph.rebuild as it was before unions flagged the merges that changed an
+# analysis: after re-keying, every pending root is folded and has its
+# parents' analyses re-made, whatever its merges joined.  It uses the same
+# compiled rules and everything else of the engine, so in its place it must
+# give every saturation the same report and every tree the same canonical
+# form.
+
+def every_root_rebuild(self) -> None:
+    from esrlab.egraph import _LEAVES
+    pending = self._pending
+    find = self.find
+    hashcons = self.hashcons
+    uses = self._uses
+    analysis = self.analysis
+    touched = []
+    while pending:
+        grown = []
+        while pending:
+            c = find(pending.pop())
+            todo, uses[c] = uses[c], []
+            kept = []
+            for use in todo:
+                if not use[2]:
+                    continue
+                node = use[0]
+                key = ((node[0], find(node[1])) if len(node) == 2
+                       else (node[0], find(node[1]), find(node[2])))
+                if key != node:
+                    del hashcons[node]
+                    touched.append(use[1])
+                    other = hashcons.get(key)
+                    if other is not None:
+                        use[2] = False
+                        self._union(other, use[1])
+                        continue
+                    hashcons[key] = use[1]
+                    use[0] = key
+                kept.append(use)
+            c = find(c)
+            uses[c].extend(kept)
+            touched.append(c)
+            grown.append(c)
+        while grown:
+            c = find(grown.pop())
+            self._fold(c)
+            for use in uses[find(c)]:
+                p = find(use[1])
+                if (use[2] and analysis[p][3] is None
+                        and self._join_analysis(
+                            p, self._make_analysis(use[0]))):
+                    grown.append(p)
+    classes = self.classes
+    for c in set(map(find, touched)):
+        leaf = analysis[c][3]
+        if leaf is not None:
+            classes[c] = [leaf]
+            continue
+        nodes = {}
+        for node in classes[c]:
+            if node[0] not in _LEAVES:
+                node = (node[0],) + tuple(map(find, node[1:]))
+            nodes[node] = None
+        classes[c] = list(nodes)
+
+
+# -- recursive parameter renumbering ---------------------------------------------
+#
+# expr._renumber as it was before it became one walk with a counter: a dict
+# per renumbered kind, keyed by a fresh count for a parameter and by the
+# index for a hole.  renumber_params and renumber_leaves must give the trees
+# it gives.
+
+def renumber_recursive(e, kinds: tuple):
+    from esrlab.expr import Expr, HOLE
+    mappings: dict = {k: {} for k in kinds}
+
+    def walk(node):
+        mapping = mappings.get(node.kind)
+        if mapping is not None:
+            key = node.value if node.kind == HOLE else len(mapping)
+            idx = mapping.setdefault(key, len(mapping) + 1)
+            return Expr(node.kind, idx) if idx != node.value else node
+        if not node.children:
+            return node
+        kids = tuple(walk(c) for c in node.children)
+        if all(k is c for k, c in zip(kids, node.children)):
+            return node
+        return Expr(node.kind, node.value, kids)
+
+    return walk(e)
+
+
 # -- Expr-keyed canonicalizer cache ----------------------------------------------
 #
 # simplify.Canonicalizer as it was when its cache kept the trees themselves as

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import itertools
 import math
 import random
 
@@ -7,13 +9,13 @@ import pytest
 
 from esrlab import expr as ex
 from esrlab.egraph import (EGraph, EqSatConfig, ExtractionError, RULES,
-                           dump_rules, POW, _LEAVES)
-from esrlab.enumeration import enumerate_trees
+                           dump_rules, POW, _COMPILED, _LEAVES)
+from esrlab.enumeration import RULESET_ID, enumerate_trees
 from esrlab.simplify import CanonicalForm, Canonicalizer, canonicalize
 
 from conftest import slow
-from oracles import full_rebuild
-from test_normalize import _random_tree
+from oracles import every_root_rebuild, full_rebuild
+from test_normalize import GOLDEN_RANDOM_FORMS, _derivations, _random_tree
 
 CFG = EqSatConfig()
 
@@ -277,6 +279,63 @@ def test_semantic_preservation_under_folding():
         assert canon <= orig + 1e-6, (text, cf.text, orig, canon)
 
 
+# sha256 of dump_rules(): compiling fewer directions changes no rule
+_DUMP_RULES_SHA256 = (
+    "fbdd2909cd15a18da8de3e0ded61905ce032e2f0659ced614b26ce18f5546a5f")
+
+
+def _renames(first, second) -> bool:
+    """True when the directed rule ``first`` (lhs, rhs, guard) is
+    ``second`` with its pattern variables renamed one to one."""
+    names: set = set()
+    _pattern_vars(first[0], names)
+    _pattern_vars(first[1], names)
+    other: set = set()
+    _pattern_vars(second[0], other)
+    _pattern_vars(second[1], other)
+    if len(names) != len(other):
+        return False
+
+    def rename(pat, to):
+        if pat[0] == "v":
+            return ("v", to[pat[1]])
+        if pat[0] == "l":
+            return pat
+        return (pat[0],) + tuple(rename(sub, to) for sub in pat[1:])
+
+    for image in itertools.permutations(sorted(other)):
+        to = dict(zip(sorted(names), image))
+        guard = first[2]
+        if guard is not None:
+            kind, name = guard.split(":")
+            guard = f"{kind}:{to[name]}"
+        if (rename(first[0], to), rename(first[1], to), guard) == second:
+            return True
+    return False
+
+
+def test_compiled_rules_drop_renamed_directions():
+    """Each directed rule that only renames the variables of one before it
+    is compiled once: 43 directions, 40 compiled rules.  The rule table,
+    its dump and the rule-set id do not change."""
+    kept, skipped = [], []
+    for rule in RULES:
+        for direction in rule.directed():
+            if any(_renames(direction, k) for k in kept):
+                skipped.append((rule, direction))
+            else:
+                kept.append(direction)
+    assert len(kept) + len(skipped) == 43
+    assert len(_COMPILED) == len(kept) == 40
+    assert [(dump_rules([rule]).strip(), d == (rule.rhs, rule.lhs, None))
+            for rule, d in skipped] == [("a + b = b + a", True),
+                                        ("a * b = b * a", True),
+                                        ("abs(a - b) = abs(b - a)", True)]
+    assert hashlib.sha256(dump_rules().encode()).hexdigest() == \
+        _DUMP_RULES_SHA256
+    assert RULESET_ID == "table-eqsat-v1"
+
+
 def test_dump_rules_format():
     text = dump_rules()
     lines = text.strip().split("\n")
@@ -343,3 +402,66 @@ def test_rebuild_matches_full_rebuild(monkeypatch, config):
     assert rebuilds[0] > len(trees)
     if config.node_budget < CFG.node_budget:
         assert stops.get("node_budget", 0) > 0, stops
+
+
+
+def test_a_later_union_carries_the_repair_flag():
+    """x * x joins |x| ^ 2, which is nonnegative, and is then absorbed into
+    the older class of abs(x) * abs(x), which already is: the second join
+    changes no analysis, but the parents of x * x still need repair."""
+    g = EGraph(CFG)
+    older = g.add_expr(ex.parse("abs(x) * abs(x)"))
+    square = g.add_expr(ex.parse("x * x"))
+    parent = g.add_expr(ex.parse("x * x * (x * x)"))
+    nonneg = g.add_expr(ex.parse("|x| ^ 2.0"))
+    assert older < square < nonneg
+    assert not g.analysis[parent][2]
+    g._union(square, nonneg)
+    g._union(older, square)
+    oracle = copy.deepcopy(g)
+    g.rebuild()
+    every_root_rebuild(oracle)
+    assert g.analysis[g.find(parent)][2]
+    assert _state(g) == _state(oracle)
+
+def _forms_and_reports(monkeypatch, trees, config, rebuild):
+    """Canonical forms of ``trees``, the reports of their saturations and
+    the number of folds made, with ``rebuild`` as the engine's rebuild."""
+    reports, folds = [], [0]
+    saturate, fold = EGraph.saturate, EGraph._fold
+
+    def recorded(g):
+        reports.append(saturate(g))
+        return reports[-1]
+
+    def counted(g, c):
+        folds[0] += 1
+        return fold(g, c)
+
+    with monkeypatch.context() as m:
+        m.setattr(EGraph, "rebuild", rebuild)
+        m.setattr(EGraph, "saturate", recorded)
+        m.setattr(EGraph, "_fold", counted)
+        forms = [canonicalize(t, config) for t in trees]
+    return forms, reports, folds[0]
+
+
+@pytest.mark.parametrize("config", [CFG, EqSatConfig(max_iters=8,
+                                                     node_budget=200)],
+                         ids=["default", "iters8_budget200"])
+def test_flagged_repair_matches_every_root_repair(monkeypatch, config):
+    """Repairing only the merges that changed an analysis gives every
+    derivation up to length 6 and every random tree of the golden digest
+    the saturation report and canonical form that repairing every merged
+    root gives, with fewer folds."""
+    rng = np.random.default_rng(2024)
+    trees = _derivations(6) + [ex.renumber_params(_random_tree(rng, 4))
+                               for _ in range(GOLDEN_RANDOM_FORMS[0])]
+    want = _forms_and_reports(monkeypatch, trees, config,
+                              every_root_rebuild)
+    got = _forms_and_reports(monkeypatch, trees, config, EGraph.rebuild)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert got[2] < want[2]
+    if config != CFG:
+        assert any(r.stop_reason == "node_budget" for r in got[1])

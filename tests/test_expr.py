@@ -7,6 +7,7 @@ from esrlab import expr as ex
 from esrlab.enumeration import enumerate_trees
 
 from conftest import slow
+from oracles import renumber_recursive
 
 
 def test_pickle_round_trip_keeps_equality_hash_and_key():
@@ -183,6 +184,48 @@ def test_renumber_params():
     assert ex.render(r) == "p1 + p2 * p3"
     assert ex.param_count(r) == 3
     assert ex.param_count(e) == 5
+
+
+def _leaf_tree_strategy():
+    """Trees whose parameters carry any index, with holes among a few
+    indices, so that holes repeat, and with x and literal leaves."""
+    leaf = st.one_of(
+        st.integers(1, 2**32 - 1).map(ex.param),
+        st.integers(0, 3).map(ex.hole),
+        st.sampled_from([ex.var(), ex.const(0.0), ex.const(-0.0),
+                         ex.const(2.5)]))
+    unary = [ex.inv, ex.abs_, ex.neg]
+    binary = [ex.add, ex.sub, ex.mul, ex.div, ex.powabs]
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(unary), children).map(
+                lambda t: t[0](t[1])),
+            st.tuples(st.sampled_from(binary), children, children).map(
+                lambda t: t[0](t[1], t[2])),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=16)
+
+
+@given(_leaf_tree_strategy())
+@settings(max_examples=300, deadline=None)
+def test_renumbering_matches_recursive_walk(tree):
+    """The one-walk renumbering gives the trees the recursive walker with a
+    dict per kind gave, as ``Expr`` values and as exact bytes."""
+    for got, kinds in ((ex.renumber_params(tree), (ex.PARAM,)),
+                       (ex.renumber_leaves(tree), (ex.PARAM, ex.HOLE))):
+        want = renumber_recursive(tree, kinds)
+        assert got == want
+        assert ex.structural_key(got) == ex.structural_key(want)
+
+
+def test_renumber_leaves_shares_repeated_holes():
+    e = ex.parse("p7 + p7 * p2")
+    e = ex.add(ex.mul(ex.hole(5), e), ex.add(ex.hole(2), ex.hole(5)))
+    r = ex.renumber_leaves(e)
+    assert ex.render(r) == "?1 * (p1 + p2 * p3) + (?2 + ?1)"
+    assert ex.renumber_params(e).children[1] == e.children[1]
 
 
 def test_arity_enforced():
