@@ -10,8 +10,10 @@ Every e-class carries an analysis value: NumericConst(v) when the class folds
 to a literal, ParamOnly when it contains parameters/constants only (such a
 class collapses to a single fresh parameter: reparameterisation equivalence),
 or NotConstant.  ``_const_analysis`` defines it from the children's values,
-and ``normalize`` folds through the same function.  A separate nonnegativity
-flag drives ``abs(a) -> a``.
+and ``normalize`` folds through the same function; ``EGraph._make_analysis``
+gives the same by arity, reading a node's one or two children directly, and
+both leave the arithmetic to ``_const_eval``.  A separate nonnegativity flag
+drives ``abs(a) -> a``.
 
 Rebuilding is deferred and incremental, as in egg (Willsey et al., "egg:
 Fast and Extensible Equality Saturation", POPL 2021).  Each class has a use
@@ -40,24 +42,37 @@ hold a key that is already gone, and the node's current key would stay in
 the hashcons for good: ``n_nodes``, the size the node budget reads, would
 grow.
 
-Each directed rule is compiled once: its left-hand side into a matcher, its
-right-hand side into a builder, straight-line code that adds the right
-side's missing nodes bottom-up.  Two directions that are the same rule up to
-the names of their variables, as both directions of ``a + b = b + a`` are,
-are compiled once: the second would find the same matches and build the
-same nodes.
+Each directed rule is compiled once: its right-hand side into a builder,
+straight-line code that adds the right side's missing nodes bottom-up, and
+its left-hand side into a chain of checks.  The chains of the rules that
+share a root operator make one matcher, which walks that operator's nodes
+once, runs the checks that several chains start with once, and appends each
+rule's matches to the rule's own list.  Saturation applies the lists in
+rule order, so it makes the unions, in the same order, that one matcher per
+rule would.  Two directions that are the same rule up
+to the names of their variables, as both directions of ``a + b = b + a``
+are, are compiled once: the second would find the same matches and build
+the same nodes.
 
 Extraction returns the cost-minimal member under (parameter count, node
-count, fixed total order).  Costs are counted on the surface form an e-node
-prints as; ``EGraph._forms`` lists them, with one more node per operator:
+count, fixed total order).  As in egg, it reads a rebuilt graph, whose node
+lists have root children.  Costs are relaxed over the node lists to their
+fixpoint.  Then, from the root down, each class gets its winner once, and
+once as a powabs base where it is one, memoized with its tie-break key,
+which nests its children's keys and orders trees as their pre-order
+sequences do.  Only the winners' trees are built.  Costs are counted on the surface form an
+e-node prints as; ``EGraph._forms`` lists them, with one more node per
+operator:
 
     leaf       x, p, a literal or a hole
     plain      the operator over its children: a + b, a * b, abs(a), -a
     inv        pow(a, -1) and 1 / a print as inv(a)
     neg        -1 * a prints as -a
-    neg(inv)   -1 / a prints as -inv(a), two nodes over a
     powabs     pow(a, b) prints as powabs(a, b) with an abs-free base: a base
                class may print its member abs(u) as u, at the cost of u
+
+-1 / a keeps its plain form: -inv(a) would cost as much and come later in
+the order, which puts a quotient before a negation.
 """
 
 from __future__ import annotations
@@ -88,10 +103,6 @@ _FRESH_BASE = 1 << 20
 _LEAVES = (VAR, PARAM, CONST, HOLE)
 
 
-def _neg_inv(a: Expr) -> Expr:
-    return ex.neg(ex.inv(a))
-
-
 def _unwrap(a: Expr) -> Expr:
     return a
 
@@ -104,6 +115,9 @@ _LEAF_FORMS = {VAR: (((0, 1), lambda _: ex.var(), ()),),
                PARAM: (((1, 1), ex.param, ()),),
                CONST: (((0, 1), ex.const, ()),),
                HOLE: (((0, 1), ex.hole, ()),)}
+# the Expr kind at the top of each operator form's tree
+_KIND = {make: op for op, make in _PLAIN.items()}
+_KIND.update({ex.inv: INV, ex.powabs: POWABS})
 
 
 class EGraphCapacityError(RuntimeError):
@@ -238,16 +252,16 @@ _GUARD_CODE = {
 }
 
 
-def _emit_match(lhs: tuple, guard, nvars: int) -> str:
-    """Source of a specialized matcher appending (root class, bindings).
+def _emit_match(lhs: tuple, guard, nvars: int, out: str) -> list:
+    """Lines that match one rule against the row ``cid, node`` and pass
+    each match, (root class, bindings), to ``out``.
 
-    The source is one nested chain: each check nests everything after it,
+    The lines are one nested chain: each check nests everything after it,
     so a variable, once bound, stays bound.  A depth-first worklist of
     (source, pattern) pairs emits it: an unbound variable is bound, a bound
     one or a literal is checked one level deeper, and an operator loops over
     the class's nodes of that op and puts its children at the front."""
-    lines = ["def _match(classes, analysis, rows, out):",
-             "    for cid, node in rows:"]
+    lines = []
     indent = " " * 8
     tmp = 0
     bound: set = set()
@@ -281,7 +295,36 @@ def _emit_match(lhs: tuple, guard, nvars: int) -> str:
     binding = ", ".join(f"v{i}" for i in range(nvars))
     if nvars == 1:
         binding += ","
-    lines.append(f"{indent}out.append((cid, ({binding})))")
+    lines.append(f"{indent}{out}((cid, ({binding})))")
+    return lines
+
+
+def _emit_matcher(rules) -> str:
+    """Source of one matcher for the rules that share a root operator,
+    given as (position, lhs, guard, number of variables): one walk over the
+    rows of that operator, in which each rule appends its matches to
+    ``found[position]``.
+
+    Rules whose chains start with the same lines share them: the chains are
+    merged as a trie of lines.  The lines after a shared prefix sit at one
+    indentation, and no chain rebinds a name once bound, so each rule still
+    runs its own chain, in its own order, on the prefix's bindings."""
+    trie: dict = {}
+    for i, lhs, guard, nvars in rules:
+        node = trie
+        for line in _emit_match(lhs, guard, nvars, f"out{i}"):
+            node = node.setdefault(line, {})
+    lines = ["def _match(classes, analysis, rows, found):"]
+    lines += [f"    out{i} = found[{i}].append" for i, *_ in rules]
+    lines.append("    for cid, node in rows:")
+    stack = [iter(trie.items())]
+    while stack:
+        for line, rest in stack[-1]:
+            lines.append(line)
+            stack.append(iter(rest.items()))
+            break
+        else:
+            stack.pop()
     return "\n".join(lines)
 
 
@@ -321,10 +364,12 @@ def _pat_size(pat: tuple) -> int:
     return 1 + sum(_pat_size(sub) for sub in pat[1:])
 
 
-def _compile_rules(rules) -> list:
-    """Directed (rule id, root op, match function, build function), ordered
-    so low-growth rules apply before expanding ones: the node budget is then
-    spent on merges rather than on expansion.
+def _compile_rules(rules) -> tuple[list, list]:
+    """The directed rules as (lhs, guard, number of variables, build
+    function), ordered so low-growth rules apply before expanding ones: the
+    node budget is then spent on merges rather than on expansion.  And one
+    (root op, match function) per root operator, whose matches for the
+    rule at position i go to list i.
 
     Variables are numbered in order of first appearance, left side first,
     so a direction that only renames another's variables compiles to the
@@ -332,7 +377,6 @@ def _compile_rules(rules) -> list:
     ``a + b = b + a``, ``a * b = b * a`` and ``abs(a - b) = abs(b - a)``."""
     compiled = []
     seen: set = set()
-    rid = 0
     for rule in rules:
         for lhs, rhs, guard in rule.directed():
             slots: dict = {}
@@ -345,19 +389,26 @@ def _compile_rules(rules) -> list:
             if (clhs, crhs, cguard) in seen:
                 continue
             seen.add((clhs, crhs, cguard))
-            src = (_emit_match(clhs, cguard, len(slots)) + "\n\n\n"
-                   + _emit_build(crhs))
+            # exec runs a closed vocabulary: patterns come from the table
             ns: dict = {}
-            exec(src, ns)  # closed vocabulary: patterns come from the table
+            exec(_emit_build(crhs), ns)
             growth = _pat_size(crhs) - _pat_size(clhs)
-            compiled.append((growth, rid, clhs[0], ns["_match"],
+            compiled.append((growth, len(compiled), clhs, cguard, len(slots),
                              ns["_build"]))
-            rid += 1
-    compiled.sort(key=lambda t: (t[0], t[1]))
-    return [t[1:] for t in compiled]
+    compiled.sort(key=lambda t: t[:2])
+    compiled = [t[2:] for t in compiled]
+    by_op: dict = {}
+    for i, (lhs, guard, nvars, _) in enumerate(compiled):
+        by_op.setdefault(lhs[0], []).append((i, lhs, guard, nvars))
+    matchers = []
+    for op, group in by_op.items():
+        ns = {}
+        exec(_emit_matcher(group), ns)
+        matchers.append((op, ns["_match"]))
+    return compiled, matchers
 
 
-_COMPILED = _compile_rules(RULES)
+_COMPILED, _MATCHERS = _compile_rules(RULES)
 
 
 def _pat_text(pat, parent_prec=0) -> str:
@@ -453,16 +504,28 @@ class EGraph:
     # analyses ----------------------------------------------------------------
 
     def _make_analysis(self, node: tuple) -> list:
+        """Analysis of ``node`` from its payload, or from its one or two
+        children's analyses; ``_const_analysis`` states the rule."""
         op = node[0]
         if op in _LEAVES:
-            kids, payload = (), node[1]
-        else:
-            kids = [self.analysis[self.find(c)] for c in node[1:]]
-            payload = None
-        kind, v = _const_analysis(op, kids, payload)
-        if kind == _CONST:
-            return [_CONST, v, v >= 0.0, None]
-        return [kind, None, _nonneg_eval(op, kids), None]
+            if op == CONST:
+                return [_CONST, node[1], node[1] >= 0.0, None]
+            return [_PARAMONLY if op == PARAM else _OTHER, None, False, None]
+        analysis = self.analysis
+        a = analysis.get(node[1]) or analysis[self.find(node[1])]
+        if len(node) == 2:
+            if a[0] == _CONST:
+                v = _const_eval(op, (a[1],))
+                if v is not None:
+                    return [_CONST, v, v >= 0.0, None]
+            return [_PARAMONLY if a[0] else _OTHER, None, op == ABS, None]
+        b = analysis.get(node[2]) or analysis[self.find(node[2])]
+        if a[0] == _CONST and b[0] == _CONST:
+            v = _const_eval(op, (a[1], b[1]))
+            if v is not None:
+                return [_CONST, v, v >= 0.0, None]
+        nonneg = a[2] if op == POW else op != SUB and a[2] and b[2]
+        return [_PARAMONLY if a[0] and b[0] else _OTHER, None, nonneg, None]
 
     def _join_analysis(self, c: int, other: list) -> bool:
         """Join ``other`` into the analysis of ``c``; True if it grew."""
@@ -642,10 +705,22 @@ class EGraph:
 
     # saturation ------------------------------------------------------------------
     #
-    # Each directed rule is compiled once into a specialized match function
-    # (flat nested loops over the class lists) and a build function for its
-    # right-hand side.  Matching runs on a rebuilt graph, where node child
-    # ids are already canonical.
+    # Matching runs on a rebuilt graph, where node child ids are already
+    # canonical.
+
+    def _match(self) -> list:
+        """Each compiled rule's matches, (root class, bindings), in one
+        list per rule in ``_COMPILED`` order."""
+        index: dict[int, list] = {}
+        for c, nodes in self.classes.items():
+            for node in nodes:
+                index.setdefault(node[0], []).append((c, node))
+        found: list = [[] for _ in _COMPILED]
+        for root_op, matcher in _MATCHERS:
+            rows = index.get(root_op)
+            if rows:
+                matcher(self.classes, self.analysis, rows, found)
+        return found
 
     def saturate(self) -> SaturationReport:
         """Apply ``RULES`` under the configured iteration cap and node
@@ -656,28 +731,16 @@ class EGraph:
         it = 0
         while it < self.config.max_iters:
             it += 1
-            index: dict[int, list] = {}
-            for c, nodes in self.classes.items():
-                for node in nodes:
-                    index.setdefault(node[0], []).append((c, node))
-            matches = []
-            analysis = self.analysis
-            classes = self.classes
-            for rid, root_op, matcher, build in _COMPILED:
-                rows = index.get(root_op)
-                if rows:
-                    found: list = []
-                    matcher(classes, analysis, rows, found)
-                    if found:
-                        matches.append((rid, build, found))
-            if not matches:
+            found = self._match()
+            if not any(found):
                 reason = "fixpoint"
                 break
             changed = False
             hit_budget = False
             find = self.find
-            for rid, build, found in matches:
-                for cid, binding in found:
+            for rid, hits in enumerate(found):
+                build = _COMPILED[rid][3]
+                for cid, binding in hits:
                     key = (rid, find(cid)) + tuple(map(find, binding))
                     if key in applied:
                         continue
@@ -707,11 +770,14 @@ class EGraph:
         """Cost-minimal member of ``root``: fewest parameters, then fewest
         nodes, then first under a fixed total order.  Deterministic.
 
-        Costs are measured on the surface forms ``_forms`` lists.
+        Costs are measured on the surface forms ``_forms`` lists.  The graph
+        must be rebuilt, as ``saturate`` leaves it: node lists are read as
+        they stand, their children being roots.
         """
         root = self.find(root)
         # phase 1: integer cost pairs (params, nodes) per class, plus the
-        # cost when the class is consumed as a powabs base
+        # cost when the class is consumed as a powabs base, relaxed to their
+        # fixpoint
         cost: dict[int, tuple] = {}
         bcost: dict[int, tuple] = {}
         changed = True
@@ -730,10 +796,8 @@ class EGraph:
                             changed = True
         if root not in cost:
             raise ExtractionError("class has no finite extraction")
-        # phase 2: realize the minimal expression, breaking remaining ties by
-        # a fixed total order on serialized trees.
-        memo: dict[tuple, Expr] = {}
-        return self._build(root, False, cost, bcost, memo)
+        # phase 2: the minimal member, ties broken by a fixed total order
+        return self._pick(root, False, cost, bcost, {})[1]
 
     def _literal(self, c: int):
         a = self.analysis[c]
@@ -748,10 +812,9 @@ class EGraph:
         leaf = _LEAF_FORMS.get(op)
         if leaf is not None:
             return leaf
-        find = self.find
         forms: list = []
         if op == POW:
-            b, p = find(node[1]), find(node[2])
+            b, p = node[1], node[2]
             nb = cost.get(b)
             if nb is not None and self._literal(p) == -1.0:
                 forms.append(((nb[0], nb[1] + 1), ex.inv, (b,)))
@@ -761,7 +824,7 @@ class EGraph:
                               ex.powabs, (b, p)))
             return forms
         if op in (ABS, NEG):
-            u = find(node[1])
+            u = node[1]
             k = cost.get(u)
             if k is None:
                 return forms
@@ -769,57 +832,58 @@ class EGraph:
                 forms.append((k, _unwrap, (u,)))
             forms.append(((k[0], k[1] + 1), _PLAIN[op], (u,)))
             return forms
-        a, b = find(node[1]), find(node[2])
+        a, b = node[1], node[2]
         ca, cb = cost.get(a), cost.get(b)
         if ca is None or cb is None:
             return forms
-        if op in (MUL, DIV):
-            lit = self._literal(a)
-            if lit == -1.0:
-                forms.append(((cb[0], cb[1] + 1), ex.neg, (b,)) if op == MUL
-                             else ((cb[0], cb[1] + 2), _neg_inv, (b,)))
-            elif op == DIV and lit == 1.0:
-                forms.append(((cb[0], cb[1] + 1), ex.inv, (b,)))
+        if op in (MUL, DIV) and self._literal(a) == (
+                -1.0 if op == MUL else 1.0):
+            forms.append(((cb[0], cb[1] + 1), ex.neg if op == MUL else ex.inv,
+                          (b,)))
         forms.append(((ca[0] + cb[0], ca[1] + cb[1] + 1), _PLAIN[op], (a, b)))
         return forms
 
-    @staticmethod
-    def _key_of(e: Expr) -> tuple:
-        parts: list = []
-        stack = [e]
-        while stack:
-            n = stack.pop()
-            parts.append(n.kind)
-            parts.append(float(n.value) if n.value is not None else -1.0)
-            stack.extend(reversed(n.children))
-        return tuple(parts)
+    def _pick(self, c: int, as_base: bool, cost, bcost, memo) -> tuple:
+        """(key, tree) of the minimal member of class ``c``, as a powabs
+        base when ``as_base``.  Of equal costs the least key wins, the first
+        in node and form order among equal keys, and only the winner's tree
+        is built.
 
-    def _build(self, c: int, as_base: bool, cost, bcost, memo) -> Expr:
-        c = self.find(c)
+        A tree's key is (kind, value, its children's keys), and an
+        unwrapped base's key is its child's; an operator's value counts as
+        -1.0.  Keys order trees as their pre-order (kind, value) sequences
+        do: every node adds one pair, and its kind fixes how many children
+        follow, so no tree's sequence starts another's."""
         got = memo.get((c, as_base))
         if got is not None:
             return got
         target = bcost[c] if as_base else cost[c]
-        candidates: list[Expr] = []
+        best = None
         for node in self.classes[c]:
             for nc, make, kids in self._forms(node, cost, bcost):
                 if nc != target or (make is _unwrap and not as_base):
                     continue
-                if not kids:
-                    candidates.append(make(node[1]))
-                    continue
-                candidates.append(make(*[
-                    self._build(k, make is ex.powabs and i == 0, cost, bcost,
-                                memo)
-                    for i, k in enumerate(kids)]))
-        if not candidates:
+                if kids:
+                    picks = [self._pick(k, make is ex.powabs and i == 0,
+                                        cost, bcost, memo)
+                             for i, k in enumerate(kids)]
+                    key = (picks[0][0] if make is _unwrap else
+                           (_KIND[make], -1.0, *[k for k, _ in picks]))
+                else:  # a leaf is its own tree
+                    picks = make(node[1])
+                    key = (picks.kind, float(picks.value))
+                    make = None
+                if best is None or key < best[0]:
+                    best = (key, make, picks)
+        if best is None:
             raise ExtractionError("inconsistent extraction state")
-        result = min(candidates, key=self._key_of)
-        memo[(c, as_base)] = result
-        return result
+        key, make, picks = best
+        tree = picks if make is None else make(*[t for _, t in picks])
+        memo[(c, as_base)] = got = (key, tree)
+        return got
 
 
-def _const_eval(op: int, vals: list) -> Optional[float]:
+def _const_eval(op: int, vals) -> Optional[float]:
     """Value of ``op`` on literal operands; None unless finite and real."""
     try:
         if op == ADD:
@@ -869,13 +933,3 @@ def _const_analysis(op: int, kids, value=None) -> tuple:
     if all(k[0] != _OTHER for k in kids):
         return _PARAMONLY, None
     return _OTHER, None
-
-
-def _nonneg_eval(op: int, kids: list) -> bool:
-    if op == ABS:
-        return True
-    if op == POW:
-        return kids[0][2]
-    if op in (MUL, DIV, ADD):
-        return kids[0][2] and kids[1][2]
-    return False

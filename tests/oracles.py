@@ -7,6 +7,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
+from esrlab import expr as ex
+from esrlab.egraph import (ABS, ADD, DIV, MUL, NEG, POW, ExtractionError,
+                           _COMPILED, _CONST, _GUARD_CODE, _LEAF_FORMS,
+                           _LEAVES, _PLAIN, _const_analysis, _unwrap)
+
 # -- tree counting -------------------------------------------------------------
 #
 # The grammar has two leaf productions, one unary and five binary operators;
@@ -300,6 +305,217 @@ def every_root_rebuild(self) -> None:
                 node = (node[0],) + tuple(map(find, node[1:]))
             nodes[node] = None
         classes[c] = list(nodes)
+
+
+# -- two-phase extraction -----------------------------------------------------------
+#
+# EGraph.extract as it was before it built only the winner: cost passes to a
+# fixpoint that find every child, then every candidate of the minimal cost
+# built in full and the least taken by min over its pre-order (kind, value)
+# sequence.  On a rebuilt graph the engine's extract must give the equal tree.
+
+def two_phase_extract(self, root):
+    root = self.find(root)
+    cost, bcost = {}, {}
+    changed = True
+    while changed:
+        changed = False
+        for c, nodes in self.classes.items():
+            cur = cost.get(c)
+            bb = bcost.get(c)
+            for node in nodes:
+                for nc, make, _ in _found_forms(self, node, cost, bcost):
+                    if make is not _unwrap and (cur is None or nc < cur):
+                        cur = cost[c] = nc
+                        changed = True
+                    if bb is None or nc < bb:
+                        bb = bcost[c] = nc
+                        changed = True
+    if root not in cost:
+        raise ExtractionError("class has no finite extraction")
+    return _build_min(self, root, False, cost, bcost, {})
+
+
+def _found_forms(self, node, cost, bcost):
+    op = node[0]
+    leaf = _LEAF_FORMS.get(op)
+    if leaf is not None:
+        return leaf
+    find = self.find
+    forms = []
+    if op == POW:
+        b, p = find(node[1]), find(node[2])
+        nb = cost.get(b)
+        if nb is not None and self._literal(p) == -1.0:
+            forms.append(((nb[0], nb[1] + 1), ex.inv, (b,)))
+        bb, np_ = bcost.get(b), cost.get(p)
+        if bb is not None and np_ is not None:
+            forms.append(((bb[0] + np_[0], bb[1] + np_[1] + 1),
+                          ex.powabs, (b, p)))
+        return forms
+    if op in (ABS, NEG):
+        u = find(node[1])
+        k = cost.get(u)
+        if k is None:
+            return forms
+        if op == ABS:
+            forms.append((k, _unwrap, (u,)))
+        forms.append(((k[0], k[1] + 1), _PLAIN[op], (u,)))
+        return forms
+    a, b = find(node[1]), find(node[2])
+    ca, cb = cost.get(a), cost.get(b)
+    if ca is None or cb is None:
+        return forms
+    if op in (MUL, DIV):
+        lit = self._literal(a)
+        if lit == -1.0:
+            forms.append(((cb[0], cb[1] + 1), ex.neg, (b,)) if op == MUL
+                         else ((cb[0], cb[1] + 2), _neg_inv, (b,)))
+        elif op == DIV and lit == 1.0:
+            forms.append(((cb[0], cb[1] + 1), ex.inv, (b,)))
+    forms.append(((ca[0] + cb[0], ca[1] + cb[1] + 1), _PLAIN[op], (a, b)))
+    return forms
+
+
+def _neg_inv(a):
+    return ex.neg(ex.inv(a))
+
+
+def _key_of(e):
+    parts = []
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        parts.append(n.kind)
+        parts.append(float(n.value) if n.value is not None else -1.0)
+        stack.extend(reversed(n.children))
+    return tuple(parts)
+
+
+def _build_min(self, c, as_base, cost, bcost, memo):
+    c = self.find(c)
+    got = memo.get((c, as_base))
+    if got is not None:
+        return got
+    target = bcost[c] if as_base else cost[c]
+    candidates = []
+    for node in self.classes[c]:
+        for nc, make, kids in _found_forms(self, node, cost, bcost):
+            if nc != target or (make is _unwrap and not as_base):
+                continue
+            if not kids:
+                candidates.append(make(node[1]))
+                continue
+            candidates.append(make(*[
+                _build_min(self, k, make is ex.powabs and i == 0, cost,
+                           bcost, memo)
+                for i, k in enumerate(kids)]))
+    if not candidates:
+        raise ExtractionError("inconsistent extraction state")
+    result = min(candidates, key=_key_of)
+    memo[(c, as_base)] = result
+    return result
+
+
+# -- one matcher per rule ------------------------------------------------------------
+#
+# The match functions as they were before the rules sharing a root operator
+# shared one: one function per compiled rule, each walking the rows of its
+# root operator.  The source emitter is kept as it was.  On every graph the
+# engine matches, each rule must find the same matches in the same order.
+
+def _emit_match(lhs, guard, nvars):
+    lines = ["def _match(classes, analysis, rows, out):",
+             "    for cid, node in rows:"]
+    indent = " " * 8
+    tmp = 0
+    bound = set()
+    work = [(f"node[{i}]", sub) for i, sub in enumerate(lhs[1:], 1)]
+    while work:
+        src, pat = work.pop(0)
+        if pat[0] == "v" and pat[1] not in bound:
+            lines.append(f"{indent}v{pat[1]} = {src}")
+            bound.add(pat[1])
+            continue
+        if pat[0] == "v":
+            lines.append(f"{indent}if {src} == v{pat[1]}:")
+        elif pat[0] == "l":
+            lines.append(f"{indent}a{tmp} = analysis[{src}]")
+            lines.append(f"{indent}if a{tmp}[0] == 2 and a{tmp}[1] == "
+                         f"{pat[1]!r}:")
+            tmp += 1
+        else:
+            n = f"n{tmp}"
+            tmp += 1
+            lines.append(f"{indent}for {n} in classes.get({src}, ()):")
+            indent += "    "
+            lines.append(f"{indent}if {n}[0] == {pat[0]}:")
+            work[:0] = [(f"{n}[{i}]", sub) for i, sub in enumerate(pat[1:], 1)]
+        indent += "    "
+    if guard is not None:
+        kind, slot = guard
+        lines.append(f"{indent}g{tmp} = analysis[v{slot}]")
+        lines.append(f"{indent}if {_GUARD_CODE[kind].format(a=f'g{tmp}')}:")
+        indent += "    "
+    binding = ", ".join(f"v{i}" for i in range(nvars))
+    if nvars == 1:
+        binding += ","
+    lines.append(f"{indent}out.append((cid, ({binding})))")
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=None)
+def _rule_matchers():
+    matchers = []
+    for lhs, guard, nvars, _ in _COMPILED:
+        ns = {}
+        exec(_emit_match(lhs, guard, nvars), ns)
+        matchers.append((lhs[0], ns["_match"]))
+    return tuple(matchers)
+
+
+def per_rule_match(self):
+    index = {}
+    for c, nodes in self.classes.items():
+        for node in nodes:
+            index.setdefault(node[0], []).append((c, node))
+    found = []
+    for root_op, matcher in _rule_matchers():
+        out = []
+        rows = index.get(root_op)
+        if rows:
+            matcher(self.classes, self.analysis, rows, out)
+        found.append(out)
+    return found
+
+
+# -- the analysis through the generic rule ---------------------------------------
+#
+# EGraph._make_analysis as it was before it read its children by arity: the
+# children's analyses as a list, the kind from _const_analysis and the
+# nonnegativity flag from _nonneg_eval.
+
+def generic_analysis(self, node):
+    op = node[0]
+    if op in _LEAVES:
+        kids, payload = (), node[1]
+    else:
+        kids = [self.analysis[self.find(c)] for c in node[1:]]
+        payload = None
+    kind, v = _const_analysis(op, kids, payload)
+    if kind == _CONST:
+        return [_CONST, v, v >= 0.0, None]
+    return [kind, None, _nonneg_eval(op, kids), None]
+
+
+def _nonneg_eval(op, kids):
+    if op == ABS:
+        return True
+    if op == POW:
+        return kids[0][2]
+    if op in (MUL, DIV, ADD):
+        return kids[0][2] and kids[1][2]
+    return False
 
 
 # -- recursive parameter renumbering ---------------------------------------------

@@ -9,12 +9,14 @@ import pytest
 
 from esrlab import expr as ex
 from esrlab.egraph import (EGraph, EqSatConfig, ExtractionError, RULES,
-                           dump_rules, POW, _COMPILED, _LEAVES)
+                           dump_rules, POW, _COMPILED, _CONST, _LEAVES,
+                           _OTHER, _PARAMONLY)
 from esrlab.enumeration import RULESET_ID, enumerate_trees
 from esrlab.simplify import CanonicalForm, Canonicalizer, canonicalize
 
 from conftest import slow
-from oracles import every_root_rebuild, full_rebuild
+from oracles import (every_root_rebuild, full_rebuild, generic_analysis,
+                     per_rule_match, two_phase_extract)
 from test_normalize import GOLDEN_RANDOM_FORMS, _derivations, _random_tree
 
 CFG = EqSatConfig()
@@ -465,3 +467,107 @@ def test_flagged_repair_matches_every_root_repair(monkeypatch, config):
     assert got[2] < want[2]
     if config != CFG:
         assert any(r.stop_reason == "node_budget" for r in got[1])
+
+
+# -- single-winner extraction, fused matchers, analyses by arity ----------------
+
+_ORACLE_CONFIGS = [CFG, EqSatConfig(max_iters=8, node_budget=200),
+                   EqSatConfig(max_iters=6, node_budget=40)]
+_ORACLE_IDS = ["default", "iters8_budget200", "iters6_budget40"]
+
+
+def _oracle_trees(max_len):
+    """Every derivation up to ``max_len`` and every random tree of the
+    golden digest."""
+    rng = np.random.default_rng(2024)
+    return _derivations(max_len) + [ex.renumber_params(_random_tree(rng, 4))
+                                    for _ in range(GOLDEN_RANDOM_FORMS[0])]
+
+
+def _exact(e):
+    """Pre-order kinds and value reprs, which tell -0.0 from 0.0."""
+    return [(n.kind, repr(n.value)) for n in ex.subtrees(e)]
+
+
+@pytest.mark.parametrize("max_len", [6, pytest.param(7, marks=slow)])
+@pytest.mark.parametrize("config", _ORACLE_CONFIGS, ids=_ORACLE_IDS)
+def test_single_winner_extraction_matches_two_phase_extract(
+        monkeypatch, config, max_len):
+    """Extracting from the rebuilt node lists and building only the winner
+    gives every graph that canonicalization extracts from the tree that
+    finding every child, building every candidate of the minimal cost and
+    taking the least gives."""
+    extract = EGraph.extract
+    checked = [0]
+
+    def compared(g, root):
+        want = two_phase_extract(g, root)
+        got = extract(g, root)
+        assert got == want
+        assert ex.structural_key(got) == ex.structural_key(want)
+        assert _exact(got) == _exact(want)
+        checked[0] += 1
+        return got
+
+    monkeypatch.setattr(EGraph, "extract", compared)
+    trees = _oracle_trees(max_len)
+    for t in trees:
+        canonicalize(t, config)
+    assert checked[0] == len(trees)
+
+
+@pytest.mark.parametrize("max_len", [6, pytest.param(7, marks=slow)])
+@pytest.mark.parametrize("config", _ORACLE_CONFIGS, ids=_ORACLE_IDS)
+def test_fused_matchers_match_per_rule_matchers(monkeypatch, config,
+                                                max_len):
+    """One matcher per root operator gives each rule the matches, in the
+    same order, that a matcher of its own gives, on every graph that
+    saturation matches against.  The order matters where the node budget
+    stops a saturation: which right-hand sides are still built depends on
+    it."""
+    match, saturate = EGraph._match, EGraph.saturate
+    reports, rounds = [], [0]
+
+    def compared(g):
+        found = match(g)
+        assert found == per_rule_match(g)
+        rounds[0] += 1
+        return found
+
+    def recorded(g):
+        reports.append(saturate(g))
+        return reports[-1]
+
+    monkeypatch.setattr(EGraph, "_match", compared)
+    monkeypatch.setattr(EGraph, "saturate", recorded)
+    trees = _oracle_trees(max_len)
+    for t in trees:
+        canonicalize(t, config)
+    assert len(reports) == len(trees)
+    assert rounds[0] == sum(r.iterations for r in reports)
+    if config.node_budget < CFG.node_budget:
+        assert any(r.stop_reason == "node_budget" for r in reports)
+
+
+def test_analysis_by_arity_matches_the_generic_rule():
+    """Every operator over children of every analysis kind, sign and
+    literal, and every leaf, gets the analysis that the children's list,
+    ``_const_analysis`` and the nonnegativity rule give."""
+    values = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.7, -3.7, 1e308,
+              -1e308, 5e-324)
+    analyses = ([[kind, None, nonneg, None] for kind in (_OTHER, _PARAMONLY)
+                 for nonneg in (False, True)]
+                + [[_CONST, v, v >= 0.0, None] for v in values])
+    g = EGraph(CFG)
+    kids = [g.add_expr(ex.hole(i + 1)) for i in range(len(analyses))]
+    for c, a in zip(kids, analyses):
+        g.analysis[c] = a
+    nodes = ([(op, a, b) for op in (ex.ADD, ex.SUB, ex.MUL, ex.DIV, POW)
+              for a in kids for b in kids]
+             + [(op, a) for op in (ex.NEG, ex.ABS) for a in kids]
+             + [(ex.VAR, 1), (ex.PARAM, 3), (ex.HOLE, 2)]
+             + [(ex.CONST, v) for v in values])
+    for node in nodes:
+        assert repr(g._make_analysis(node)) == \
+            repr(generic_analysis(g, node)), node
+
