@@ -24,6 +24,17 @@ their gradients at a batch of points, with every subtree that holds no
 parameter computed once, when the kernel is compiled.  A fit compiles its
 one-point and its batch kernel at first use, so a one-restart fit compiles
 one.
+Each restart may ask for at most 2,000 points (``_POINT_BUDGET``), 20
+line-search steps for each of 100 iterations; ``_max_evals`` turns that
+into ``minimize``'s evaluation limit, never looser than the 20 evaluations
+per iteration, and at least 100, that bound short fits such as ``GP_FIT``.
+The budget stops crawls: a few restarts spend most of their 500 iterations
+in line searches of up to 20 steps, and on catalog(6) 3 of the 4,816
+``mse`` restarts made a fifth of all evaluations, none of them giving its
+entry's best fit; no best objective measured on catalogs 6 to 8 moved.  A
+restart stopped by the budget is reported as ``eval_limit`` in
+``FitResult.terminations``; one that reached ``max_iters`` or whose line
+search failed, as ``iter_limit``.
 For the marginal likelihood the optimization vector is
 [theta, mu, log omega, log sigma_int], maximized jointly; a point where
 omega underflows to zero counts as a bad point.  Restarts stop early once
@@ -248,6 +259,19 @@ _MAXLS = 20
 _FD_STEP = 1e-8
 _EPS = np.finfo(float).eps
 
+# the points one restart may ask for: _MAXLS line-search steps for each of
+# 100 iterations
+_POINT_BUDGET = 2000
+
+
+def _max_evals(config: FitConfig, jac: bool, dim: int) -> int:
+    """``minimize``'s evaluation limit for one restart under ``config``: 20
+    evaluations per iteration allowed and at least 100, but no more than
+    ``_POINT_BUDGET`` points cost, at one evaluation a point with an
+    analytic gradient and 1 + dim with a forward difference."""
+    return max(min(20 * config.max_iters,
+                   _POINT_BUDGET * (1 if jac else 1 + dim)), 100)
+
 
 class OptResult(NamedTuple):
     x: np.ndarray
@@ -256,6 +280,7 @@ class OptResult(NamedTuple):
     njev: int
     success: bool
     nobj: int
+    stop: int
 
 
 class _Run:
@@ -331,7 +356,8 @@ def minimize(fun, x0: np.ndarray, jac: bool, maxiter: int, ftol: float,
     ``nobj``, the rows ``fun`` evaluated for the run, twice.  A
     run stops at iteration ``maxiter``, or once ``nfev`` exceeds ``maxfun``,
     checked as each iteration starts; ``success`` means the routine itself
-    declared convergence.
+    declared convergence, and ``stop`` is the routine's stop code, scipy's
+    504 at the iteration limit and 502 at the evaluation limit.
     """
     factr = ftol / _EPS
     runs = [_Run(row) for row in x0]
@@ -342,7 +368,8 @@ def minimize(fun, x0: np.ndarray, jac: bool, maxiter: int, ftol: float,
             pending = [run for run in pending
                        if run.advance(factr, gtol, maxiter, maxfun)]
     return [OptResult(run.x, run.f, run.nfev, run.njev,
-                      bool(run.task[0] == 4), run.nobj) for run in runs]
+                      bool(run.task[0] == 4), run.nobj, int(run.task[1]))
+            for run in runs]
 
 
 def _evaluate(fun, jac: bool, runs: list) -> None:
@@ -435,7 +462,7 @@ def fit_seeds(e: Expr, data: Dataset, objective: str, config: FitConfig,
         # tolerance
         runs = minimize(fun, np.concatenate(list(starts.values())), jac,
                         config.max_iters, _REL_TOL * 1e-3, _ABS_TOL * 1e-3,
-                        max(config.max_iters * 20, 100))
+                        _max_evals(config, jac, dim))
         vals = _objective_values(e, data, objective,
                                  np.array([res.x for res in runs]))
         end, todo = 0, {}
@@ -470,7 +497,9 @@ def _restarts(rng, config: FitConfig, dim: int, n_params: int, jac: bool):
             used += 1
             n_obj += res.nobj + 1       # and the end point's evaluation
             n_grad += res.nobj if jac else res.njev
-            terminations.append("converged" if res.success else "iter_limit")
+            terminations.append("converged" if res.success else
+                                "eval_limit" if res.stop == 502 else
+                                "iter_limit")
             if math.isfinite(val) and val < best_val - _ABS_TOL:
                 best_val = val
                 best_vec = np.array(res.x)

@@ -333,6 +333,53 @@ def test_fit_catalog_order_independent_seeds(linear_data, catalog4):
         {h: r.objective for h, r in b.items()}
 
 
+def test_a_crawling_restart_stops_at_the_point_budget():
+    """One restart of this fit crawls, most of its 500 iterations spent in
+    line searches; the 2,000-point budget stops it early, and the best
+    objective, found by another restart, is kept to the last bit."""
+    e = ex.parse("1.0 / p1 ^ (x * x)")
+    data = load_csv(bundled_synthetic_path())
+    res = fit(e, data, "mse", ESR_FIT,
+              entry_seed(0, canonicalize(e).semantic_hash))
+    assert repr(res.objective) == "0.3563444101520543"
+    assert res.restarts_used == 21
+    assert res.n_obj_evals == 2448      # 9414 without the budget
+    assert res.terminations.count("eval_limit") == 1
+    assert "iter_limit" not in res.terminations
+
+
+def test_point_budget_never_loosens_a_limit(synth, monkeypatch):
+    """The evaluation limit ``fit`` passes to ``minimize`` is 2,000 points
+    under ESR_FIT; it is never looser than ``max(20 * max_iters, 100)``,
+    and for ``mse`` with at most 100 iterations, GP_FIT's 10 among them,
+    it is exactly that, so GP logs cannot drift."""
+    limits = []
+    minimize = fitting.minimize
+
+    def recording(*args):
+        limits.append(args[-1])
+        return minimize(*args)
+
+    monkeypatch.setattr(fitting, "minimize", recording)
+    # an mnr point costs 1 + dim evaluations: 2,000 of them pass 10,000
+    # unless mnr fits the hyperparameters alone (dim 3)
+    for text, objective, esr in (("p1 / (x + p2)", "mse", 2000),
+                                 ("p1 / (x + p2)", "mnr", 10000),
+                                 ("x", "mnr", 8000)):
+        for max_iters in (GP_FIT.max_iters, ESR_FIT.max_iters):
+            fit(ex.parse(text), synth, objective,
+                FitConfig(max_iters=max_iters), seed=0)
+        assert limits == [200, esr]
+        del limits[:]
+    for max_iters in range(1, 1001):
+        config = FitConfig(max_iters=max_iters)
+        today = max(20 * max_iters, 100)
+        for dim in range(1, 12):
+            assert fitting._max_evals(config, False, dim) <= today
+            limit = fitting._max_evals(config, True, dim)
+            assert limit == today if max_iters <= 100 else limit <= today
+
+
 def test_presets_follow_documented_shapes():
     assert ESR_FIT.restarts == 340
     assert fitting._REL_TOL == 1e-8 and fitting._ABS_TOL == 1e-8
@@ -366,8 +413,9 @@ def _options(config, maxfun=None):
 
 def _lbfgsb_both(e, data, objective, config, x0, maxfun=None):
     """One start under ``fitting.minimize`` and under scipy's L-BFGS-B, with
-    the options ``fit`` uses (or the evaluation limit ``maxfun``); returns
-    both results and the (objective, gradient) evaluations each made."""
+    the tolerances and iteration limit ``fit`` uses and the evaluation limit
+    ``maxfun``, by default ``max(20 * max_iters, 100)``; returns both
+    results and the (objective, gradient) evaluations each made."""
     from scipy.optimize import minimize as scipy_minimize
 
     opts = _options(config, maxfun)
@@ -419,8 +467,12 @@ def test_minimize_matches_scipy_lbfgsb(case, synth):
     assert our_evals == their_evals
     if case == "gp_cap":
         assert theirs.nit == GP_FIT.max_iters and not theirs.success
+        assert ours.stop == 504 and "ITERATIONS REACHED LIMIT" in \
+            theirs.message
     if case == "maxfun":
         assert theirs.nfev > 30 and not theirs.success
+        assert ours.stop == 502 and "EVALUATIONS EXCEEDS LIMIT" in \
+            theirs.message
     if case == "nan":
         assert np.isnan(theirs.x).any() and their_evals[0] > theirs.nfev
     if case == "bad":
@@ -530,13 +582,14 @@ def test_lockstep_rows_match_runs_alone(objective, synth):
         alone, = fitting.minimize(fun, row[None], objective == "mse", **opts)
         assert res.x.tobytes() == alone.x.tobytes()
         assert repr(res.fun) == repr(alone.fun)
-        assert (res.nfev, res.njev, res.success, res.nobj) == \
-            (alone.nfev, alone.njev, alone.success, alone_counts[0])
+        assert (res.nfev, res.njev, res.success, res.nobj, res.stop) == \
+            (alone.nfev, alone.njev, alone.success, alone_counts[0],
+             alone.stop)
         evals[0] += alone_counts[0]
         evals[1] += alone_counts[1]
     assert counts == evals
     assert batch[0].success and batch[1].fun == 1e300
-    assert batch[2].nfev > maxfun and not batch[2].success
+    assert batch[2].nfev > maxfun and batch[2].stop == 502
     if objective == "mse":
         assert np.isnan(batch[1].x).any() and counts[0] > sum(
             res.nfev for res in batch)
@@ -581,7 +634,7 @@ def test_fit_seeds_match_fits_alone(text, objective, config, synth,
 # mse and a 32-entry spread under mnr, at fit seed 0 on the bundled data;
 # and `esrlab fit` results files for catalog(5)
 _GOLDEN_L6_MNR = slice(0, 320, 10)
-_GOLDEN_L6 = {"mse": "5e7512e3e0749fe3", "mnr": "803544e64327d6f9"}
+_GOLDEN_L6 = {"mse": "c1e7f69b2efeb12f", "mnr": "803544e64327d6f9"}
 _GOLDEN_RESULTS_L5 = {"mse": "9de8433a2db4f391", "mnr": "79fafc12161c171b"}
 
 
